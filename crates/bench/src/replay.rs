@@ -261,17 +261,17 @@ fn run_replay(scale: &Scale) -> ReplayReport {
         warm.stats.disk_hits > 0 && warm.stats.disk_misses == 0,
         "warm restart must serve every template from disk"
     );
-    // The compile tier's gate: every distinct contract's program must
-    // come back from its persisted record (promoted alongside the
-    // contract hit), so a graceful restart compiles nothing and writes
-    // nothing.
+    // The read-path gate: a contract hit returns before any program is
+    // asked for, so a graceful restart reads only contract records — no
+    // program record is read, none is missed, nothing compiles and
+    // nothing is written.
     assert_eq!(
-        warm.stats.program_hits as usize, contracts_on_disk,
-        "warm restart must read every persisted program exactly once"
+        warm.stats.program_hits, 0,
+        "warm restart must read no program record"
     );
     assert_eq!(
         warm.stats.program_misses, 0,
-        "every contract record must have a program record beside it"
+        "warm restart must never ask the store for a program"
     );
     assert_eq!(
         warm.stats.program_stale, 0,

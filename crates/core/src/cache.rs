@@ -34,10 +34,10 @@ use crate::infer::Language;
 use crate::outcome::{BudgetKind, DelegateTarget, Diagnostic};
 use crate::pipeline::RecoveredFunction;
 use crate::rules::RuleId;
-use crate::store::{PersistentStore, ProgramLookup, ProgramVerify, StoreStats};
+use crate::store::{PersistentStore, ProgramLookup, StoreStats};
 use sigrec_abi::AbiType;
 use sigrec_evm::{Disassembly, Program};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -164,12 +164,6 @@ struct CacheInner {
     /// the bytes, so entries never invalidate and duplicates across a
     /// batch share one compile.
     programs: Mutex<HashMap<[u8; 32], Arc<Program>>>,
-    /// Keys whose persisted program record has been verified (checksum +
-    /// format version) but not yet decoded. The warm promote path fills
-    /// this instead of materialising steps nobody may ever execute;
-    /// [`RecoveryCache::program_for`] drains it with the deferred decode
-    /// on first actual use.
-    disk_programs: Mutex<HashSet<[u8; 32]>>,
     contract_hits: AtomicU64,
     contract_misses: AtomicU64,
     function_hits: AtomicU64,
@@ -225,8 +219,11 @@ impl RecoveryCache {
     }
 
     /// Looks up a whole contract by its code hash: memory first, then
-    /// the persistent tier. A disk hit is promoted into the memory map
-    /// so later duplicates skip the read and the deserialisation.
+    /// the persistent tier. A disk hit reads that contract's one record
+    /// and nothing else — the program record stored beside it is left
+    /// alone, because a contract hit returns before any program is asked
+    /// for. The hit is promoted into the memory map so later duplicates
+    /// skip the read and the deserialisation.
     pub fn lookup_contract(&self, key: &[u8; 32]) -> Option<Arc<CachedContract>> {
         let hit = self
             .inner
@@ -251,21 +248,6 @@ impl RecoveryCache {
                     .expect("cache poisoned")
                     .entry(*key)
                     .or_insert_with(|| Arc::clone(&entry));
-                // Promote the persisted compiled program in the same
-                // breath — verify-only, decode deferred. Warm contract
-                // hits short-circuit the plan stage before it would ever
-                // ask for a program, so this is the read path that makes
-                // a graceful restart skip the compile phase for every
-                // distinct contract, and deferring the body decode keeps
-                // the promote at one checksum pass over the mapped
-                // record instead of a full step materialisation.
-                if let ProgramVerify::Ok = store.verify_program(key) {
-                    self.inner
-                        .disk_programs
-                        .lock()
-                        .expect("cache poisoned")
-                        .insert(*key);
-                }
                 self.inner.contract_hits.fetch_add(1, Ordering::Relaxed);
                 return Some(entry);
             }
@@ -345,15 +327,20 @@ impl RecoveryCache {
     }
 
     /// Returns the block-compiled [`Program`] for the contract hashing to
-    /// `key`: memory first, then the persistent tier's program records,
-    /// then a fresh lazy compile over the blocks reachable from
-    /// `entries` (outside the lock), memoised on first use. Compilation
-    /// is a pure function of the bytes, so when two workers race on the
-    /// same key the loser's compile is simply dropped in favour of the
-    /// first inserted `Arc`. A stale persisted program (format-version
-    /// mismatch) triggers the recompile; the recompiled program is
-    /// returned as [`ProgramSource::Compiled`], so the plan's seal
-    /// appends a current-format record that shadows the stale one.
+    /// `key`: memory first, then the persistent tier's program records
+    /// ([`PersistentStore::lookup_program`], which checks the checksum,
+    /// tag and format version and decodes in one pass, so every program
+    /// that runs was verified when it was read), then a fresh lazy
+    /// compile over the blocks reachable from `entries` (outside the
+    /// lock), memoised on first use. After a restart only `explain` and
+    /// a contract whose own record missed get this far; a contract disk
+    /// hit never asks for its program. Compilation is a pure function of
+    /// the bytes, so when two workers race on the same key the loser's
+    /// compile is simply dropped in favour of the first inserted `Arc`.
+    /// A stale or corrupt persisted program triggers the recompile; the
+    /// recompiled program is returned as [`ProgramSource::Compiled`], so
+    /// the plan's seal appends a current-format record that shadows the
+    /// bad one.
     pub fn program_for(
         &self,
         key: &[u8; 32],
@@ -372,26 +359,9 @@ impl RecoveryCache {
             return (hit, ProgramSource::Memory);
         }
         if let Some(store) = &self.inner.store {
-            // A record the promote path already verified decodes without
-            // re-counting (the serve was counted then); otherwise the
-            // full store lookup verifies, decodes, and counts in one go.
-            let promoted = self
-                .inner
-                .disk_programs
-                .lock()
-                .expect("cache poisoned")
-                .remove(key);
-            let decoded = if promoted {
-                store.decode_program(key)
-            } else {
-                match store.lookup_program(key) {
-                    ProgramLookup::Hit(program) => Some(program),
-                    // Stale and Miss both fall through to a fresh
-                    // compile; the store's counters record which it was.
-                    ProgramLookup::Stale | ProgramLookup::Miss => None,
-                }
-            };
-            if let Some(program) = decoded {
+            // Stale and Miss both fall through to a fresh compile; the
+            // store's counters record which it was.
+            if let ProgramLookup::Hit(program) = store.lookup_program(key) {
                 self.inner.program_hits.fetch_add(1, Ordering::Relaxed);
                 let decoded = Arc::new(program);
                 let shared = self

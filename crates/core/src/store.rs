@@ -41,20 +41,31 @@
 //! **The compile tier.** Compiled [`Program`](sigrec_evm::Program)s are
 //! persisted alongside contract records: sealing a recovery also appends
 //! a program record (same framing, same segments) whose payload starts
-//! with [`PROGRAM_PAYLOAD_TAG`] and a `PROGRAM_FORMAT_VERSION` stamp. On
-//! read-through a version-matching record rebuilds the program in
-//! O(steps) via `Program::from_parts` and skips compilation entirely; a
-//! stale version or any decode failure is a structured miss
-//! ([`ProgramLookup::Stale`] / [`ProgramLookup::Miss`]) — the caller
-//! recompiles and rewrites, and a mismatched payload can never misdecode
-//! into a wrong program. Contract and program payloads share segments
-//! but live in separate indexes, discriminated by the payload's first
-//! byte (contract payloads start with `PAYLOAD_VERSION`, program
-//! payloads with the tag). Sealed segments and the flat index are read
-//! through a memory mapping ([`mmap`](crate::mmap)): records are
-//! checksum-verified and decoded straight from the mapped bytes, and
-//! only owned structures leave the store, so the mapping's lifetime
-//! never escapes.
+//! with [`PROGRAM_PAYLOAD_TAG`] and a `PROGRAM_FORMAT_VERSION` stamp. A
+//! program record is read only when a program is asked for — by
+//! `explain`, or by a contract whose own record missed; a contract hit
+//! never touches it, so a restart that serves stored contracts reads one
+//! record per contract. [`PersistentStore::lookup_program`] checks the
+//! checksum, tag and version and decodes in the same pass: a
+//! version-matching record rebuilds the program in O(steps) via
+//! `Program::from_parts` and skips compilation entirely; a stale version
+//! or any decode failure is a structured miss ([`ProgramLookup::Stale`]
+//! / [`ProgramLookup::Miss`]) — the caller recompiles and rewrites, and
+//! a mismatched payload can never misdecode into a wrong program.
+//! Contract and program payloads share segments but live in separate
+//! indexes, discriminated by the payload's first byte (contract
+//! payloads start with `PAYLOAD_VERSION`, program payloads with the
+//! tag). Sealed segments and the flat index are read through a memory
+//! mapping ([`mmap`](crate::mmap)): records are checksum-verified and
+//! decoded straight from the mapped bytes, and only owned structures
+//! leave the store, so the mapping's lifetime never escapes.
+//!
+//! **Poisoning.** A panic while the store's lock is held poisons it. The
+//! store then degrades instead of panicking: lookups miss, appends and
+//! [`PersistentStore::flush`] return an error (no index is written, so
+//! the next open rescans), and every refused call is counted in
+//! [`StoreStats::poisoned_refusals`]. The cache above keeps serving from
+//! memory.
 //!
 //! [`RecoveryCache`]: crate::RecoveryCache
 //! [`RecoveryCache::store_contract`]: crate::RecoveryCache::store_contract
@@ -74,7 +85,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Magic + version stamp opening every segment file.
@@ -154,8 +165,11 @@ pub struct StoreStats {
     /// Appends dropped by an I/O error (the write-behind tier absorbs
     /// them; the in-memory result is unaffected).
     pub io_errors: u64,
-    /// Program lookups that decoded a version-matching persisted program
-    /// (the compile phase was skipped entirely).
+    /// Program records read, verified and decoded by
+    /// [`PersistentStore::lookup_program`], each one a compile skipped.
+    /// A contract hit never reads its program record, so a restart that
+    /// only serves stored contracts leaves this at 0: only `explain` and
+    /// contracts whose own record missed ask the store for a program.
     pub program_hits: u64,
     /// Program lookups with no usable record — the caller compiles.
     pub program_misses: u64,
@@ -166,6 +180,10 @@ pub struct StoreStats {
     /// Program records appended (not counted in `records_appended`,
     /// which stays contract-only).
     pub programs_appended: u64,
+    /// Calls refused because a panic while the store's lock was held
+    /// poisoned it. From then on lookups miss, appends and flushes fail,
+    /// and the cache above carries on from memory alone.
+    pub poisoned_refusals: u64,
 }
 
 impl StoreStats {
@@ -250,20 +268,6 @@ pub enum ProgramLookup {
     Miss,
 }
 
-/// The result of [`PersistentStore::verify_program`] — the decode-free
-/// promote probe.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum ProgramVerify {
-    /// The record is whole (checksum) and current (format version); the
-    /// body can be decoded later with [`PersistentStore::decode_program`].
-    Ok,
-    /// A record exists but its `PROGRAM_FORMAT_VERSION` does not match
-    /// this build.
-    Stale,
-    /// No usable program record (absent, torn away, or corrupt).
-    Miss,
-}
-
 /// Mutable state behind the store's lock: the key indexes, the active
 /// append segment, and lazily-opened read handles and mappings.
 struct StoreState {
@@ -307,6 +311,7 @@ struct StoreInner {
     program_misses: AtomicU64,
     program_stale: AtomicU64,
     programs_appended: AtomicU64,
+    poisoned_refusals: AtomicU64,
 }
 
 impl fmt::Debug for StoreInner {
@@ -432,6 +437,7 @@ impl PersistentStore {
             program_misses: AtomicU64::new(0),
             program_stale: AtomicU64::new(0),
             programs_appended: AtomicU64::new(0),
+            poisoned_refusals: AtomicU64::new(0),
         };
         Ok(PersistentStore {
             inner: Arc::new(inner),
@@ -448,9 +454,23 @@ impl PersistentStore {
         &self.inner.open_diags
     }
 
-    /// Number of distinct contract keys readable from disk.
+    /// Number of distinct contract keys readable from disk (0 once the
+    /// store is poisoned).
     pub fn contract_count(&self) -> usize {
-        self.inner.state.lock().expect("store poisoned").index.len()
+        self.state().map_or(0, |state| state.index.len())
+    }
+
+    /// The one way into the store's mutable state. A panic while the
+    /// lock was held leaves the indexes and the active segment in an
+    /// unknown state, so a poisoned lock is never recovered: the call is
+    /// refused with an error and counted in
+    /// [`StoreStats::poisoned_refusals`], and each caller degrades —
+    /// lookups miss, appends and flushes fail.
+    fn state(&self) -> io::Result<MutexGuard<'_, StoreState>> {
+        self.inner.state.lock().map_err(|_| {
+            self.inner.poisoned_refusals.fetch_add(1, Ordering::Relaxed);
+            io::Error::other("store lock poisoned by a panic")
+        })
     }
 
     /// A snapshot of the store's counters.
@@ -472,6 +492,7 @@ impl PersistentStore {
             program_misses: self.inner.program_misses.load(r),
             program_stale: self.inner.program_stale.load(r),
             programs_appended: self.inner.programs_appended.load(r),
+            poisoned_refusals: self.inner.poisoned_refusals.load(r),
         }
     }
 
@@ -482,7 +503,9 @@ impl PersistentStore {
     /// or an [`Diagnostic::InternalError`] among the diagnostics): such
     /// results are nondeterministic or partial and must never be
     /// replayed from disk. The in-memory callers already gate these —
-    /// this check is the disk tier's own last line of defense.
+    /// this check is the disk tier's own last line of defense. A write
+    /// error, or a poisoned store, is returned and counted in
+    /// [`StoreStats::io_errors`].
     pub fn append(
         &self,
         key: [u8; 32],
@@ -527,7 +550,7 @@ impl PersistentStore {
     }
 
     fn append_record(&self, key: [u8; 32], record: &[u8], is_program: bool) -> io::Result<()> {
-        let mut state = self.inner.state.lock().expect("store poisoned");
+        let mut state = self.state()?;
         // Roll to a fresh segment when the active one is full (or none
         // exists yet).
         let roll = match state.segments.last() {
@@ -586,10 +609,10 @@ impl PersistentStore {
     /// index, counted in [`StoreStats::corrupt_records`], and reported
     /// as a miss — the caller recovers cold and reseals a good record.
     pub fn lookup(&self, key: &[u8; 32]) -> Option<(Vec<RecoveredFunction>, Vec<Diagnostic>)> {
-        let loc = {
-            let state = self.inner.state.lock().expect("store poisoned");
-            state.index.get(key).copied()
-        };
+        let loc = self
+            .state()
+            .ok()
+            .and_then(|state| state.index.get(key).copied());
         let Some(loc) = loc else {
             self.inner.disk_misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -605,8 +628,9 @@ impl PersistentStore {
             None => {
                 self.inner.corrupt_records.fetch_add(1, Ordering::Relaxed);
                 self.inner.disk_misses.fetch_add(1, Ordering::Relaxed);
-                let mut state = self.inner.state.lock().expect("store poisoned");
-                state.index.remove(key);
+                if let Ok(mut state) = self.state() {
+                    state.index.remove(key);
+                }
                 None
             }
         }
@@ -621,10 +645,10 @@ impl PersistentStore {
     /// Both mean "compile it yourself" — [`ProgramLookup::Stale`]
     /// additionally invites an `append_program` rewrite.
     pub fn lookup_program(&self, key: &[u8; 32]) -> ProgramLookup {
-        let loc = {
-            let state = self.inner.state.lock().expect("store poisoned");
-            state.program_index.get(key).copied()
-        };
+        let loc = self
+            .state()
+            .ok()
+            .and_then(|state| state.program_index.get(key).copied());
         let Some(loc) = loc else {
             self.inner.program_misses.fetch_add(1, Ordering::Relaxed);
             return ProgramLookup::Miss;
@@ -644,73 +668,10 @@ impl PersistentStore {
             Some(codec::ProgramDecode::Malformed) | None => {
                 self.inner.corrupt_records.fetch_add(1, Ordering::Relaxed);
                 self.inner.program_misses.fetch_add(1, Ordering::Relaxed);
-                let mut state = self.inner.state.lock().expect("store poisoned");
-                state.program_index.remove(key);
+                if let Ok(mut state) = self.state() {
+                    state.program_index.remove(key);
+                }
                 ProgramLookup::Miss
-            }
-        }
-    }
-
-    /// Verifies the persisted program record for `key` — framing
-    /// checksum, payload tag, and `PROGRAM_FORMAT_VERSION` — without
-    /// decoding the program body.
-    ///
-    /// This is the warm-restart promote probe: a verified record counts
-    /// as a program hit (its bytes were read and served), while the body
-    /// decode is deferred to [`PersistentStore::decode_program`] on
-    /// first actual use, so a restart that never re-executes a contract
-    /// never pays for materialising its steps.
-    pub(crate) fn verify_program(&self, key: &[u8; 32]) -> ProgramVerify {
-        let loc = {
-            let state = self.inner.state.lock().expect("store poisoned");
-            state.program_index.get(key).copied()
-        };
-        let Some(loc) = loc else {
-            self.inner.program_misses.fetch_add(1, Ordering::Relaxed);
-            return ProgramVerify::Miss;
-        };
-        match self.with_record(key, loc, |payload| Some(codec::probe_program(payload))) {
-            Some(codec::ProgramProbe::Current) => {
-                self.inner.program_hits.fetch_add(1, Ordering::Relaxed);
-                self.inner
-                    .bytes_read
-                    .fetch_add(loc.len as u64, Ordering::Relaxed);
-                ProgramVerify::Ok
-            }
-            Some(codec::ProgramProbe::Stale) => {
-                self.inner.program_stale.fetch_add(1, Ordering::Relaxed);
-                ProgramVerify::Stale
-            }
-            Some(codec::ProgramProbe::Malformed) | None => {
-                self.inner.corrupt_records.fetch_add(1, Ordering::Relaxed);
-                self.inner.program_misses.fetch_add(1, Ordering::Relaxed);
-                let mut state = self.inner.state.lock().expect("store poisoned");
-                state.program_index.remove(key);
-                ProgramVerify::Miss
-            }
-        }
-    }
-
-    /// Decodes the program record `verify_program` already served.
-    /// Counter-neutral on success — the hit and its bytes were counted
-    /// at verification time, this is only the deferred materialisation —
-    /// but a record that fails re-verification or decoding (the file
-    /// changed underneath us) is dropped and counted corrupt, and the
-    /// caller falls back to a fresh compile.
-    pub(crate) fn decode_program(&self, key: &[u8; 32]) -> Option<Program> {
-        let loc = {
-            let state = self.inner.state.lock().expect("store poisoned");
-            state.program_index.get(key).copied()
-        };
-        let loc = loc?;
-        match self.with_record(key, loc, |payload| Some(codec::decode_program(payload))) {
-            Some(codec::ProgramDecode::Current(program)) => Some(*program),
-            Some(codec::ProgramDecode::Stale) => None,
-            Some(codec::ProgramDecode::Malformed) | None => {
-                self.inner.corrupt_records.fetch_add(1, Ordering::Relaxed);
-                let mut state = self.inner.state.lock().expect("store poisoned");
-                state.program_index.remove(key);
-                None
             }
         }
     }
@@ -738,7 +699,7 @@ impl PersistentStore {
         {
             // `File` writes are unbuffered, so a record indexed by the
             // appender is immediately visible to a separate read handle.
-            let mut state = self.inner.state.lock().expect("store poisoned");
+            let mut state = self.state().ok()?;
             let dir = self.inner.dir.clone();
             let file = match state.readers.entry(loc.segment) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -754,7 +715,7 @@ impl PersistentStore {
 
     /// The (lazily created) read-only mapping of one segment file.
     fn mapping_for(&self, segment: u32) -> Option<Arc<Mapping>> {
-        let mut state = self.inner.state.lock().expect("store poisoned");
+        let mut state = self.state().ok()?;
         if let Some(map) = state.maps.get(&segment) {
             return Some(Arc::clone(map));
         }
@@ -766,9 +727,10 @@ impl PersistentStore {
     /// Syncs the active segment and writes the flat index, making every
     /// appended record durable and the next open scan-free. Called on
     /// graceful shutdown; a crash that skips it costs an index rebuild,
-    /// never data written before the last sync.
+    /// never data written before the last sync. A poisoned store returns
+    /// an error and writes no index, so the next open rescans.
     pub fn flush(&self) -> io::Result<()> {
-        let mut state = self.inner.state.lock().expect("store poisoned");
+        let mut state = self.state()?;
         if let Some(f) = state.active.as_mut() {
             f.sync_data()?;
             self.inner.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -1481,8 +1443,7 @@ mod codec {
     /// bitmask. The `pc → step` table is *not* persisted — the decoder
     /// rebuilds it in O(steps). Programs small enough for every pc and
     /// index to fit in 16 bits (virtually all deployed contracts) use a
-    /// compact half-width layout — the payload is read back (and FNV-
-    /// checksummed) on every warm promote, so its size is wall-clock.
+    /// compact half-width layout, which saves disk bytes.
     pub(super) fn encode_program(p: &Program) -> Vec<u8> {
         let steps = p.steps();
         let blocks = p.blocks();
@@ -1555,30 +1516,6 @@ mod codec {
         }
         out.extend_from_slice(&bits);
         out
-    }
-
-    /// A decode-free program payload probe: tag and version only.
-    pub(super) enum ProgramProbe {
-        Current,
-        Stale,
-        Malformed,
-    }
-
-    /// Probes a program payload's tag and format version without
-    /// decoding the body — the promote path's cheap verification (the
-    /// record checksum has already been checked by `with_record`).
-    pub(super) fn probe_program(payload: &[u8]) -> ProgramProbe {
-        let mut r = Reader::new(payload);
-        let (Some(tag), Some(version)) = (r.u8(), r.u16()) else {
-            return ProgramProbe::Malformed;
-        };
-        if tag != PROGRAM_PAYLOAD_TAG {
-            return ProgramProbe::Malformed;
-        }
-        if version != PROGRAM_FORMAT_VERSION {
-            return ProgramProbe::Stale;
-        }
-        ProgramProbe::Current
     }
 
     /// Decodes a program payload. Total: every malformed input comes
@@ -1970,24 +1907,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_program_counts_the_hit_and_decode_is_counter_neutral() {
-        let dir = scratch();
-        let store = PersistentStore::open(&dir).unwrap();
-        let key = [9u8; 32];
-        let program = sample_program();
-        store.append_program(key, &program).unwrap();
-        assert!(matches!(store.verify_program(&key), ProgramVerify::Ok));
-        let stats = store.stats();
-        assert_eq!(stats.program_hits, 1, "verify is the counted serve");
-        let decoded = store.decode_program(&key).expect("deferred decode");
-        assert_programs_equal(&decoded, &program);
-        let after = store.stats();
-        assert_eq!(after.program_hits, 1, "decode must not double-count");
-        assert_eq!(after.corrupt_records, 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn program_survives_reopen_flushed_and_rebuilt() {
         let dir = scratch();
         let key = [4u8; 32];
@@ -2128,6 +2047,77 @@ mod tests {
         assert_eq!(got[0].params, vec![AbiType::Bool]);
         assert!(matches!(
             store.lookup_program(&[2u8; 32]),
+            ProgramLookup::Hit(_)
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn poisoned_store_degrades_instead_of_panicking() {
+        use crate::{RecoveryCache, SigRec};
+        use sigrec_solc::{compile, CompilerConfig, FunctionSpec, Visibility};
+
+        let dir = scratch();
+        let store = PersistentStore::open(&dir).unwrap();
+        let key = [1u8; 32];
+        store.append(key, &[func(1, vec![])], &[]).unwrap();
+        store.append_program(key, &sample_program()).unwrap();
+        let holder = store.clone();
+        let panicked = std::thread::spawn(move || {
+            let _state = holder.inner.state.lock().unwrap();
+            panic!("a panic while the store lock is held");
+        })
+        .join();
+        assert!(panicked.is_err() && store.inner.state.is_poisoned());
+
+        // No call panics: lookups miss, writes and the flush fail.
+        assert!(store.lookup(&key).is_none());
+        assert!(matches!(store.lookup_program(&key), ProgramLookup::Miss));
+        assert_eq!(store.contract_count(), 0);
+        assert!(store.append([2u8; 32], &[func(2, vec![])], &[]).is_err());
+        assert!(store.append_program([2u8; 32], &sample_program()).is_err());
+        assert!(store.flush().is_err());
+        assert!(
+            !index_path(&dir).exists(),
+            "a poisoned flush writes no index"
+        );
+        let stats = store.stats();
+        assert_eq!(stats.poisoned_refusals, 6);
+        assert_eq!(stats.io_errors, 2);
+        assert_eq!((stats.disk_hits, stats.disk_misses), (0, 1));
+        assert_eq!((stats.program_hits, stats.program_misses), (0, 1));
+        assert_eq!(stats.corrupt_records, 0);
+
+        // A recoverer over the poisoned store answers from memory alone,
+        // with the same signatures as one that never had a store.
+        let contract = compile(
+            &[FunctionSpec::new(
+                sigrec_abi::FunctionSignature::parse("transfer(address,uint256)").unwrap(),
+                Visibility::External,
+            )],
+            &CompilerConfig::default(),
+        );
+        let expected = SigRec::new().recover(&contract.code);
+        let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(store.clone()));
+        let cold = sigrec.recover(&contract.code);
+        let warm = sigrec.recover(&contract.code);
+        for got in [&cold, &warm] {
+            assert_eq!(got.len(), expected.len());
+            for (g, e) in got.iter().zip(&expected) {
+                assert_eq!((g.selector, &g.params), (e.selector, &e.params));
+            }
+        }
+        let cache = sigrec.cache_stats();
+        assert_eq!((cache.contract_hits, cache.contract_misses), (1, 1));
+        assert!(sigrec.flush_store().is_err());
+        assert_eq!(store.stats().io_errors, 3, "the seal's append failed");
+
+        // The next process rescans and serves what was written before.
+        let reopened = PersistentStore::open(&dir).unwrap();
+        assert_eq!(reopened.stats().index_rebuilds, 1);
+        assert!(reopened.lookup(&key).is_some());
+        assert!(matches!(
+            reopened.lookup_program(&key),
             ProgramLookup::Hit(_)
         ));
         fs::remove_dir_all(&dir).unwrap();

@@ -285,18 +285,24 @@ fn linked_results_are_never_persisted_under_the_proxy_key() {
 }
 
 /// Reads the segment's record framing the same way the store does, so
-/// the fault injector can find the last record's byte range.
-fn last_record_span(segment: &[u8]) -> (usize, usize) {
+/// the fault injectors can find each record's byte range.
+fn record_spans(segment: &[u8]) -> Vec<(usize, usize)> {
     let mut pos = 8; // segment magic
-    let mut last = (pos, segment.len());
+    let mut spans = Vec::new();
     while pos < segment.len() {
         let len = u32::from_le_bytes(segment[pos + 32..pos + 36].try_into().unwrap()) as usize;
         let end = pos + 32 + 4 + 8 + len;
-        last = (pos, end);
+        spans.push((pos, end));
         pos = end;
     }
     assert_eq!(pos, segment.len(), "test segment must be clean");
-    last
+    spans
+}
+
+fn last_record_span(segment: &[u8]) -> (usize, usize) {
+    *record_spans(segment)
+        .last()
+        .expect("segment holds a record")
 }
 
 fn copy_store(src: &Path, dst: &Path) {
@@ -501,11 +507,12 @@ fn record_checksum(key: &[u8; 32], payload: &[u8]) -> u64 {
     h
 }
 
-/// Tentpole regression: a graceful restart must serve both the contract
-/// result *and* its compiled program from disk — the compile phase is
-/// eliminated, not just the exploration.
+/// A graceful restart serves a stored contract for the cost of reading
+/// that contract's one record: the program record beside it is not
+/// read, and nothing compiles. An `explain` on the same handle re-runs
+/// TASE, so it asks for the program, which comes from its record.
 #[test]
-fn graceful_restart_reads_programs_and_skips_compile() {
+fn graceful_restart_reads_one_record_and_skips_compile() {
     let dir = scratch("programs");
     let contract = compile(
         &[
@@ -533,6 +540,15 @@ fn graceful_restart_reads_programs_and_skips_compile() {
         sigrec.flush_store().unwrap();
         outcome
     };
+    let segment = std::fs::read(dir.join("seg-00000.sigseg")).unwrap();
+    let spans = record_spans(&segment);
+    assert_eq!(spans.len(), 2, "one contract record, one program record");
+    let (contract_start, contract_end) = spans[0];
+    assert_ne!(
+        segment[contract_start + 44],
+        sigrec_core::store::PROGRAM_PAYLOAD_TAG,
+        "seal writes the contract record first"
+    );
 
     let sigrec = SigRec::new()
         .with_cache(RecoveryCache::persistent(
@@ -542,6 +558,27 @@ fn graceful_restart_reads_programs_and_skips_compile() {
     let warm = sigrec.recover_with_outcome(&contract.code);
     assert_same(&cold.functions, &warm.functions);
     let store = sigrec.store_stats().unwrap();
+    assert_eq!(store.disk_hits, 1);
+    assert_eq!(store.program_hits, 0, "a contract hit reads no program");
+    assert_eq!(store.program_misses, 0);
+    assert_eq!(
+        store.bytes_read as usize,
+        contract_end - contract_start,
+        "only the contract's own record is read"
+    );
+    assert_eq!(
+        sigrec.exec_stats().unwrap().compile_time,
+        Duration::ZERO,
+        "warm restart must skip the compile phase entirely"
+    );
+
+    let explained: Vec<RecoveredFunction> = sigrec
+        .explain(&contract.code)
+        .into_iter()
+        .map(|e| e.function)
+        .collect();
+    assert_same(&cold.functions, &explained);
+    let store = sigrec.store_stats().unwrap();
     assert_eq!(store.program_hits, 1, "program served from its record");
     assert_eq!(store.program_misses, 0);
     assert_eq!(store.program_stale, 0);
@@ -550,10 +587,81 @@ fn graceful_restart_reads_programs_and_skips_compile() {
         "nothing recompiled or rewritten"
     );
     assert_eq!(
-        sigrec.exec_stats().unwrap().compile_time,
-        Duration::ZERO,
-        "warm restart must skip the compile phase entirely"
+        sigrec.exec_stats().unwrap().compile_cold_time,
+        Duration::ZERO
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checksum-corrupt program record behind a trusted index: warm
+/// contract hits never read it, so they stay byte-identical and see no
+/// corruption. The first `explain` reads it, counts it corrupt,
+/// recompiles, and its seal appends a good record that the next open
+/// serves.
+#[test]
+fn corrupt_program_record_is_unseen_by_contract_hits_and_rewritten_by_explain() {
+    let dir = scratch("corrupt-program");
+    let contract = compile(
+        &[
+            spec("transfer(address,uint256)"),
+            spec("setData(bytes,uint256[])"),
+        ],
+        &CompilerConfig::default(),
+    );
+    let key = keccak256(&contract.code);
+    let cold = {
+        let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(
+            PersistentStore::open(&dir).unwrap(),
+        ));
+        let outcome = sigrec.recover_with_outcome(&contract.code);
+        sigrec.flush_store().unwrap();
+        outcome
+    };
+    // Flip one program payload byte in place: the length is unchanged,
+    // so the flushed index is still trusted and still points at it.
+    let seg_path = dir.join("seg-00000.sigseg");
+    let mut segment = std::fs::read(&seg_path).unwrap();
+    let (last_start, last_end) = last_record_span(&segment);
+    assert_eq!(
+        segment[last_start + 44],
+        sigrec_core::store::PROGRAM_PAYLOAD_TAG
+    );
+    segment[last_end - 1] ^= 0xff;
+    std::fs::write(&seg_path, &segment).unwrap();
+
+    let sigrec = SigRec::new()
+        .with_cache(RecoveryCache::persistent(
+            PersistentStore::open(&dir).unwrap(),
+        ))
+        .with_exec_stats();
+    let warm = sigrec.recover_with_outcome(&contract.code);
+    assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+    let stats = sigrec.store_stats().unwrap();
+    assert_eq!(stats.index_rebuilds, 0, "the flushed index was trusted");
+    assert_eq!(stats.disk_hits, 1);
+    assert_eq!(stats.corrupt_records, 0);
+    assert_eq!(stats.program_hits + stats.program_misses, 0);
+
+    let explained: Vec<RecoveredFunction> = sigrec
+        .explain(&contract.code)
+        .into_iter()
+        .map(|e| e.function)
+        .collect();
+    assert_same(&cold.functions, &explained);
+    let stats = sigrec.store_stats().unwrap();
+    assert_eq!(stats.corrupt_records, 1);
+    assert_eq!(stats.program_hits, 0);
+    assert_eq!(stats.program_misses, 1);
+    assert_eq!(stats.programs_appended, 1, "the recompile is rewritten");
+    assert!(sigrec.exec_stats().unwrap().compile_cold_time > Duration::ZERO);
+    sigrec.flush_store().unwrap();
+
+    let store = PersistentStore::open(&dir).unwrap();
+    assert!(matches!(
+        store.lookup_program(&key),
+        sigrec_core::ProgramLookup::Hit(_)
+    ));
+    assert_eq!(store.stats().corrupt_records, 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
