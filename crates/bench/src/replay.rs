@@ -66,14 +66,13 @@ struct Epoch {
     torn_tail_seen: bool,
     stale_index_seen: bool,
     /// Plan-stage compile time for the epoch, split by where each plan's
-    /// program came from: fresh compiles, persisted program records, and
-    /// the in-memory memo. A warm restart serves every contract from the
-    /// store's contract records, so its whole split is exactly zero —
-    /// the "kill the compile phase" gate.
+    /// program came from: fresh compiles and persisted program records.
+    /// A warm restart serves every contract from the store's contract
+    /// records, so its whole split is exactly zero — the "kill the
+    /// compile phase" gate.
     compile_ms: f64,
     compile_cold_ms: f64,
     compile_store_ms: f64,
-    compile_memo_ms: f64,
     /// Blocks the lazy reachable-block compiler skipped across the
     /// epoch's fresh compiles.
     lazy_blocks_skipped: u64,
@@ -145,7 +144,6 @@ fn run_epoch(dir: &Path, stream: &[Vec<u8>], bundles: &[ScenarioBundle]) -> Epoc
         compile_ms: profile.compile_time.as_secs_f64() * 1e3,
         compile_cold_ms: profile.compile_cold_time.as_secs_f64() * 1e3,
         compile_store_ms: profile.compile_store_time.as_secs_f64() * 1e3,
-        compile_memo_ms: profile.compile_memo_time.as_secs_f64() * 1e3,
         lazy_blocks_skipped: profile.lazy_blocks_skipped,
     }
 }
@@ -320,8 +318,7 @@ pub fn replay(scale: &Scale) -> String {
          \"disk_misses\": {}, \"records_appended\": {}, \"programs_appended\": {}, \
          \"bytes_appended\": {}, \"fsyncs\": {}, \
          \"compile\": {{ \"compile_ms\": {:.2}, \"compile_cold_ms\": {:.2}, \
-         \"compile_store_ms\": {:.2}, \"compile_memo_ms\": {:.2}, \
-         \"lazy_blocks_skipped\": {} }} }},\n",
+         \"compile_store_ms\": {:.2}, \"lazy_blocks_skipped\": {} }} }},\n",
         r.cold.secs,
         cps(r.cold.secs),
         r.cold.stats.disk_misses,
@@ -332,7 +329,6 @@ pub fn replay(scale: &Scale) -> String {
         r.cold.compile_ms,
         r.cold.compile_cold_ms,
         r.cold.compile_store_ms,
-        r.cold.compile_memo_ms,
         r.cold.lazy_blocks_skipped,
     ));
     json.push_str(&format!(
@@ -342,8 +338,7 @@ pub fn replay(scale: &Scale) -> String {
          \"program_hits\": {}, \"program_misses\": {}, \"program_stale\": {}, \
          \"programs_appended\": {}, \
          \"compile\": {{ \"compile_ms\": {:.2}, \"compile_cold_ms\": {:.2}, \
-         \"compile_store_ms\": {:.2}, \"compile_memo_ms\": {:.2}, \
-         \"lazy_blocks_skipped\": {} }} }},\n",
+         \"compile_store_ms\": {:.2}, \"lazy_blocks_skipped\": {} }} }},\n",
         r.warm.secs,
         cps(r.warm.secs),
         speedup,
@@ -359,7 +354,6 @@ pub fn replay(scale: &Scale) -> String {
         r.warm.compile_ms,
         r.warm.compile_cold_ms,
         r.warm.compile_store_ms,
-        r.warm.compile_memo_ms,
         r.warm.lazy_blocks_skipped,
     ));
     json.push_str(&format!(
@@ -368,8 +362,7 @@ pub fn replay(scale: &Scale) -> String {
          \"index_rebuilds\": {}, \"corrupt_records\": {}, \"disk_hit_rate\": {:.4}, \
          \"records_appended\": {}, \"program_hits\": {}, \"program_misses\": {}, \
          \"compile\": {{ \"compile_ms\": {:.2}, \"compile_cold_ms\": {:.2}, \
-         \"compile_store_ms\": {:.2}, \"compile_memo_ms\": {:.2}, \
-         \"lazy_blocks_skipped\": {} }} }},\n",
+         \"compile_store_ms\": {:.2}, \"lazy_blocks_skipped\": {} }} }},\n",
         r.crash.secs,
         cps(r.crash.secs),
         r.crash_speedup(),
@@ -384,7 +377,6 @@ pub fn replay(scale: &Scale) -> String {
         r.crash.compile_ms,
         r.crash.compile_cold_ms,
         r.crash.compile_store_ms,
-        r.crash.compile_memo_ms,
         r.crash.lazy_blocks_skipped,
     ));
     json.push_str(&format!(
@@ -436,18 +428,18 @@ pub fn replay(scale: &Scale) -> String {
         r.crash.stats.records_appended.to_string(),
     ]);
     t.row(&[
-        "compile ms (cold/store/memo)".into(),
+        "compile ms (cold/store)".into(),
         format!(
-            "{:.2} / {:.2} / {:.2}",
-            r.cold.compile_cold_ms, r.cold.compile_store_ms, r.cold.compile_memo_ms
+            "{:.2} / {:.2}",
+            r.cold.compile_cold_ms, r.cold.compile_store_ms
         ),
         format!(
-            "{:.2} / {:.2} / {:.2}",
-            r.warm.compile_cold_ms, r.warm.compile_store_ms, r.warm.compile_memo_ms
+            "{:.2} / {:.2}",
+            r.warm.compile_cold_ms, r.warm.compile_store_ms
         ),
         format!(
-            "{:.2} / {:.2} / {:.2}",
-            r.crash.compile_cold_ms, r.crash.compile_store_ms, r.crash.compile_memo_ms
+            "{:.2} / {:.2}",
+            r.crash.compile_cold_ms, r.crash.compile_store_ms
         ),
     ]);
     t.row(&[

@@ -529,14 +529,13 @@ pub fn throughput(scale: &Scale) -> String {
     ));
     json.push_str(&format!(
         "  \"phases\": {{ \"compile_ms\": {:.2}, \"compile_cold_ms\": {:.2}, \
-         \"compile_store_ms\": {:.2}, \"compile_memo_ms\": {:.2}, \
+         \"compile_store_ms\": {:.2}, \
          \"lazy_blocks_skipped\": {}, \"explore_ms\": {:.2}, \
          \"infer_ms\": {:.2}, \"infer_index_ms\": {:.2}, \
          \"infer_match_ms\": {:.2}, \"infer_refine_ms\": {:.2} }},\n",
         profile.compile_time.as_secs_f64() * 1e3,
         profile.compile_cold_time.as_secs_f64() * 1e3,
         profile.compile_store_time.as_secs_f64() * 1e3,
-        profile.compile_memo_time.as_secs_f64() * 1e3,
         profile.lazy_blocks_skipped,
         profile.tase_time.as_secs_f64() * 1e3,
         profile.infer_time.as_secs_f64() * 1e3,

@@ -322,8 +322,14 @@ enum Job {
     /// [`Job::Func`] per entry (in hand for light plans, scattered across
     /// shards for heavy ones).
     Plan(usize),
-    /// Recover dispatch entry `idx` of group `group`'s plan.
-    Func { group: usize, idx: usize },
+    /// Recover dispatch entry `idx` of group `group`'s plan. Each job
+    /// holds the plan, so the plan (its disassembly and program) is freed
+    /// with the contract's last function job, not with the batch.
+    Func {
+        group: usize,
+        idx: usize,
+        plan: Arc<ContractPlan>,
+    },
 }
 
 /// Size-aware admission: a plan whose dispatch table has at least this
@@ -582,14 +588,13 @@ impl Scheduler {
 /// diagnostics, and plan-to-last-function latency.
 type GroupDone = (Arc<Vec<RecoveredFunction>>, Arc<Vec<Diagnostic>>, Duration);
 
-/// Per-group scheduler state: the plan, the per-entry result slots, and
-/// the finished `Arc`-shared function list.
+/// Per-group scheduler state: the per-entry result slots and the
+/// finished `Arc`-shared function list.
 struct GroupState {
     /// Input index of the representative contract.
     rep: usize,
     /// All duplicate input indices (includes `rep`).
     members: Vec<usize>,
-    plan: OnceLock<Arc<ContractPlan>>,
     slots: Mutex<Vec<Option<RecoveredFunction>>>,
     remaining: AtomicUsize,
     /// [`Diagnostic::InternalError`]s from isolated worker panics. A
@@ -663,7 +668,6 @@ fn run_scheduler(
         .map(|(rep, members)| GroupState {
             rep,
             members,
-            plan: OnceLock::new(),
             slots: Mutex::new(Vec::new()),
             remaining: AtomicUsize::new(0),
             panics: Mutex::new(Vec::new()),
@@ -821,8 +825,13 @@ fn run_job(ctx: &Ctx<'_>, me: usize, job: Job, hand: &mut VecDeque<Job>) {
                 let heavy = n >= HEAVY_ENTRIES || ctx.codes[gs.rep].len() >= HEAVY_CODE_BYTES;
                 *gs.slots.lock().expect("slots poisoned") = (0..n).map(|_| None).collect();
                 gs.remaining.store(n, Ordering::Release);
-                gs.plan.set(plan).expect("plan set once");
-                let jobs: Vec<Job> = (0..n).map(|idx| Job::Func { group: g, idx }).collect();
+                let jobs: Vec<Job> = (0..n)
+                    .map(|idx| Job::Func {
+                        group: g,
+                        idx,
+                        plan: Arc::clone(&plan),
+                    })
+                    .collect();
                 if heavy {
                     ctx.heavy.fetch_add(1, Ordering::Relaxed);
                     ctx.sched.push_scatter(me, jobs);
@@ -834,12 +843,11 @@ fn run_job(ctx: &Ctx<'_>, me: usize, job: Job, hand: &mut VecDeque<Job>) {
                 }
             }
         }
-        Job::Func { group, idx } => {
+        Job::Func { group, idx, plan } => {
             let gs = &ctx.states[group];
-            let plan = gs.plan.get().expect("plan precedes entries");
             let recovered = catch_unwind(AssertUnwindSafe(|| {
                 ctx.sigrec
-                    .run_entry(&ctx.codes[gs.rep], plan, idx, ctx.mode)
+                    .run_entry(&ctx.codes[gs.rep], &plan, idx, ctx.mode)
                     .0
             }));
             match recovered {
@@ -868,7 +876,7 @@ fn run_job(ctx: &Ctx<'_>, me: usize, job: Job, hand: &mut VecDeque<Job>) {
                     .collect();
                 let panics = std::mem::take(&mut *gs.panics.lock().expect("panics poisoned"));
                 if panics.is_empty() {
-                    ctx.sigrec.seal(plan, &functions);
+                    ctx.sigrec.seal(&plan, &functions);
                 }
                 let mut diags = assemble_diagnostics(&plan.extraction_diags, &functions);
                 diags.extend(panics);

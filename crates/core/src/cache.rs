@@ -91,9 +91,10 @@ pub struct CacheStats {
     pub function_hits: u64,
     /// Function-level lookups that missed.
     pub function_misses: u64,
-    /// Compiled-program lookups that found a shared [`Program`].
+    /// [`RecoveryCache::program_for`] calls served by a persisted program
+    /// record. Zero without a [`PersistentStore`].
     pub program_hits: u64,
-    /// Compiled-program lookups that compiled fresh.
+    /// [`RecoveryCache::program_for`] calls that compiled fresh.
     pub program_misses: u64,
     /// Contract lookups that missed memory but were served from the
     /// persistent tier (a subset of `contract_hits`). Zero without a
@@ -137,12 +138,10 @@ fn rate(hits: u64, misses: u64) -> f64 {
 }
 
 /// Where [`RecoveryCache::program_for`] found its program — the pipeline
-/// attributes compile-phase time by this.
+/// attributes compile-phase time by this, and seal persists only
+/// [`ProgramSource::Compiled`] programs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProgramSource {
-    /// Shared from the in-memory program map (another worker or an
-    /// earlier entry already paid for it).
-    Memory,
     /// Decoded from a persisted program record — the compile phase was
     /// skipped entirely.
     Disk,
@@ -160,10 +159,6 @@ struct CacheInner {
     store: Option<PersistentStore>,
     contracts: Mutex<HashMap<[u8; 32], Arc<CachedContract>>>,
     functions: Mutex<HashMap<(u64, usize), CachedFunction>>,
-    /// Block-compiled programs, keyed like contracts: a pure function of
-    /// the bytes, so entries never invalidate and duplicates across a
-    /// batch share one compile.
-    programs: Mutex<HashMap<[u8; 32], Arc<Program>>>,
     contract_hits: AtomicU64,
     contract_misses: AtomicU64,
     function_hits: AtomicU64,
@@ -327,65 +322,37 @@ impl RecoveryCache {
     }
 
     /// Returns the block-compiled [`Program`] for the contract hashing to
-    /// `key`: memory first, then the persistent tier's program records
+    /// `key`: the persistent tier's program record
     /// ([`PersistentStore::lookup_program`], which checks the checksum,
     /// tag and format version and decodes in one pass, so every program
-    /// that runs was verified when it was read), then a fresh lazy
-    /// compile over the blocks reachable from `entries` (outside the
-    /// lock), memoised on first use. After a restart only `explain` and
-    /// a contract whose own record missed get this far; a contract disk
-    /// hit never asks for its program. Compilation is a pure function of
-    /// the bytes, so when two workers race on the same key the loser's
-    /// compile is simply dropped in favour of the first inserted `Arc`.
-    /// A stale or corrupt persisted program triggers the recompile; the
-    /// recompiled program is returned as [`ProgramSource::Compiled`], so
-    /// the plan's seal appends a current-format record that shadows the
-    /// bad one.
+    /// that runs was verified when it was read), or else a fresh lazy
+    /// compile over the blocks reachable from `entries`. Nothing is kept
+    /// in memory: the program lives as long as the plan and executors
+    /// holding its `Arc`. Once a contract seals, later lookups are
+    /// contract hits that never ask for its program, so a memo would
+    /// only be read back by `explain` and by contracts that cannot seal.
+    /// After a restart only those, and a contract whose own record
+    /// missed, get here. A stale or corrupt persisted program triggers
+    /// the recompile; the recompiled program is returned as
+    /// [`ProgramSource::Compiled`], so the plan's seal appends a
+    /// current-format record that shadows the bad one.
     pub fn program_for(
         &self,
         key: &[u8; 32],
         disasm: &Disassembly,
         entries: &[usize],
     ) -> (Arc<Program>, ProgramSource) {
-        if let Some(hit) = self
-            .inner
-            .programs
-            .lock()
-            .expect("cache poisoned")
-            .get(key)
-            .cloned()
-        {
-            self.inner.program_hits.fetch_add(1, Ordering::Relaxed);
-            return (hit, ProgramSource::Memory);
-        }
         if let Some(store) = &self.inner.store {
             // Stale and Miss both fall through to a fresh compile; the
             // store's counters record which it was.
             if let ProgramLookup::Hit(program) = store.lookup_program(key) {
                 self.inner.program_hits.fetch_add(1, Ordering::Relaxed);
-                let decoded = Arc::new(program);
-                let shared = self
-                    .inner
-                    .programs
-                    .lock()
-                    .expect("cache poisoned")
-                    .entry(*key)
-                    .or_insert_with(|| Arc::clone(&decoded))
-                    .clone();
-                return (shared, ProgramSource::Disk);
+                return (Arc::new(program), ProgramSource::Disk);
             }
         }
         self.inner.program_misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(Program::compile_reachable(disasm, entries));
-        let shared = self
-            .inner
-            .programs
-            .lock()
-            .expect("cache poisoned")
-            .entry(*key)
-            .or_insert(compiled)
-            .clone();
-        (shared, ProgramSource::Compiled)
+        let compiled = Program::compile_reachable(disasm, entries);
+        (Arc::new(compiled), ProgramSource::Compiled)
     }
 
     /// A snapshot of the hit/miss counters (both tiers).
@@ -514,6 +481,44 @@ mod tests {
         let stats = RecoveryCache::new().stats();
         assert_eq!(stats.contract_hit_rate(), 0.0);
         assert_eq!(stats.function_hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn programs_live_as_long_as_their_holders() {
+        // PUSH1 0x04 JUMP INVALID JUMPDEST STOP
+        let disasm = Disassembly::new(&[0x60, 0x04, 0x56, 0xfe, 0x5b, 0x00]);
+        let key = [9u8; 32];
+
+        // Memory-only: nothing is memoised, so every call compiles and
+        // the caller's `Arc` is the program's only owner.
+        let cache = RecoveryCache::new();
+        let (first, source) = cache.program_for(&key, &disasm, &[0]);
+        assert_eq!(source, ProgramSource::Compiled);
+        let (_second, source) = cache.program_for(&key, &disasm, &[0]);
+        assert_eq!(source, ProgramSource::Compiled);
+        let stats = cache.stats();
+        assert_eq!((stats.program_hits, stats.program_misses), (0, 2));
+        let weak = Arc::downgrade(&first);
+        drop(first);
+        assert!(weak.upgrade().is_none(), "the cache kept the program alive");
+
+        // With a store: a sealed contract's program is read back from its
+        // record by a fresh cache over the same store.
+        let dir = std::env::temp_dir().join(format!("sigrec-cache-program-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let cache = RecoveryCache::persistent(PersistentStore::open(&dir).unwrap());
+            let (program, source) = cache.program_for(&key, &disasm, &[0]);
+            assert_eq!(source, ProgramSource::Compiled);
+            cache.store_contract_with_program(key, Vec::new(), Vec::new(), Some(&program));
+            cache.flush_store().unwrap();
+        }
+        let cache = RecoveryCache::persistent(PersistentStore::open(&dir).unwrap());
+        let (_, source) = cache.program_for(&key, &disasm, &[0]);
+        assert_eq!(source, ProgramSource::Disk);
+        let stats = cache.stats();
+        assert_eq!((stats.program_hits, stats.program_misses), (1, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -79,8 +79,9 @@ pub fn detect_forwarder(disasm: &Disassembly) -> Option<DelegateTarget> {
         }
         match ins.opcode {
             Opcode::Push(20) => {
+                let word = ins.push_value().unwrap_or_default().to_be_bytes();
                 let mut addr = [0u8; 20];
-                addr.copy_from_slice(&ins.immediate);
+                addr.copy_from_slice(&word[12..]);
                 last_push20 = Some(addr);
             }
             Opcode::SLoad => last_push20 = None,

@@ -165,13 +165,13 @@ pub(crate) struct ContractPlan {
     /// (the table and extents are empty in that case).
     pub(crate) cached: Option<Arc<CachedContract>>,
     disasm: Disassembly,
-    /// The block-compiled program every entry of the plan shares —
-    /// compiled once per distinct contract (and memoised in the cache for
-    /// keyed modes) when [`ExecEngine::Block`] is selected; `None` under
+    /// The block-compiled program every entry of the plan shares when
+    /// [`ExecEngine::Block`] is selected — read from the store's program
+    /// record or compiled fresh, and freed with the plan; `None` under
     /// [`ExecEngine::Instr`] and for contract-level cache hits.
     program: Option<Arc<Program>>,
-    /// Where the plan's program came from (memory tier, persisted program
-    /// record, or a fresh compile). Seal uses this to persist exactly the
+    /// Where the plan's program came from (persisted program record or a
+    /// fresh compile). Seal uses this to persist exactly the
     /// freshly-compiled programs — a program served from disk is already
     /// on disk. `None` when `program` is.
     program_source: Option<ProgramSource>,
@@ -191,17 +191,18 @@ pub(crate) struct ContractPlan {
 }
 
 /// For each table entry, one past the last byte of its body: the smallest
-/// dispatch entry pc above it, or the code length.
+/// dispatch entry pc above it, or the code length. Sorting the entry pcs
+/// once keeps a giant dispatcher at O(n log n) instead of rescanning the
+/// table per entry.
 fn body_extents(code_len: usize, table: &[DispatchEntry]) -> Vec<usize> {
+    let mut pcs: Vec<usize> = table.iter().map(|e| e.entry).collect();
+    pcs.sort_unstable();
+    pcs.dedup();
     table
         .iter()
         .map(|e| {
-            table
-                .iter()
-                .map(|o| o.entry)
-                .filter(|&o| o > e.entry)
-                .min()
-                .unwrap_or(code_len)
+            let above = pcs.partition_point(|&pc| pc <= e.entry);
+            pcs.get(above).copied().unwrap_or(code_len)
         })
         .collect()
 }
@@ -510,9 +511,8 @@ impl SigRec {
                 // jump discovers at run time.
                 let entry_pcs: Vec<usize> = extraction.table.iter().map(|e| e.entry).collect();
                 let (program, source) = match &key {
-                    // Keyed modes share one compile per distinct contract
-                    // across plans, workers, and batch duplicates — and
-                    // read persisted programs through the store first.
+                    // Keyed modes read persisted programs through the
+                    // store before compiling.
                     Some(k) => self.cache.program_for(k, &disasm, &entry_pcs),
                     None => (
                         Arc::new(Program::compile_reachable(&disasm, &entry_pcs)),
@@ -531,9 +531,6 @@ impl SigRec {
                         }
                         ProgramSource::Disk => {
                             acc.compile_store_nanos.fetch_add(nanos, r);
-                        }
-                        ProgramSource::Memory => {
-                            acc.compile_memo_nanos.fetch_add(nanos, r);
                         }
                     }
                 }
@@ -592,9 +589,7 @@ impl SigRec {
         }
         if let Some(key) = plan.key {
             // Persist the program only when this plan compiled it fresh:
-            // a Disk-sourced program is already a current-format record,
-            // and a Memory hit was persisted by whichever plan compiled
-            // it (or is about to be, by that plan's own seal).
+            // a Disk-sourced program is already a current-format record.
             let program = match plan.program_source {
                 Some(ProgramSource::Compiled) => plan.program.as_deref(),
                 _ => None,
@@ -781,12 +776,11 @@ struct StatsAccum {
     infer_shared_nanos: AtomicU64,
     /// Wall-clock spent block-compiling programs (plan stage).
     compile_nanos: AtomicU64,
-    /// `compile_nanos` split by [`ProgramSource`]: fresh compiles, plans
-    /// served by a persisted program record, and plans served by the
-    /// in-memory program memo. The three sum to `compile_nanos`.
+    /// `compile_nanos` split by [`ProgramSource`]: fresh compiles and
+    /// plans served by a persisted program record. The two sum to
+    /// `compile_nanos`.
     compile_cold_nanos: AtomicU64,
     compile_store_nanos: AtomicU64,
-    compile_memo_nanos: AtomicU64,
     /// Blocks the lazy reachable-block compiler left as placeholders,
     /// summed over fresh compiles only.
     lazy_blocks_skipped: AtomicU64,
@@ -834,7 +828,6 @@ impl Default for StatsAccum {
             compile_nanos: AtomicU64::new(0),
             compile_cold_nanos: AtomicU64::new(0),
             compile_store_nanos: AtomicU64::new(0),
-            compile_memo_nanos: AtomicU64::new(0),
             lazy_blocks_skipped: AtomicU64::new(0),
             contention: AtomicU64::new(0),
             steals: AtomicU64::new(0),
@@ -931,7 +924,6 @@ impl StatsAccum {
             compile_time: Duration::from_nanos(self.compile_nanos.load(r)),
             compile_cold_time: Duration::from_nanos(self.compile_cold_nanos.load(r)),
             compile_store_time: Duration::from_nanos(self.compile_store_nanos.load(r)),
-            compile_memo_time: Duration::from_nanos(self.compile_memo_nanos.load(r)),
             lazy_blocks_skipped: self.lazy_blocks_skipped.load(r),
             // Keyed on hits, not on nonzero time: a rule whose exclusive
             // share rounds to zero nanoseconds still fired.
@@ -987,19 +979,16 @@ pub struct PipelineStats {
     /// `infer_shared_time + Σ rule_time == infer_time` (up to the clock
     /// quantisation of each call).
     pub infer_shared_time: Duration,
-    /// Wall-clock spent block-compiling programs at plan time (zero under
-    /// [`ExecEngine::Instr`]; shared compiles are counted once).
+    /// Wall-clock spent at plan time compiling programs or reading their
+    /// persisted records (zero under [`ExecEngine::Instr`]).
     pub compile_time: Duration,
     /// The slice of [`PipelineStats::compile_time`] spent on plans whose
     /// program was freshly compiled — the genuine compile cost.
     pub compile_cold_time: Duration,
     /// The slice spent on plans served by a persisted program record
-    /// (decode cost, no compile).
+    /// (decode cost, no compile). `compile_cold_time +
+    /// compile_store_time == compile_time`.
     pub compile_store_time: Duration,
-    /// The slice spent on plans served by the in-memory program memo
-    /// (lookup cost only). `compile_cold_time + compile_store_time +
-    /// compile_memo_time == compile_time`.
-    pub compile_memo_time: Duration,
     /// Basic blocks the lazy reachable-block compiler left as cheap
     /// placeholders instead of fully pre-decoding, summed over fresh
     /// compiles.
@@ -1301,6 +1290,46 @@ mod tests {
         a.recover(&contract.code);
         b.recover(&contract.code);
         assert_eq!(b.cache_stats().contract_hits, 1);
+    }
+
+    /// The table-rescanning definition `body_extents` replaced.
+    fn body_extents_by_rescan(code_len: usize, table: &[DispatchEntry]) -> Vec<usize> {
+        table
+            .iter()
+            .map(|e| {
+                table
+                    .iter()
+                    .map(|o| o.entry)
+                    .filter(|&o| o > e.entry)
+                    .min()
+                    .unwrap_or(code_len)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn body_extents_match_the_rescan(
+            pcs in proptest::collection::vec(0usize..48, 0..40),
+            code_len in 0usize..64,
+        ) {
+            // Unsorted dispatcher order with aliased entry pcs (several
+            // selectors routed to one body), some at or past the code end.
+            let table: Vec<DispatchEntry> = pcs
+                .iter()
+                .enumerate()
+                .map(|(i, &entry)| DispatchEntry {
+                    selector: Selector::from_u32(i as u32),
+                    entry,
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                body_extents(code_len, &table),
+                body_extents_by_rescan(code_len, &table)
+            );
+        }
     }
 
     #[test]

@@ -17,10 +17,12 @@ pub struct Instruction {
     pub pc: usize,
     /// The decoded opcode.
     pub opcode: Opcode,
-    /// Immediate bytes for `PUSH*` (empty otherwise). A `PUSH` whose
-    /// immediate is truncated by the end of the code keeps the bytes that
-    /// were present; the EVM zero-fills the remainder at execution time.
-    pub immediate: Vec<u8>,
+    /// The pushed word for `PUSH*` (zero otherwise), decoded once by the
+    /// sweep so every later read is a copy.
+    value: U256,
+    /// Immediate bytes present in the code. Below the opcode's nominal
+    /// immediate length only for a `PUSH` cut short by the end of the code.
+    immediate_len: u8,
 }
 
 impl Instruction {
@@ -31,11 +33,7 @@ impl Instruction {
     /// `0x0000aabb`).
     pub fn push_value(&self) -> Option<U256> {
         match self.opcode {
-            Opcode::Push(n) => {
-                let value = U256::from_be_bytes(&self.immediate);
-                let missing = (n as usize).saturating_sub(self.immediate.len());
-                Some(value << (8 * missing as u32))
-            }
+            Opcode::Push(_) => Some(self.value),
             _ => None,
         }
     }
@@ -43,7 +41,7 @@ impl Instruction {
     /// True if this is a `PUSH` whose immediate was cut short by the end
     /// of the code (the only instruction a linear sweep can truncate).
     pub fn is_truncated_push(&self) -> bool {
-        matches!(self.opcode, Opcode::Push(n) if self.immediate.len() < n as usize)
+        (self.immediate_len as usize) < self.opcode.immediate_len()
     }
 
     /// Total encoded size in bytes (opcode + immediate).
@@ -84,12 +82,21 @@ impl Disassembly {
         while pc < code.len() {
             let opcode = Opcode::from_byte(code[pc]);
             let imm_len = opcode.immediate_len();
-            let end = (pc + 1 + imm_len).min(code.len());
-            let immediate = code[pc + 1..end].to_vec();
+            let present = &code[pc + 1..(pc + 1 + imm_len).min(code.len())];
+            let value = if imm_len == 0 {
+                U256::ZERO
+            } else {
+                // A `PUSHn` immediate fills the word's low `n` bytes, high
+                // byte first; bytes past the end of the code read as zero.
+                let mut word = [0u8; 32];
+                word[32 - imm_len..][..present.len()].copy_from_slice(present);
+                U256::from_be_bytes(&word)
+            };
             instructions.push(Instruction {
                 pc,
                 opcode,
-                immediate,
+                value,
+                immediate_len: present.len() as u8,
             });
             pc += 1 + imm_len;
         }
@@ -125,7 +132,7 @@ impl Disassembly {
     pub fn code_len(&self) -> usize {
         self.instructions
             .last()
-            .map(|i| i.pc + 1 + i.immediate.len())
+            .map(|i| i.pc + 1 + i.immediate_len as usize)
             .unwrap_or(0)
     }
 
@@ -144,7 +151,9 @@ impl Disassembly {
         let mut out = Vec::new();
         for ins in &self.instructions {
             out.push(ins.opcode.to_byte());
-            out.extend_from_slice(&ins.immediate);
+            let word = ins.value.to_be_bytes();
+            let start = 32 - ins.opcode.immediate_len();
+            out.extend_from_slice(&word[start..start + ins.immediate_len as usize]);
         }
         out
     }
@@ -162,6 +171,7 @@ impl fmt::Display for Disassembly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn disassembles_push_and_simple_ops() {
@@ -181,7 +191,11 @@ mod tests {
         let code = [0x63, 0xaa, 0xbb];
         let d = Disassembly::new(&code);
         assert_eq!(d.len(), 1);
-        assert_eq!(d.instructions()[0].immediate, vec![0xaa, 0xbb]);
+        assert_eq!(d.instructions()[0].immediate_len, 2);
+        assert_eq!(
+            d.instructions()[0].push_value(),
+            Some(U256::from(0xaabb_0000u64))
+        );
         assert!(d.instructions()[0].is_truncated_push());
         assert_eq!(d.code_len(), 3);
     }
@@ -249,5 +263,49 @@ mod tests {
         let d = Disassembly::new(&[]);
         assert!(d.is_empty());
         assert_eq!(d.assemble(), Vec::<u8>::new());
+    }
+
+    /// Byte strings of 0–599 bytes, half of them `PUSH` opcodes, and in
+    /// half the cases ending in a `PUSH` followed by 0–31 immediate bytes,
+    /// so truncated tails of every length are common.
+    fn push_heavy_code() -> impl Strategy<Value = Vec<u8>> {
+        (
+            proptest::collection::vec(prop_oneof![any::<u8>(), 0x60u8..=0x7f], 0..568),
+            any::<bool>(),
+            0x60u8..=0x7f,
+            proptest::collection::vec(any::<u8>(), 0..32),
+        )
+            .prop_map(|(mut code, with_tail, push, tail)| {
+                if with_tail {
+                    code.push(push);
+                    code.extend(tail);
+                }
+                code
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sweep_round_trips_and_decodes_every_push(code in push_heavy_code()) {
+            let d = Disassembly::new(&code);
+            prop_assert_eq!(d.assemble(), code.clone());
+            prop_assert_eq!(d.code_len(), code.len());
+            for (i, ins) in d.instructions().iter().enumerate() {
+                let Opcode::Push(n) = ins.opcode else {
+                    prop_assert_eq!(ins.push_value(), None);
+                    continue;
+                };
+                let present = &code[ins.pc + 1..(ins.pc + 1 + n as usize).min(code.len())];
+                let missing = n as u32 - present.len() as u32;
+                prop_assert_eq!(ins.immediate_len as usize, present.len());
+                prop_assert_eq!(
+                    ins.push_value(),
+                    Some(U256::from_be_bytes(present) << (8 * missing))
+                );
+                prop_assert!(!ins.is_truncated_push() || i + 1 == d.len());
+            }
+        }
     }
 }
