@@ -16,9 +16,8 @@
 //! index/match/refine sub-phases and the per-rule attribution reported
 //! *exclusively* — shared index/dispatch time in its own bucket, so the
 //! per-rule figures sum to at most the phase total), a single-worker
-//! block-vs-instruction engine probe and a single-worker
-//! tree-vs-per-rule inference probe (both double as CI gates: each
-//! engine pair must recover identical signatures), cache hit rates and
+//! tree-vs-per-rule inference probe (a CI gate too: both engines must
+//! recover identical signatures), cache hit rates and
 //! latency percentiles at both function and contract granularity. The
 //! machine-readable summary is written to `BENCH_throughput.json` in the
 //! working directory.
@@ -27,7 +26,7 @@ use crate::accuracy::Scale;
 use crate::report::TextTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sigrec_core::exec::{ExecEngine, ForkMode};
+use sigrec_core::exec::ForkMode;
 use sigrec_core::{
     recover_batch, recover_batch_naive, BatchResult, InferEngine, SigRec, TaseConfig,
 };
@@ -145,81 +144,6 @@ fn tail_ratio(sorted: &[Duration]) -> f64 {
     }
 }
 
-/// The single-worker engine contrast: wall and TASE-attributed seconds
-/// for the same corpus under each execution engine.
-struct EngineProbe {
-    block_secs: f64,
-    instr_secs: f64,
-    block_tase: f64,
-    instr_tase: f64,
-    block_compile: f64,
-}
-
-impl EngineProbe {
-    /// Single-worker TASE throughput ratio, the headline figure for the
-    /// block-compiled engine.
-    fn tase_speedup(&self) -> f64 {
-        self.instr_tase / self.block_tase.max(1e-9)
-    }
-
-    fn wall_speedup(&self) -> f64 {
-        self.instr_secs / self.block_secs.max(1e-9)
-    }
-}
-
-/// Runs the dedup corpus through both execution engines at one worker and
-/// asserts they recover identical signatures — the bench doubles as a CI
-/// gate on engine agreement (a mismatch panics, failing the run).
-fn engine_probe(codes: &[Vec<u8>]) -> EngineProbe {
-    // One cold run is a few milliseconds of executor time — well below
-    // scheduler jitter — so each engine reports its best of several
-    // interleaved cold runs (fresh recoverer per run, so the cache never
-    // absorbs the TASE work being measured).
-    const REPS: usize = 5;
-    let run = |engine: ExecEngine| {
-        let cfg = TaseConfig {
-            exec_engine: engine,
-            ..TaseConfig::default()
-        };
-        let rec = SigRec::with_config(cfg).with_exec_stats();
-        let t = Instant::now();
-        let result = recover_batch(&rec, codes, 1);
-        let secs = t.elapsed().as_secs_f64();
-        let profile = rec.exec_stats().expect("profiling enabled");
-        (result, secs, profile)
-    };
-    let mut probe = EngineProbe {
-        block_secs: f64::INFINITY,
-        instr_secs: f64::INFINITY,
-        block_tase: f64::INFINITY,
-        instr_tase: f64::INFINITY,
-        block_compile: f64::INFINITY,
-    };
-    let mut last_pair = None;
-    for _ in 0..REPS {
-        let (block, block_secs, block_prof) = run(ExecEngine::Block);
-        let (instr, instr_secs, instr_prof) = run(ExecEngine::Instr);
-        probe.block_secs = probe.block_secs.min(block_secs);
-        probe.instr_secs = probe.instr_secs.min(instr_secs);
-        probe.block_tase = probe.block_tase.min(block_prof.tase_time.as_secs_f64());
-        probe.instr_tase = probe.instr_tase.min(instr_prof.tase_time.as_secs_f64());
-        probe.block_compile = probe
-            .block_compile
-            .min(block_prof.compile_time.as_secs_f64());
-        last_pair = Some((instr, block));
-    }
-    let (instr, block) = last_pair.expect("REPS > 0");
-    assert_equivalent(&instr, &block);
-    if std::env::var_os("SIGREC_PROBE_DEBUG").is_some() {
-        let (_, _, bp) = run(ExecEngine::Block);
-        eprintln!(
-            "probe: steps={} paths={} forks={} fns={} tase={:?}",
-            bp.exec.steps, bp.exec.paths, bp.exec.forks, bp.functions_explored, bp.tase_time
-        );
-    }
-    probe
-}
-
 /// The single-worker inference-engine contrast: wall, TASE+infer, and
 /// infer-phase seconds for the same corpus under the compiled tree
 /// matcher and the per-rule reference.
@@ -246,13 +170,14 @@ impl InferProbe {
 }
 
 /// Runs the dedup corpus through both inference engines at one worker and
-/// asserts they recover identical signatures — like [`engine_probe`], the
-/// bench doubles as a CI gate on inference-engine agreement.
+/// asserts they recover identical signatures — the bench doubles as a CI
+/// gate on inference-engine agreement (a mismatch panics, failing the
+/// run).
 fn infer_probe(codes: &[Vec<u8>]) -> InferProbe {
-    // Interleaved best-of-REPS cold runs, same rationale as
-    // `engine_probe`: the inference phase is milliseconds, well below
-    // scheduler jitter, so the minimum of paired runs is the honest
-    // figure.
+    // Interleaved best-of-REPS cold runs (fresh recoverer per run, so the
+    // cache never absorbs the work being measured): the inference phase
+    // is milliseconds, well below scheduler jitter, so the minimum of
+    // paired runs is the honest figure.
     const REPS: usize = 5;
     let run = |engine: InferEngine| {
         let cfg = TaseConfig {
@@ -396,10 +321,6 @@ pub fn throughput(scale: &Scale) -> String {
     let profile = dedup_rec.exec_stats().expect("profiling enabled");
     let speedup = naive_secs / dedup_secs.max(1e-9);
 
-    // Engine contrast: the same corpus, single worker, block-compiled vs
-    // per-instruction execution (also the engine-agreement CI gate).
-    let probe = engine_probe(&codes);
-
     // Inference contrast: the same corpus, single worker, compiled tree
     // matcher vs per-rule reference (also an engine-agreement CI gate).
     let inf_probe = infer_probe(&codes);
@@ -528,32 +449,15 @@ pub fn throughput(scale: &Scale) -> String {
         profile.infer_time.as_secs_f64() * 1e3,
     ));
     json.push_str(&format!(
-        "  \"phases\": {{ \"compile_ms\": {:.2}, \"compile_cold_ms\": {:.2}, \
-         \"compile_store_ms\": {:.2}, \
-         \"lazy_blocks_skipped\": {}, \"explore_ms\": {:.2}, \
+        "  \"phases\": {{ \"compile_ms\": {:.2}, \"explore_ms\": {:.2}, \
          \"infer_ms\": {:.2}, \"infer_index_ms\": {:.2}, \
          \"infer_match_ms\": {:.2}, \"infer_refine_ms\": {:.2} }},\n",
         profile.compile_time.as_secs_f64() * 1e3,
-        profile.compile_cold_time.as_secs_f64() * 1e3,
-        profile.compile_store_time.as_secs_f64() * 1e3,
-        profile.lazy_blocks_skipped,
         profile.tase_time.as_secs_f64() * 1e3,
         profile.infer_time.as_secs_f64() * 1e3,
         profile.infer_index_time.as_secs_f64() * 1e3,
         profile.infer_match_time.as_secs_f64() * 1e3,
         profile.infer_refine_time.as_secs_f64() * 1e3,
-    ));
-    json.push_str(&format!(
-        "  \"block_vs_instr\": {{ \"block_seconds\": {:.4}, \"instr_seconds\": {:.4}, \
-         \"wall_speedup\": {:.2}, \"block_tase_ms\": {:.2}, \"instr_tase_ms\": {:.2}, \
-         \"tase_speedup\": {:.2}, \"block_compile_ms\": {:.2} }},\n",
-        probe.block_secs,
-        probe.instr_secs,
-        probe.wall_speedup(),
-        probe.block_tase * 1e3,
-        probe.instr_tase * 1e3,
-        probe.tase_speedup(),
-        probe.block_compile * 1e3,
     ));
     json.push_str(&format!(
         "  \"fork_cost\": {{ \"cow_units_per_fork\": {:.2}, \
@@ -679,11 +583,6 @@ pub fn throughput(scale: &Scale) -> String {
         "fork units/fork".into(),
         format!("{eager_per_fork:.1} (eager)"),
         format!("{cow_per_fork:.1} (CoW)"),
-    ]);
-    t.row(&[
-        "engine TASE speedup".into(),
-        "1.0× (instr)".into(),
-        format!("{:.1}× (block)", probe.tase_speedup()),
     ]);
     t.row(&[
         "infer TASE+infer speedup".into(),

@@ -7,7 +7,8 @@
 //! 1. **Differential**: for one bytecode, every execution path through the
 //!    pipeline — [`SigRec::recover`] cold and warm, `recover_cold`,
 //!    [`recover_batch`] and [`recover_batch_naive`], under both
-//!    execution engines and both [`ForkMode`]s, plus a cold recovery
+//!    [`ForkMode`]s, plus a persistent-store round trip with
+//!    [`SigRec::explain`] on the restarted handle, plus a cold recovery
 //!    under the *other* [`InferEngine`] (tree vs per-rule matcher), plus
 //!    a cache shared across variants and a whole-corpus batch — must
 //!    recover a structurally identical result.
@@ -28,7 +29,7 @@
 
 #![warn(missing_docs)]
 
-use sigrec_core::exec::{ExecEngine, ForkMode};
+use sigrec_core::exec::ForkMode;
 use sigrec_core::{
     recover_batch, recover_batch_naive, Diagnostic, InferEngine, PersistentStore,
     RecoveredFunction, RecoveryCache, RuleId, RuleStats, SigRec, TaseConfig,
@@ -371,46 +372,41 @@ fn persist_scratch() -> std::path::PathBuf {
 
 /// Every per-bytecode execution path, as `(name, recovery)` pairs: the
 /// five pipeline paths (cold, first/warm recover, dedup and naive batch)
-/// under both execution engines crossed with both fork modes, plus the
-/// persistent-store trio (recover through a store-backed cache, again
-/// across a simulated process restart over the warm store, and once more
-/// through a TASE run over the *decoded* persisted program) —
-/// twenty-three in total, with every budget knob other than
-/// `exec_engine` and `fork_mode` taken from `base`. Public so the
-/// adversarial fuzz campaign can re-run the exact same paths under
-/// tightened budgets.
+/// under both fork modes, plus the persistent-store trio (recover through
+/// a store-backed cache, again across a simulated process restart over
+/// the warm store, and `explain` on that restarted handle) — thirteen in
+/// total, with every budget knob other than `fork_mode` taken from
+/// `base`. Public so the adversarial fuzz
+/// campaign can re-run the exact same paths under tightened budgets.
 pub fn execution_paths(base: &TaseConfig, code: &[u8]) -> Vec<(String, Vec<RecoveredFunction>)> {
     let mut out = Vec::new();
-    for (engine, etag) in [(ExecEngine::Block, "block"), (ExecEngine::Instr, "instr")] {
-        for (mode, tag) in [
-            (ForkMode::CopyOnWrite, "cow"),
-            (ForkMode::EagerClone, "eager"),
-        ] {
-            let cfg = TaseConfig {
-                exec_engine: engine,
-                fork_mode: mode,
-                ..*base
-            };
-            out.push((
-                format!("recover-cold[{etag},{tag}]"),
-                SigRec::with_config(cfg).recover_cold(code),
-            ));
-            let warm = SigRec::with_config(cfg);
-            out.push((format!("recover-first[{etag},{tag}]"), warm.recover(code)));
-            out.push((format!("recover-warm[{etag},{tag}]"), warm.recover(code)));
-            let batch = recover_batch(&SigRec::with_config(cfg), &[code.to_vec()], 2);
-            out.push((
-                format!("batch-dedup[{etag},{tag}]"),
-                batch.items[0].functions.as_ref().clone(),
-            ));
-            let naive = recover_batch_naive(&SigRec::with_config(cfg), &[code.to_vec()], 2);
-            out.push((
-                format!("batch-naive[{etag},{tag}]"),
-                naive.items[0].functions.as_ref().clone(),
-            ));
-        }
+    for (mode, tag) in [
+        (ForkMode::CopyOnWrite, "cow"),
+        (ForkMode::EagerClone, "eager"),
+    ] {
+        let cfg = TaseConfig {
+            fork_mode: mode,
+            ..*base
+        };
+        out.push((
+            format!("recover-cold[{tag}]"),
+            SigRec::with_config(cfg).recover_cold(code),
+        ));
+        let warm = SigRec::with_config(cfg);
+        out.push((format!("recover-first[{tag}]"), warm.recover(code)));
+        out.push((format!("recover-warm[{tag}]"), warm.recover(code)));
+        let batch = recover_batch(&SigRec::with_config(cfg), &[code.to_vec()], 2);
+        out.push((
+            format!("batch-dedup[{tag}]"),
+            batch.items[0].functions.as_ref().clone(),
+        ));
+        let naive = recover_batch_naive(&SigRec::with_config(cfg), &[code.to_vec()], 2);
+        out.push((
+            format!("batch-naive[{tag}]"),
+            naive.items[0].functions.as_ref().clone(),
+        ));
     }
-    // Persistent-store pair: the disk tier sits beneath the engine/fork
+    // Persistent-store trio: the disk tier sits beneath the fork-mode
     // sweep, so one round trip under `base`'s own knobs suffices. The
     // warm-restart path proves a record written by the cold path decodes
     // to the byte-identical structural digest in a fresh "process"
@@ -426,18 +422,12 @@ pub fn execution_paths(base: &TaseConfig, code: &[u8]) -> Vec<(String, Vec<Recov
         let store = PersistentStore::open(&dir).expect("reopen scratch store");
         let sigrec = SigRec::with_config(*base).with_cache(RecoveryCache::persistent(store));
         out.push(("persist-warm-restart".to_string(), sigrec.recover(code)));
-    }
-    // Persisted-program decode path: a third fresh "process" runs
-    // `explain`, which re-executes TASE without reading the contract
-    // entry — so its program comes back from the persisted program
-    // record via the compile tier, and the whole recovery must be
-    // byte-identical to every fresh-compile path above.
-    {
-        let store = PersistentStore::open(&dir).expect("reopen for program path");
-        let sigrec = SigRec::with_config(*base).with_cache(RecoveryCache::persistent(store));
+        // `explain` is the only write-only caller: on the same warm handle
+        // it must re-execute TASE instead of reading the stored record,
+        // and still recover byte-identically.
         let explained = sigrec.explain(code);
         out.push((
-            "persist-program".to_string(),
+            "persist-explain".to_string(),
             explained.into_iter().map(|e| e.function).collect(),
         ));
     }
@@ -446,11 +436,11 @@ pub fn execution_paths(base: &TaseConfig, code: &[u8]) -> Vec<(String, Vec<Recov
 }
 
 /// Number of comparisons [`find_mismatch`] performs per case: five paths
-/// under two execution engines crossed with two fork modes, plus the
-/// persistent-store cold/warm-restart pair, plus the decoded
-/// persisted-program path, plus one cold recovery under the *other*
-/// inference engine, plus the cross-variant metamorphic relation.
-pub const PATHS_PER_CASE: usize = 25;
+/// under two fork modes, plus the persistent-store cold/warm-restart
+/// pair and `explain` on the restarted handle, plus one cold recovery
+/// under the *other* inference engine, plus the cross-variant
+/// metamorphic relation.
+pub const PATHS_PER_CASE: usize = 15;
 
 /// The other inference engine — the one a case's cross-engine path runs.
 fn other_engine(engine: InferEngine) -> InferEngine {
@@ -476,7 +466,7 @@ pub fn find_mismatch(
 
 /// Like [`find_mismatch`] but under an explicit base configuration: every
 /// checked path inherits all of `base`'s budget and feature knobs, with
-/// only `exec_engine`/`fork_mode`/`infer_engine` swept. This is what the
+/// only `fork_mode`/`infer_engine` swept. This is what the
 /// oracle meta-tests use to prove the harness *would* catch a divergence
 /// (e.g. the hidden `disagree_on_selector` fault-injection knob).
 pub fn find_mismatch_with(
@@ -862,10 +852,10 @@ mod tests {
         assert!(json.contains("\"uncovered\": []"));
     }
 
-    /// The block-compiled engine must be observationally identical to the
-    /// per-instruction reference — signatures *and* diagnostics — on the
-    /// targeted conformance corpus and on adversarial bytecode, under
-    /// both fork modes and tight deterministic budgets.
+    /// The per-rule matcher must be observationally identical to the
+    /// tree — signatures *and* diagnostics — on the targeted conformance
+    /// corpus and on adversarial bytecode, under tight deterministic
+    /// budgets.
     #[test]
     fn engines_agree_on_conformance_and_adversarial_corpora() {
         use sigrec_corpus::adversarial::adversarial_cases;
@@ -884,38 +874,12 @@ mod tests {
                 .into_iter()
                 .map(|c| c.code),
         );
+        assert_eq!(tight.infer_engine, InferEngine::Tree);
         for code in &codes {
-            for mode in [ForkMode::CopyOnWrite, ForkMode::EagerClone] {
-                let block = SigRec::with_config(TaseConfig {
-                    exec_engine: ExecEngine::Block,
-                    fork_mode: mode,
-                    ..tight
-                })
-                .recover_cold_with_outcome(code);
-                let instr = SigRec::with_config(TaseConfig {
-                    exec_engine: ExecEngine::Instr,
-                    fork_mode: mode,
-                    ..tight
-                })
-                .recover_cold_with_outcome(code);
-                assert_eq!(
-                    path_digest(&block.functions),
-                    path_digest(&instr.functions),
-                    "signatures diverge under {mode:?}"
-                );
-                assert_eq!(
-                    block.diagnostics, instr.diagnostics,
-                    "diagnostics diverge under {mode:?}"
-                );
-            }
-            // Same bar for the inference engines: under tight budgets the
-            // facts are truncated, and the tree matcher must still emit
-            // the identical digest (rule lists included) and diagnostics.
-            let tree = SigRec::with_config(TaseConfig {
-                infer_engine: InferEngine::Tree,
-                ..tight
-            })
-            .recover_cold_with_outcome(code);
+            // Under tight budgets the facts are truncated, and the tree
+            // matcher must still emit the identical digest (rule lists
+            // included) and diagnostics.
+            let tree = SigRec::with_config(tight).recover_cold_with_outcome(code);
             let per_rule = SigRec::with_config(TaseConfig {
                 infer_engine: InferEngine::PerRule,
                 ..tight

@@ -34,7 +34,7 @@ use crate::infer::Language;
 use crate::outcome::{BudgetKind, DelegateTarget, Diagnostic};
 use crate::pipeline::RecoveredFunction;
 use crate::rules::RuleId;
-use crate::store::{PersistentStore, ProgramLookup, StoreStats};
+use crate::store::{PersistentStore, StoreStats};
 use sigrec_abi::AbiType;
 use sigrec_evm::{Disassembly, Program};
 use std::collections::HashMap;
@@ -91,10 +91,11 @@ pub struct CacheStats {
     pub function_hits: u64,
     /// Function-level lookups that missed.
     pub function_misses: u64,
-    /// [`RecoveryCache::program_for`] calls served by a persisted program
-    /// record. Zero without a [`PersistentStore`].
+    /// Always 0: programs are never cached. Kept only for
+    /// `perfbench/src/run.rs`, which sums it.
     pub program_hits: u64,
-    /// [`RecoveryCache::program_for`] calls that compiled fresh.
+    /// [`RecoveryCache::program_for`] calls, each of which built a
+    /// [`Program`].
     pub program_misses: u64,
     /// Contract lookups that missed memory but were served from the
     /// persistent tier (a subset of `contract_hits`). Zero without a
@@ -116,7 +117,9 @@ impl CacheStats {
         rate(self.function_hits, self.function_misses)
     }
 
-    /// Fraction of program lookups served from the cache (0 when idle).
+    /// Fraction of program lookups served from the cache: always 0, since
+    /// every program is built fresh. Kept only for `perfbench/src/main.rs`,
+    /// which reports it as `cache.program_hit_rate`.
     pub fn program_hit_rate(&self) -> f64 {
         rate(self.program_hits, self.program_misses)
     }
@@ -137,25 +140,20 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-/// Where [`RecoveryCache::program_for`] found its program — the pipeline
-/// attributes compile-phase time by this, and seal persists only
-/// [`ProgramSource::Compiled`] programs.
+/// Where [`RecoveryCache::program_for`] found its program: always built
+/// fresh. Kept only for `perfbench/src/trace.rs`, which attributes
+/// `program_for` time by it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProgramSource {
-    /// Decoded from a persisted program record — the compile phase was
-    /// skipped entirely.
-    Disk,
-    /// Compiled fresh (lazily, over the reachable blocks).
+    /// Built from the disassembly by this call.
     Compiled,
 }
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    /// The optional persistent tier: read-through on contract misses
-    /// *and* program misses, write-behind on contract seals (which
-    /// persist the compiled program alongside the functions). Only
-    /// function-level extent entries stay memory-only — they are an
-    /// intra-process sharing optimisation.
+    /// The optional persistent tier: read-through on contract misses,
+    /// write-behind on contract seals. Function-level extent entries stay
+    /// memory-only — they are an intra-process sharing optimisation.
     store: Option<PersistentStore>,
     contracts: Mutex<HashMap<[u8; 32], Arc<CachedContract>>>,
     functions: Mutex<HashMap<(u64, usize), CachedFunction>>,
@@ -163,7 +161,6 @@ struct CacheInner {
     contract_misses: AtomicU64,
     function_hits: AtomicU64,
     function_misses: AtomicU64,
-    program_hits: AtomicU64,
     program_misses: AtomicU64,
 }
 
@@ -215,10 +212,8 @@ impl RecoveryCache {
 
     /// Looks up a whole contract by its code hash: memory first, then
     /// the persistent tier. A disk hit reads that contract's one record
-    /// and nothing else — the program record stored beside it is left
-    /// alone, because a contract hit returns before any program is asked
-    /// for. The hit is promoted into the memory map so later duplicates
-    /// skip the read and the deserialisation.
+    /// and is promoted into the memory map so later duplicates skip the
+    /// read and the deserialisation.
     pub fn lookup_contract(&self, key: &[u8; 32]) -> Option<Arc<CachedContract>> {
         let hit = self
             .inner
@@ -265,27 +260,8 @@ impl RecoveryCache {
         functions: Vec<RecoveredFunction>,
         extraction_diags: Vec<Diagnostic>,
     ) {
-        self.store_contract_with_program(key, functions, extraction_diags, None);
-    }
-
-    /// [`RecoveryCache::store_contract`], additionally persisting the
-    /// contract's compiled program so the next process skips the compile
-    /// phase. The program is written only when the contract record
-    /// itself passes the seal gate — an unsealable recovery persists
-    /// nothing at all.
-    pub fn store_contract_with_program(
-        &self,
-        key: [u8; 32],
-        functions: Vec<RecoveredFunction>,
-        extraction_diags: Vec<Diagnostic>,
-        program: Option<&Program>,
-    ) {
         if let Some(store) = &self.inner.store {
-            if let (Ok(true), Some(program)) =
-                (store.append(key, &functions, &extraction_diags), program)
-            {
-                let _ = store.append_program(key, program);
-            }
+            let _ = store.append(key, &functions, &extraction_diags);
         }
         self.inner.contracts.lock().expect("cache poisoned").insert(
             key,
@@ -294,6 +270,18 @@ impl RecoveryCache {
                 extraction_diags,
             }),
         );
+    }
+
+    /// [`RecoveryCache::store_contract`]; the program is ignored, since
+    /// programs are not persisted. Kept only for `perfbench/src/trace.rs`.
+    pub fn store_contract_with_program(
+        &self,
+        key: [u8; 32],
+        functions: Vec<RecoveredFunction>,
+        extraction_diags: Vec<Diagnostic>,
+        _program: Option<&Program>,
+    ) {
+        self.store_contract(key, functions, extraction_diags);
     }
 
     /// Looks up one function by `(body-span hash, entry pc)`.
@@ -321,38 +309,21 @@ impl RecoveryCache {
             .insert((span_hash, entry), cached);
     }
 
-    /// Returns the block-compiled [`Program`] for the contract hashing to
-    /// `key`: the persistent tier's program record
-    /// ([`PersistentStore::lookup_program`], which checks the checksum,
-    /// tag and format version and decodes in one pass, so every program
-    /// that runs was verified when it was read), or else a fresh lazy
-    /// compile over the blocks reachable from `entries`. Nothing is kept
-    /// in memory: the program lives as long as the plan and executors
-    /// holding its `Arc`. Once a contract seals, later lookups are
-    /// contract hits that never ask for its program, so a memo would
-    /// only be read back by `explain` and by contracts that cannot seal.
-    /// After a restart only those, and a contract whose own record
-    /// missed, get here. A stale or corrupt persisted program triggers
-    /// the recompile; the recompiled program is returned as
-    /// [`ProgramSource::Compiled`], so the plan's seal appends a
-    /// current-format record that shadows the bad one.
+    /// Builds the [`Program`] (the loop-head guards every function
+    /// explore of the contract shares) and counts the call in
+    /// [`CacheStats::program_misses`]. Nothing is cached: a contract that
+    /// seals is served whole from the contract level afterwards. `key` and
+    /// `entries` are unused; the signature is kept only for
+    /// `perfbench/src/trace.rs`, whose traced driver mirrors the
+    /// pipeline's one call per cold keyed plan.
     pub fn program_for(
         &self,
-        key: &[u8; 32],
+        _key: &[u8; 32],
         disasm: &Disassembly,
-        entries: &[usize],
+        _entries: &[usize],
     ) -> (Arc<Program>, ProgramSource) {
-        if let Some(store) = &self.inner.store {
-            // Stale and Miss both fall through to a fresh compile; the
-            // store's counters record which it was.
-            if let ProgramLookup::Hit(program) = store.lookup_program(key) {
-                self.inner.program_hits.fetch_add(1, Ordering::Relaxed);
-                return (Arc::new(program), ProgramSource::Disk);
-            }
-        }
         self.inner.program_misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Program::compile_reachable(disasm, entries);
-        (Arc::new(compiled), ProgramSource::Compiled)
+        (Arc::new(Program::new(disasm)), ProgramSource::Compiled)
     }
 
     /// A snapshot of the hit/miss counters (both tiers).
@@ -369,7 +340,7 @@ impl RecoveryCache {
             contract_misses: self.inner.contract_misses.load(Ordering::Relaxed),
             function_hits: self.inner.function_hits.load(Ordering::Relaxed),
             function_misses: self.inner.function_misses.load(Ordering::Relaxed),
-            program_hits: self.inner.program_hits.load(Ordering::Relaxed),
+            program_hits: 0,
             program_misses: self.inner.program_misses.load(Ordering::Relaxed),
             disk_hits,
             disk_misses,
@@ -489,8 +460,8 @@ mod tests {
         let disasm = Disassembly::new(&[0x60, 0x04, 0x56, 0xfe, 0x5b, 0x00]);
         let key = [9u8; 32];
 
-        // Memory-only: nothing is memoised, so every call compiles and
-        // the caller's `Arc` is the program's only owner.
+        // Nothing is memoised, so every call builds and the caller's
+        // `Arc` is the program's only owner.
         let cache = RecoveryCache::new();
         let (first, source) = cache.program_for(&key, &disasm, &[0]);
         assert_eq!(source, ProgramSource::Compiled);
@@ -501,23 +472,24 @@ mod tests {
         let weak = Arc::downgrade(&first);
         drop(first);
         assert!(weak.upgrade().is_none(), "the cache kept the program alive");
+    }
 
-        // With a store: a sealed contract's program is read back from its
-        // record by a fresh cache over the same store.
+    #[test]
+    fn sealing_with_a_program_writes_only_the_contract_record() {
+        let disasm = Disassembly::new(&[0x60, 0x04, 0x56, 0xfe, 0x5b, 0x00]);
         let dir = std::env::temp_dir().join(format!("sigrec-cache-program-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        {
+        let bytes = |with_program: bool| {
+            let _ = std::fs::remove_dir_all(&dir);
             let cache = RecoveryCache::persistent(PersistentStore::open(&dir).unwrap());
-            let (program, source) = cache.program_for(&key, &disasm, &[0]);
-            assert_eq!(source, ProgramSource::Compiled);
-            cache.store_contract_with_program(key, Vec::new(), Vec::new(), Some(&program));
-            cache.flush_store().unwrap();
-        }
-        let cache = RecoveryCache::persistent(PersistentStore::open(&dir).unwrap());
-        let (_, source) = cache.program_for(&key, &disasm, &[0]);
-        assert_eq!(source, ProgramSource::Disk);
-        let stats = cache.stats();
-        assert_eq!((stats.program_hits, stats.program_misses), (1, 0));
+            let (program, _) = cache.program_for(&[9u8; 32], &disasm, &[]);
+            let program = with_program.then_some(&*program);
+            cache.store_contract_with_program([9u8; 32], Vec::new(), Vec::new(), program);
+            let stats = cache.store_stats().unwrap();
+            assert_eq!(stats.records_appended, 1);
+            stats.bytes_appended
+        };
+        assert_eq!(bytes(true), bytes(false));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,8 +20,7 @@ use crate::facts::{CopyFact, FunctionFacts, GuardFact, LoadFact, Usage, UseFact}
 use crate::infer::InferEngine;
 use crate::memory::SymMemory;
 use crate::outcome::{BudgetKind, DelegateTarget};
-use sigrec_evm::program::{JumpTarget, Program, Step, StepKind, SHUFFLE_SWAP};
-use sigrec_evm::{Disassembly, Opcode, U256};
+use sigrec_evm::{Disassembly, Instruction, Opcode, Program, U256};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -61,24 +60,6 @@ pub enum ForkMode {
     EagerClone,
 }
 
-/// Which interpreter the executor steps paths with.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecEngine {
-    /// The per-instruction reference interpreter over the raw
-    /// [`Disassembly`]: a binary-search `at(pc)` lookup and a PUSH
-    /// immediate re-decode on every step. Kept as the baseline the
-    /// equivalence tests and the conformance path matrix compare against.
-    Instr,
-    /// The block-compiled engine over an [`Arc<Program>`]: O(1) pc→step
-    /// lookup, immediates pre-parsed at compile time, calldata idioms
-    /// fused into superinstructions. Compiled once per distinct contract
-    /// and shared across dispatch entries, workers, and batch duplicates;
-    /// observationally identical to [`ExecEngine::Instr`] (same facts,
-    /// same budgets, same fork order).
-    #[default]
-    Block,
-}
-
 /// Exploration budgets.
 #[derive(Clone, Copy, Debug)]
 pub struct TaseConfig {
@@ -94,8 +75,6 @@ pub struct TaseConfig {
     pub block_visit_limit: u32,
     /// How forks duplicate path state.
     pub fork_mode: ForkMode,
-    /// Which interpreter steps the paths.
-    pub exec_engine: ExecEngine,
     /// Which matcher runs the R1–R31 rules over the gathered facts.
     pub infer_engine: InferEngine,
     /// Collect per-fork [`ExecStats`] counters (off by default: the
@@ -137,7 +116,6 @@ impl Default for TaseConfig {
             fork_limit_per_block: 3,
             block_visit_limit: 600,
             fork_mode: ForkMode::CopyOnWrite,
-            exec_engine: ExecEngine::Block,
             infer_engine: InferEngine::Tree,
             collect_stats: false,
             max_wall_time: None,
@@ -227,8 +205,6 @@ impl PathState {
 pub struct Tase<'a> {
     disasm: &'a Disassembly,
     config: TaseConfig,
-    /// jumpi pc → forward exit pc, for statically detected loop heads.
-    loop_exits: PcMap<usize>,
     syms: HashMap<String, u32>,
     next_sym: u32,
     facts: FunctionFacts,
@@ -237,23 +213,18 @@ pub struct Tase<'a> {
     max_pc_end: usize,
     stats: ExecStats,
     deadline: Option<Instant>,
-    /// Pre-compiled block IR; `None` under [`ExecEngine::Instr`], or until
-    /// the on-demand compile when no shared program was supplied.
+    /// The contract's loop-head guards, shared across its entries; built
+    /// at explore time when none was supplied.
     program: Option<Arc<Program>>,
 }
 
 impl<'a> Tase<'a> {
     /// Creates an executor over a disassembly.
-    ///
-    /// Loop-guard detection is deferred to explore time: the block engine
-    /// reads the guards pre-computed by [`Program::compile`] (once per
-    /// contract, shared), the reference engine re-detects per explore.
     pub fn new(disasm: &'a Disassembly, config: TaseConfig) -> Self {
         let deadline = config.max_wall_time.map(|d| Instant::now() + d);
         Tase {
             disasm,
             config,
-            loop_exits: PcMap::default(),
             syms: HashMap::new(),
             next_sym: 0,
             facts: FunctionFacts::default(),
@@ -274,11 +245,11 @@ impl<'a> Tase<'a> {
         self
     }
 
-    /// Supplies a pre-compiled [`Program`] (builder style). The pipeline
-    /// compiles once per distinct contract and shares the `Arc` across all
-    /// dispatch entries and batch workers; without this, the executor
-    /// compiles on demand when [`ExecEngine::Block`] is selected. The
-    /// program must be compiled from the same bytes as the disassembly.
+    /// Supplies the contract's [`Program`] (builder style). The pipeline
+    /// builds one per contract and shares the `Arc` across all of its
+    /// dispatch entries, and `perfbench/src/trace.rs` mirrors that call;
+    /// without this, each explore builds its own. The program must be
+    /// built from the same bytes as the disassembly.
     pub fn with_program(mut self, program: Arc<Program>) -> Self {
         self.program = Some(program);
         self
@@ -298,21 +269,9 @@ impl<'a> Tase<'a> {
     /// Like [`Tase::explore`], also returning the executor counters
     /// (fork-cost fields require [`TaseConfig::collect_stats`]).
     pub fn explore_stats(mut self, entry: usize) -> (FunctionFacts, ExecStats) {
-        let program = match self.config.exec_engine {
-            ExecEngine::Block => {
-                if self.program.is_none() {
-                    self.program = Some(Arc::new(Program::compile(self.disasm)));
-                }
-                self.program.clone()
-            }
-            ExecEngine::Instr => None,
-        };
-        self.loop_exits = match &program {
-            Some(p) => p.loop_exits().iter().copied().collect(),
-            None => sigrec_evm::program::detect_loop_exits(self.disasm)
-                .into_iter()
-                .collect(),
-        };
+        if self.program.is_none() {
+            self.program = Some(Arc::new(Program::new(self.disasm)));
+        }
         let residue = self.intern("dispatch-residue");
         let init = PathState {
             pc: entry,
@@ -339,10 +298,7 @@ impl<'a> Tase<'a> {
                 break;
             }
             paths += 1;
-            match &program {
-                Some(p) => self.run_path_block(state, &mut worklist, p),
-                None => self.run_path(state, &mut worklist),
-            }
+            self.run_path(state, &mut worklist);
             if self.config.collect_stats {
                 self.stats.worklist_peak = self.stats.worklist_peak.max(worklist.len() as u64);
             }
@@ -372,11 +328,8 @@ impl<'a> Tase<'a> {
         self.intern(&format!("{tag}:{pc}"))
     }
 
-    /// The three per-instruction budget checks (path steps, total steps,
-    /// masked deadline poll), in the order `run_path` has always made
-    /// them. Shared by both engines, including at the boundaries *inside*
-    /// a fused step, so a budget always cuts between the same two
-    /// instructions regardless of fusion. Records the budget and returns
+    /// The three per-instruction budget checks: path steps, total steps,
+    /// and the masked deadline poll. Records the budget and returns
     /// `false` when the path must stop.
     fn budget_ok(&mut self, st: &PathState) -> bool {
         if st.steps >= self.config.max_steps_per_path {
@@ -394,267 +347,37 @@ impl<'a> Tase<'a> {
         true
     }
 
-    /// Per-instruction bookkeeping: function-extent tracking plus the
-    /// step counters. Fused steps call this once per covered instruction
-    /// so extents and budgets match the reference engine exactly.
-    #[inline]
-    fn bookkeep(&mut self, st: &mut PathState, pc: usize, next_pc: usize) {
-        self.min_pc = self.min_pc.min(pc);
-        self.max_pc_end = self.max_pc_end.max(next_pc);
-        st.steps += 1;
-        self.total_steps += 1;
-    }
-
-    /// True if `pc` holds a `JUMPDEST`: O(1) via the compiled program when
-    /// one exists, binary search on the disassembly otherwise.
-    fn is_jumpdest(&self, pc: usize) -> bool {
-        match &self.program {
-            Some(p) => p.is_jumpdest(pc),
-            None => self.disasm.is_jumpdest(pc),
-        }
-    }
-
     fn run_path(&mut self, mut st: PathState, worklist: &mut Vec<PathState>) {
+        let disasm = self.disasm;
         loop {
             if !self.budget_ok(&st) {
                 return;
             }
-            let Some(ins) = self.disasm.at(st.pc) else {
+            let Some(ins) = disasm.at(st.pc) else {
                 return; // ran off the end: implicit STOP
             };
-            let next_pc = ins.next_pc();
-            let pc = st.pc;
-            self.bookkeep(&mut st, pc, next_pc);
-            let op = ins.opcode;
-            let push_val = ins.push_value();
-            match self.step(&mut st, op, push_val, next_pc, worklist) {
+            // Function-extent tracking plus the step counters.
+            self.min_pc = self.min_pc.min(st.pc);
+            self.max_pc_end = self.max_pc_end.max(ins.next_pc());
+            st.steps += 1;
+            self.total_steps += 1;
+            match self.step(&mut st, ins, worklist) {
                 Flow::Continue(pc) => st.pc = pc,
                 Flow::End => return,
             }
         }
-    }
-
-    /// The block-compiled twin of [`Tase::run_path`]: steps over the
-    /// pre-decoded [`Program`] instead of the raw disassembly. Plain steps
-    /// delegate to the same [`Tase::step`] dispatch; fused steps inline
-    /// their constituents with per-constituent bookkeeping and budget
-    /// checks, so every observable (facts, budgets, extents, fork order)
-    /// is bit-identical to the reference engine.
-    fn run_path_block(&mut self, mut st: PathState, worklist: &mut Vec<PathState>, p: &Program) {
-        loop {
-            if !self.budget_ok(&st) {
-                return;
-            }
-            // Data bytes and pcs past the end have no step — same implicit
-            // STOP as `disasm.at(pc) == None` on the reference engine.
-            let Some(idx) = p.step_index(st.pc) else {
-                return;
-            };
-            let step = &p.steps()[idx];
-            // Lazily-compiled programs leave statically-unreachable blocks
-            // as placeholder steps (no immediates, no fusion). A computed
-            // jump can still land here; run those instructions through the
-            // reference per-instruction semantics so the result is
-            // bit-identical to a full compile.
-            let flow = if p.block_compiled(step.block) {
-                self.block_step(&mut st, step, worklist)
-            } else {
-                let Some(ins) = self.disasm.at(st.pc) else {
-                    return;
-                };
-                let next_pc = ins.next_pc();
-                let pc = st.pc;
-                self.bookkeep(&mut st, pc, next_pc);
-                self.step(&mut st, ins.opcode, ins.push_value(), next_pc, worklist)
-            };
-            match flow {
-                Flow::Continue(pc) => st.pc = pc,
-                Flow::End => return,
-            }
-        }
-    }
-
-    fn block_step(
-        &mut self,
-        st: &mut PathState,
-        step: &Step,
-        worklist: &mut Vec<PathState>,
-    ) -> Flow {
-        match step.kind {
-            StepKind::Op(op) => {
-                self.bookkeep(st, step.pc, step.next_pc);
-                self.step(st, op, None, step.next_pc, worklist)
-            }
-            StepKind::Push(v) => {
-                self.bookkeep(st, step.pc, step.next_pc);
-                st.stack.push(Expr::constant(v));
-                Flow::Continue(step.next_pc)
-            }
-            StepKind::FusedPushOp { value, op } => {
-                // Fused second ops are all single-byte.
-                let op_pc = step.next_pc - 1;
-                self.bookkeep(st, step.pc, op_pc);
-                if !self.budget_ok(st) {
-                    return Flow::End;
-                }
-                self.bookkeep(st, op_pc, step.next_pc);
-                self.fused_op(st, value, op, op_pc, step.next_pc)
-            }
-            StepKind::FusedJump(target) => {
-                let op_pc = step.next_pc - 1;
-                self.bookkeep(st, step.pc, op_pc);
-                if !self.budget_ok(st) {
-                    return Flow::End;
-                }
-                self.bookkeep(st, op_pc, step.next_pc);
-                match target {
-                    JumpTarget::Valid { pc, .. } => self.enter_block(st, pc),
-                    JumpTarget::Invalid => Flow::End,
-                    JumpTarget::Huge => {
-                        // The reference engine classifies a target that
-                        // does not fit `usize` as unresolvable.
-                        self.facts.hit_symbolic_jump = true;
-                        Flow::End
-                    }
-                }
-            }
-            StepKind::FusedJumpI(target) => {
-                let op_pc = step.next_pc - 1;
-                self.bookkeep(st, step.pc, op_pc);
-                if !self.budget_ok(st) {
-                    return Flow::End;
-                }
-                self.bookkeep(st, op_pc, step.next_pc);
-                let Some(cond) = st.stack.pop() else {
-                    return Flow::End;
-                };
-                self.record_guard(op_pc, &cond);
-                match target {
-                    JumpTarget::Huge => {
-                        self.facts.hit_symbolic_jump = true;
-                        Flow::End
-                    }
-                    // Taking the jump would fault; only fallthrough is viable.
-                    JumpTarget::Invalid => Flow::Continue(step.next_pc),
-                    JumpTarget::Valid { pc: t, .. } => {
-                        self.branch(st, op_pc, t, step.next_pc, &cond, worklist)
-                    }
-                }
-            }
-            StepKind::Shuffle { ops, len } => {
-                for (i, &enc) in ops[..len as usize].iter().enumerate() {
-                    if i > 0 && !self.budget_ok(st) {
-                        return Flow::End;
-                    }
-                    // Each DUP/SWAP constituent is one byte wide.
-                    let pc = step.pc + i;
-                    self.bookkeep(st, pc, pc + 1);
-                    if enc & SHUFFLE_SWAP != 0 {
-                        if !st.stack.swap_top((enc & !SHUFFLE_SWAP) as usize) {
-                            return Flow::End;
-                        }
-                    } else {
-                        let Some(v) = st.stack.peek(enc as usize).cloned() else {
-                            return Flow::End;
-                        };
-                        st.stack.push(v);
-                    }
-                }
-                Flow::Continue(step.next_pc)
-            }
-        }
-    }
-
-    /// Executes the consumer half of a `PUSH imm; op` superinstruction.
-    /// Each arm is the corresponding [`Tase::step`] arm with the top
-    /// operand specialised to the pushed constant — the constant is only
-    /// materialised as an interned [`Expr`] where the reference engine
-    /// would observe it (binop operands), never for jump targets or
-    /// calldata offsets consumed in place.
-    fn fused_op(
-        &mut self,
-        st: &mut PathState,
-        imm: U256,
-        op: Opcode,
-        pc: usize,
-        next_pc: usize,
-    ) -> Flow {
-        use Opcode::*;
-        match op {
-            CallDataLoad => {
-                let loc = Expr::constant(imm);
-                let value = Expr::calldata_word(Rc::clone(&loc));
-                self.facts.add_load(LoadFact {
-                    pc,
-                    loc,
-                    value: Rc::clone(&value),
-                });
-                st.stack.push(value);
-            }
-            Shl | Shr | Sar => {
-                let Some(value) = st.stack.pop() else {
-                    return Flow::End;
-                };
-                let bop = binop_of(op);
-                // Shift-pair mask detection, with the shift amount known
-                // constant `imm` (see the reference arm for the shapes).
-                if let ExprKind::Binary(inner_op, x, k2) = value.kind() {
-                    if k2.as_const() == Some(imm) && x.depends_on_calldata() {
-                        if let Some(kk) = imm.as_u64() {
-                            if kk > 0 && kk < 256 && kk % 8 == 0 {
-                                match (op, inner_op) {
-                                    (Shr, BinOp::Shl) => self.add_use(
-                                        pc,
-                                        x,
-                                        Usage::MaskAnd(U256::low_mask(256 - kk as u32)),
-                                    ),
-                                    (Shl, BinOp::Shr) => self.add_use(
-                                        pc,
-                                        x,
-                                        Usage::MaskAnd(U256::high_mask(256 - kk as u32)),
-                                    ),
-                                    (Sar, BinOp::Shl) => self.add_use(
-                                        pc,
-                                        x,
-                                        Usage::SignExtendFrom((256 - kk) / 8 - 1),
-                                    ),
-                                    _ => {}
-                                }
-                            }
-                        }
-                    }
-                }
-                if op == Sar && !matches!(value.kind(), ExprKind::Binary(BinOp::Shl, ..)) {
-                    self.record_signed_use(pc, &value);
-                }
-                st.stack.push(bin(bop, value, Expr::constant(imm)));
-            }
-            _ => {
-                // The generic binop arm: the pushed constant is the first
-                // (top-of-stack) operand, exactly as the reference engine
-                // pops it.
-                let a = Expr::constant(imm);
-                let Some(b) = st.stack.pop() else {
-                    return Flow::End;
-                };
-                let bop = binop_of(op);
-                self.record_binop_uses(pc, bop, &a, &b);
-                st.stack.push(bin(bop, a, b));
-            }
-        }
-        Flow::Continue(next_pc)
     }
 
     fn step(
         &mut self,
         st: &mut PathState,
-        op: Opcode,
-        push_val: Option<U256>,
-        next_pc: usize,
+        ins: &Instruction,
         worklist: &mut Vec<PathState>,
     ) -> Flow {
         use Opcode::*;
         let pc = st.pc;
+        let op = ins.opcode;
+        let next_pc = ins.next_pc();
         macro_rules! pop {
             () => {
                 match st.stack.pop() {
@@ -667,7 +390,7 @@ impl<'a> Tase<'a> {
             Stop | Return | Revert | SelfDestruct | Invalid(_) => return Flow::End,
             Push(_) => st
                 .stack
-                .push(Expr::constant(push_val.unwrap_or(U256::ZERO))),
+                .push(Expr::constant(ins.push_value().unwrap_or(U256::ZERO))),
             Pop => {
                 pop!();
             }
@@ -905,7 +628,7 @@ impl<'a> Tase<'a> {
                     self.facts.hit_symbolic_jump = true;
                     return Flow::End;
                 };
-                if !self.is_jumpdest(t) {
+                if !self.disasm.is_jumpdest(t) {
                     // Taking the jump would fault; only fallthrough is viable.
                     return Flow::Continue(next_pc);
                 }
@@ -917,9 +640,7 @@ impl<'a> Tase<'a> {
 
     /// Resolves a conditional branch with a valid constant target `t`:
     /// concrete conditions follow one side, symbolic conditions fork
-    /// (bounded per block, keyed by the `JUMPI`'s `pc`). Shared by both
-    /// engines so fork order — and therefore the worklist schedule — is
-    /// identical under fusion.
+    /// (bounded per block, keyed by the `JUMPI`'s `pc`).
     fn branch(
         &mut self,
         st: &mut PathState,
@@ -966,7 +687,7 @@ impl<'a> Tase<'a> {
 
     fn take_jump(&mut self, st: &mut PathState, target: &Rc<Expr>) -> Flow {
         match target.eval().and_then(|v| v.as_usize()) {
-            Some(t) if self.is_jumpdest(t) => self.enter_block(st, t),
+            Some(t) if self.disasm.is_jumpdest(t) => self.enter_block(st, t),
             Some(_) => Flow::End,
             None => {
                 self.facts.hit_symbolic_jump = true;
@@ -999,7 +720,7 @@ impl<'a> Tase<'a> {
                 self.facts.add_guard(GuardFact {
                     pc,
                     cond: Rc::clone(base),
-                    loop_exit_pc: self.loop_exits.get(&pc).copied(),
+                    loop_exit_pc: self.program.as_ref().and_then(|p| p.loop_exit(pc)),
                 });
             }
         }
@@ -1315,46 +1036,5 @@ mod tests {
             f.guards[0].cond.kind(),
             ExprKind::Binary(BinOp::Lt, ..)
         ));
-    }
-
-    #[test]
-    fn lazy_program_falls_back_on_computed_jump_targets() {
-        // PUSH1 3; PUSH1 4; ADD; JUMP lands on a JUMPDEST no pushed
-        // constant names, so the lazy compile leaves the landing block as
-        // placeholders — the executor must run it through the reference
-        // per-instruction semantics and still observe the load.
-        let code = [
-            0x60, 0x03, // PUSH1 3
-            0x60, 0x04, // PUSH1 4
-            0x01, // ADD        -> 7
-            0x56, // JUMP
-            0x00, // STOP (dead)
-            0x5b, // JUMPDEST @ 7
-            0x60, 0x04, // PUSH1 4
-            0x35, // CALLDATALOAD
-            0x50, // POP
-            0x00, // STOP
-        ];
-        let d = Disassembly::new(&code);
-        let lazy = Program::compile_reachable(&d, &[0]);
-        assert!(
-            lazy.uncompiled_block_count() > 0,
-            "the landing block must be a placeholder for this test to bite"
-        );
-        let block = Tase::new(&d, TaseConfig::default())
-            .with_program(Arc::new(lazy))
-            .explore(0);
-        let instr = Tase::new(
-            &d,
-            TaseConfig {
-                exec_engine: ExecEngine::Instr,
-                ..TaseConfig::default()
-            },
-        )
-        .explore(0);
-        assert_eq!(block.loads.len(), 1);
-        assert_eq!(block.loads.len(), instr.loads.len());
-        assert_eq!(block.loads[0].pc, instr.loads[0].pc);
-        assert_eq!(block.paths_explored, instr.paths_explored);
     }
 }

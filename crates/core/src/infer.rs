@@ -56,8 +56,7 @@ pub enum InferEngine {
     /// The per-rule reference matcher: every rule family re-probes
     /// [`FunctionFacts`] (through [`FactsIndex`]) per candidate
     /// parameter. Kept as the differential baseline the conformance
-    /// matrix and the fuzz campaigns compare against — the
-    /// `ExecEngine::Instr` of inference.
+    /// matrix and the fuzz campaigns compare against.
     PerRule,
     /// The staged decision-tree matcher ([`tree`]): per-offset feature
     /// bitsets and per-key refinement summaries are built in one pass,

@@ -58,4 +58,4 @@ pub use outcome::{
 pub use pipeline::{Explanation, LinkSet, RecoveredFunction, SigRec};
 pub use rules::{RuleId, RuleStats};
 pub use shrink::minimize;
-pub use store::{PersistentStore, ProgramLookup, StoreDiagnostic, StoreOptions, StoreStats};
+pub use store::{PersistentStore, StoreDiagnostic, StoreOptions, StoreStats};

@@ -1,19 +1,20 @@
 //! Read-only memory mapping with a buffered fallback.
 //!
-//! The persistent store reads sealed segments and the flat index through
-//! a [`Mapping`]: on Linux/x86-64 that is a real `mmap(2)` issued as a
-//! raw syscall (the workspace deliberately has no libc binding), so
-//! record payloads are verified and decoded straight out of the page
-//! cache with zero copies into userspace buffers. Everywhere else — or
-//! when the kernel refuses the mapping — the file is read once into an
-//! owned buffer with identical semantics. Callers never observe the
-//! difference: [`Mapping::as_slice`] is the whole contract.
+//! The persistent store reads segments (the open-time scan and every
+//! contract-record lookup) and the flat index through a [`Mapping`]: on
+//! Linux/x86-64 that is a real `mmap(2)` issued as a raw syscall (the
+//! workspace deliberately has no libc binding), so record payloads are
+//! verified and decoded straight out of the page cache with zero copies
+//! into userspace buffers. Everywhere else — or when the kernel refuses
+//! the mapping — the file is read once into an owned buffer with
+//! identical semantics. Callers never observe the difference:
+//! [`Mapping::as_slice`] is the whole contract.
 //!
 //! Lifetime rule: a mapping's bytes are only borrowed *inside* the store
-//! while a record is verified and decoded into owned structures
-//! (`RecoveredFunction`s, a `Program`). Nothing borrowed from the
-//! mapping escapes the store's API, so segment files can be remapped or
-//! the cache dropped without dangling references.
+//! while a record is verified and decoded into owned structures (a
+//! contract's `RecoveredFunction`s and diagnostics). Nothing borrowed
+//! from the mapping escapes the store's API, so segment files can be
+//! remapped or the cache dropped without dangling references.
 
 use std::fs::File;
 use std::io::{self, Read};

@@ -15,11 +15,9 @@
 //! `(body-extent hash, entry pc)`.
 
 use crate::batch::LatencyHistogram;
-use crate::cache::{
-    body_span_hash, CacheStats, CachedContract, CachedFunction, ProgramSource, RecoveryCache,
-};
+use crate::cache::{body_span_hash, CacheStats, CachedContract, CachedFunction, RecoveryCache};
 use crate::exec::ForkMode;
-use crate::exec::{ExecEngine, ExecStats, Tase, TaseConfig};
+use crate::exec::{ExecStats, Tase, TaseConfig};
 use crate::extract::{extract_dispatch_diag, DispatchEntry};
 use crate::facts::FunctionFacts;
 use crate::indirect::detect_forwarder;
@@ -165,16 +163,10 @@ pub(crate) struct ContractPlan {
     /// (the table and extents are empty in that case).
     pub(crate) cached: Option<Arc<CachedContract>>,
     disasm: Disassembly,
-    /// The block-compiled program every entry of the plan shares when
-    /// [`ExecEngine::Block`] is selected — read from the store's program
-    /// record or compiled fresh, and freed with the plan; `None` under
-    /// [`ExecEngine::Instr`] and for contract-level cache hits.
+    /// The loop-head guards every entry of the plan shares, built once
+    /// per contract and freed with the plan; `None` for contract-level
+    /// cache hits.
     program: Option<Arc<Program>>,
-    /// Where the plan's program came from (persisted program record or a
-    /// fresh compile). Seal uses this to persist exactly the
-    /// freshly-compiled programs — a program served from disk is already
-    /// on disk. `None` when `program` is.
-    program_source: Option<ProgramSource>,
     /// Dispatch table, in dispatcher order.
     pub(crate) table: Vec<DispatchEntry>,
     /// Per-entry exclusive end of the function body: the next-larger
@@ -474,7 +466,6 @@ impl SigRec {
                     cached: Some(hit),
                     disasm: Disassembly::new(&[]),
                     program: None,
-                    program_source: None,
                     table: Vec::new(),
                     extents: Vec::new(),
                     extraction_diags: Vec::new(),
@@ -502,48 +493,21 @@ impl SigRec {
             }
         }
         let extents = body_extents(code.len(), &extraction.table);
-        let (program, program_source) = match self.config.exec_engine {
-            ExecEngine::Block => {
-                let compile_start = self.stats.as_ref().map(|_| Instant::now());
-                // Lazy compile: only blocks reachable from the dispatch
-                // entries get the full pre-decode; the executor falls back
-                // to per-instruction semantics for anything a computed
-                // jump discovers at run time.
-                let entry_pcs: Vec<usize> = extraction.table.iter().map(|e| e.entry).collect();
-                let (program, source) = match &key {
-                    // Keyed modes read persisted programs through the
-                    // store before compiling.
-                    Some(k) => self.cache.program_for(k, &disasm, &entry_pcs),
-                    None => (
-                        Arc::new(Program::compile_reachable(&disasm, &entry_pcs)),
-                        ProgramSource::Compiled,
-                    ),
-                };
-                if let (Some(acc), Some(t0)) = (&self.stats, compile_start) {
-                    let r = Ordering::Relaxed;
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    acc.compile_nanos.fetch_add(nanos, r);
-                    match source {
-                        ProgramSource::Compiled => {
-                            acc.compile_cold_nanos.fetch_add(nanos, r);
-                            acc.lazy_blocks_skipped
-                                .fetch_add(program.uncompiled_block_count() as u64, r);
-                        }
-                        ProgramSource::Disk => {
-                            acc.compile_store_nanos.fetch_add(nanos, r);
-                        }
-                    }
-                }
-                (Some(program), Some(source))
-            }
-            ExecEngine::Instr => (None, None),
+        let build_start = self.stats.as_ref().map(|_| Instant::now());
+        let program = match &key {
+            // Keyed plans go through the cache, which counts the build.
+            Some(k) => self.cache.program_for(k, &disasm, &[]).0,
+            None => Arc::new(Program::new(&disasm)),
         };
+        if let (Some(acc), Some(t0)) = (&self.stats, build_start) {
+            acc.compile_nanos
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
         ContractPlan {
             key,
             cached: None,
             disasm,
-            program,
-            program_source,
+            program: Some(program),
             table: extraction.table,
             extents,
             extraction_diags: extraction.diagnostics,
@@ -588,18 +552,8 @@ impl SigRec {
             return;
         }
         if let Some(key) = plan.key {
-            // Persist the program only when this plan compiled it fresh:
-            // a Disk-sourced program is already a current-format record.
-            let program = match plan.program_source {
-                Some(ProgramSource::Compiled) => plan.program.as_deref(),
-                _ => None,
-            };
-            self.cache.store_contract_with_program(
-                key,
-                functions.to_vec(),
-                plan.extraction_diags.clone(),
-                program,
-            );
+            self.cache
+                .store_contract(key, functions.to_vec(), plan.extraction_diags.clone());
         }
     }
 
@@ -774,16 +728,8 @@ struct StatsAccum {
     /// The shared/prefix bucket of the exclusive attribution: index-build
     /// time, calls that fired no rules, and division remainders.
     infer_shared_nanos: AtomicU64,
-    /// Wall-clock spent block-compiling programs (plan stage).
+    /// Wall-clock spent building programs (plan stage).
     compile_nanos: AtomicU64,
-    /// `compile_nanos` split by [`ProgramSource`]: fresh compiles and
-    /// plans served by a persisted program record. The two sum to
-    /// `compile_nanos`.
-    compile_cold_nanos: AtomicU64,
-    compile_store_nanos: AtomicU64,
-    /// Blocks the lazy reachable-block compiler left as placeholders,
-    /// summed over fresh compiles only.
-    lazy_blocks_skipped: AtomicU64,
     /// Scheduler park events, reported by the batch driver after its
     /// workers join. The batch scheduler itself keeps *plain* per-worker
     /// counters (each owned exclusively by one worker for the pool's
@@ -826,9 +772,6 @@ impl Default for StatsAccum {
             infer_refine_nanos: AtomicU64::new(0),
             infer_shared_nanos: AtomicU64::new(0),
             compile_nanos: AtomicU64::new(0),
-            compile_cold_nanos: AtomicU64::new(0),
-            compile_store_nanos: AtomicU64::new(0),
-            lazy_blocks_skipped: AtomicU64::new(0),
             contention: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             steal_failures: AtomicU64::new(0),
@@ -922,9 +865,6 @@ impl StatsAccum {
             infer_refine_time: Duration::from_nanos(self.infer_refine_nanos.load(r)),
             infer_shared_time: Duration::from_nanos(self.infer_shared_nanos.load(r)),
             compile_time: Duration::from_nanos(self.compile_nanos.load(r)),
-            compile_cold_time: Duration::from_nanos(self.compile_cold_nanos.load(r)),
-            compile_store_time: Duration::from_nanos(self.compile_store_nanos.load(r)),
-            lazy_blocks_skipped: self.lazy_blocks_skipped.load(r),
             // Keyed on hits, not on nonzero time: a rule whose exclusive
             // share rounds to zero nanoseconds still fired.
             rule_time: RuleId::ALL
@@ -979,20 +919,10 @@ pub struct PipelineStats {
     /// `infer_shared_time + Σ rule_time == infer_time` (up to the clock
     /// quantisation of each call).
     pub infer_shared_time: Duration,
-    /// Wall-clock spent at plan time compiling programs or reading their
-    /// persisted records (zero under [`ExecEngine::Instr`]).
+    /// Wall-clock spent at plan time building each contract's
+    /// [`Program`] (its loop-head guards). Zero when every contract was a
+    /// contract-level cache hit.
     pub compile_time: Duration,
-    /// The slice of [`PipelineStats::compile_time`] spent on plans whose
-    /// program was freshly compiled — the genuine compile cost.
-    pub compile_cold_time: Duration,
-    /// The slice spent on plans served by a persisted program record
-    /// (decode cost, no compile). `compile_cold_time +
-    /// compile_store_time == compile_time`.
-    pub compile_store_time: Duration,
-    /// Basic blocks the lazy reachable-block compiler left as cheap
-    /// placeholders instead of fully pre-decoding, summed over fresh
-    /// compiles.
-    pub lazy_blocks_skipped: u64,
     /// Per-rule *exclusive* inference time: each call's duration minus
     /// its index build splits evenly across the distinct rules that
     /// fired, so entries never overlap and

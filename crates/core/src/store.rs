@@ -38,27 +38,18 @@
 //! [`SigRec::recover_linked`](crate::SigRec::recover_linked) outputs
 //! never reach a segment under the proxy's key.
 //!
-//! **The compile tier.** Compiled [`Program`](sigrec_evm::Program)s are
-//! persisted alongside contract records: sealing a recovery also appends
-//! a program record (same framing, same segments) whose payload starts
-//! with [`PROGRAM_PAYLOAD_TAG`] and a `PROGRAM_FORMAT_VERSION` stamp. A
-//! program record is read only when a program is asked for — by
-//! `explain`, or by a contract whose own record missed; a contract hit
-//! never touches it, so a restart that serves stored contracts reads one
-//! record per contract. [`PersistentStore::lookup_program`] checks the
-//! checksum, tag and version and decodes in the same pass: a
-//! version-matching record rebuilds the program in O(steps) via
-//! `Program::from_parts` and skips compilation entirely; a stale version
-//! or any decode failure is a structured miss ([`ProgramLookup::Stale`]
-//! / [`ProgramLookup::Miss`]) — the caller recompiles and rewrites, and
-//! a mismatched payload can never misdecode into a wrong program.
-//! Contract and program payloads share segments but live in separate
-//! indexes, discriminated by the payload's first byte (contract
-//! payloads start with `PAYLOAD_VERSION`, program payloads with the
-//! tag). Sealed segments and the flat index are read through a memory
-//! mapping ([`mmap`](crate::mmap)): records are checksum-verified and
-//! decoded straight from the mapped bytes, and only owned structures
-//! leave the store, so the mapping's lifetime never escapes.
+//! **Legacy program records.** Stores written while compiled programs
+//! were persisted also hold one program record per sealed contract: same
+//! framing, same key as the contract, payload starting with the tag
+//! byte `0x50`. Nothing reads them any more. A segment scan recognises
+//! the tag and skips the record — decoding it as a contract would
+//! shadow the real record under the same key — and the index format of
+//! that era (`SIGRECI2`, which carried a program section) fails the
+//! magic check, so such a store opens by rescan. Sealed segments and
+//! the flat index are read through a memory mapping
+//! ([`mmap`](crate::mmap)): records are checksum-verified and decoded
+//! straight from the mapped bytes, and only owned structures leave the
+//! store, so the mapping's lifetime never escapes.
 //!
 //! **Poisoning.** A panic while the store's lock is held poisons it. The
 //! store then degrades instead of panicking: lookups miss, appends and
@@ -78,7 +69,6 @@ use crate::outcome::{BudgetKind, DelegateTarget, Diagnostic, MalformedKind, Trun
 use crate::pipeline::RecoveredFunction;
 use crate::rules::RuleId;
 use sigrec_abi::{AbiType, Selector};
-use sigrec_evm::Program;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -90,22 +80,19 @@ use std::time::Duration;
 
 /// Magic + version stamp opening every segment file.
 const SEGMENT_MAGIC: &[u8; 8] = b"SIGRECS1";
-/// Magic + version stamp opening the index file ("I2" added the program
-/// entry section; an "I1" index fails the magic check and is rebuilt).
-const INDEX_MAGIC: &[u8; 8] = b"SIGRECI2";
+/// Magic + version stamp opening the index file. "I3" dropped the program
+/// entry section that "I2" carried; an older index fails the magic check
+/// and is rebuilt by scanning.
+const INDEX_MAGIC: &[u8; 8] = b"SIGRECI3";
 /// Fixed bytes before a record's payload: key, payload length, checksum.
 const RECORD_HEADER: usize = 32 + 4 + 8;
 /// Leading byte of every contract payload; bumped on any codec change so
 /// stale records decode to a clean miss instead of garbage.
 const PAYLOAD_VERSION: u8 = 1;
-/// Leading byte of every program payload — distinct from any
-/// `PAYLOAD_VERSION` a contract record will ever carry, so the two
-/// record kinds sharing a segment are discriminated by their first byte.
-pub const PROGRAM_PAYLOAD_TAG: u8 = 0x50;
-/// Version stamp following [`PROGRAM_PAYLOAD_TAG`]; bumped on any change
-/// to the program codec *or* to `Program`'s compiled layout. A mismatch
-/// is a [`ProgramLookup::Stale`] — recompile, never misdecode.
-pub const PROGRAM_FORMAT_VERSION: u16 = 1;
+/// Leading byte of the program records older stores hold beside their
+/// contract records — distinct from any `PAYLOAD_VERSION` a contract
+/// record will ever carry, so a scan can tell the two apart and skip it.
+const LEGACY_PROGRAM_TAG: u8 = 0x50;
 /// Decoder recursion bound for nested [`AbiType`]s — a corrupt payload
 /// must produce a miss, not a stack overflow.
 const MAX_TYPE_DEPTH: usize = 64;
@@ -165,20 +152,14 @@ pub struct StoreStats {
     /// Appends dropped by an I/O error (the write-behind tier absorbs
     /// them; the in-memory result is unaffected).
     pub io_errors: u64,
-    /// Program records read, verified and decoded by
-    /// [`PersistentStore::lookup_program`], each one a compile skipped.
-    /// A contract hit never reads its program record, so a restart that
-    /// only serves stored contracts leaves this at 0: only `explain` and
-    /// contracts whose own record missed ask the store for a program.
+    /// Always 0: programs are not persisted. Kept only for
+    /// `perfbench/src/run.rs`, which sums it.
     pub program_hits: u64,
-    /// Program lookups with no usable record — the caller compiles.
+    /// Always 0, like `program_hits`.
     pub program_misses: u64,
-    /// Program records found with a mismatched `PROGRAM_FORMAT_VERSION`;
-    /// the caller recompiles and rewrites (counted separately from
-    /// misses so a format bump is visible in replay stats).
+    /// Always 0, like `program_hits`.
     pub program_stale: u64,
-    /// Program records appended (not counted in `records_appended`,
-    /// which stays contract-only).
+    /// Always 0, like `program_hits`.
     pub programs_appended: u64,
     /// Calls refused because a panic while the store's lock was held
     /// poisoned it. From then on lookups miss, appends and flushes fail,
@@ -255,27 +236,10 @@ struct RecordLoc {
     len: u32,
 }
 
-/// The result of [`PersistentStore::lookup_program`].
-#[derive(Debug)]
-pub enum ProgramLookup {
-    /// A version-matching program decoded from disk — compilation can be
-    /// skipped.
-    Hit(Program),
-    /// A record exists but its `PROGRAM_FORMAT_VERSION` does not match
-    /// this build: recompile and rewrite.
-    Stale,
-    /// No usable program record (absent, torn away, or corrupt).
-    Miss,
-}
-
-/// Mutable state behind the store's lock: the key indexes, the active
+/// Mutable state behind the store's lock: the key index, the active
 /// append segment, and lazily-opened read handles and mappings.
 struct StoreState {
     index: HashMap<[u8; 32], RecordLoc>,
-    /// Program records, keyed by the same contract key as `index` but
-    /// kept separate so `contract_count` and contract lookups never see
-    /// them.
-    program_index: HashMap<[u8; 32], RecordLoc>,
     /// Id and clean length of every segment, in id order.
     segments: Vec<(u32, u64)>,
     /// Append handle for the last segment (opened on first append).
@@ -307,10 +271,6 @@ struct StoreInner {
     corrupt_records: AtomicU64,
     index_rebuilds: AtomicU64,
     io_errors: AtomicU64,
-    program_hits: AtomicU64,
-    program_misses: AtomicU64,
-    program_stale: AtomicU64,
-    programs_appended: AtomicU64,
     poisoned_refusals: AtomicU64,
 }
 
@@ -364,14 +324,13 @@ impl PersistentStore {
             disk_layout.push((id, fs::metadata(segment_path(&dir, id))?.len()));
         }
 
-        let (segments, index, program_index) = match load_index(&dir, &disk_layout) {
+        let (segments, index) = match load_index(&dir, &disk_layout) {
             // Fast path: the index covers exactly the bytes on disk, so
             // the last flush postdates the last append — nothing to scan.
-            Some((index, programs)) => (disk_layout, index, programs),
+            Some(index) => (disk_layout, index),
             None => {
                 let mut segments = Vec::with_capacity(seg_ids.len());
                 let mut scanned: HashMap<[u8; 32], RecordLoc> = HashMap::new();
-                let mut scanned_programs: HashMap<[u8; 32], RecordLoc> = HashMap::new();
                 for &(id, disk_len) in &disk_layout {
                     let path = segment_path(&dir, id);
                     let (clean_len, records, seg_diags) = scan_segment(&path, id)?;
@@ -393,19 +352,13 @@ impl PersistentStore {
                     }
                     segments.push((id, clean_len));
                     // Later records win on duplicate keys (append order).
-                    for (key, loc, is_program) in records {
-                        if is_program {
-                            scanned_programs.insert(key, loc);
-                        } else {
-                            scanned.insert(key, loc);
-                        }
-                    }
+                    scanned.extend(records);
                 }
                 if !segments.is_empty() || index_path(&dir).exists() {
                     diags.push(StoreDiagnostic::StaleIndex);
                     rebuilds += 1;
                 }
-                (segments, scanned, scanned_programs)
+                (segments, scanned)
             }
         };
 
@@ -414,7 +367,6 @@ impl PersistentStore {
             options,
             state: Mutex::new(StoreState {
                 index,
-                program_index,
                 segments,
                 active: None,
                 unsynced: 0,
@@ -433,10 +385,6 @@ impl PersistentStore {
             corrupt_records: AtomicU64::new(corrupt),
             index_rebuilds: AtomicU64::new(rebuilds),
             io_errors: AtomicU64::new(0),
-            program_hits: AtomicU64::new(0),
-            program_misses: AtomicU64::new(0),
-            program_stale: AtomicU64::new(0),
-            programs_appended: AtomicU64::new(0),
             poisoned_refusals: AtomicU64::new(0),
         };
         Ok(PersistentStore {
@@ -488,10 +436,10 @@ impl PersistentStore {
             corrupt_records: self.inner.corrupt_records.load(r),
             index_rebuilds: self.inner.index_rebuilds.load(r),
             io_errors: self.inner.io_errors.load(r),
-            program_hits: self.inner.program_hits.load(r),
-            program_misses: self.inner.program_misses.load(r),
-            program_stale: self.inner.program_stale.load(r),
-            programs_appended: self.inner.programs_appended.load(r),
+            program_hits: 0,
+            program_misses: 0,
+            program_stale: 0,
+            programs_appended: 0,
             poisoned_refusals: self.inner.poisoned_refusals.load(r),
         }
     }
@@ -518,8 +466,7 @@ impl PersistentStore {
         }
         let payload = codec::encode_contract(functions, extraction_diags);
         let record = frame_record(&key, &payload);
-        let result = self.append_record(key, &record, false);
-        if let Err(e) = result {
+        if let Err(e) = self.append_record(key, &record) {
             self.inner.io_errors.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }
@@ -530,26 +477,7 @@ impl PersistentStore {
         Ok(true)
     }
 
-    /// Appends one compiled program under its contract's keccak key, to
-    /// be read back by [`PersistentStore::lookup_program`] in place of a
-    /// recompile. Programs carry no seal state (they are a pure function
-    /// of the bytecode), so there is no gate; a rewrite after a format
-    /// bump simply appends a newer record that shadows the stale one.
-    pub fn append_program(&self, key: [u8; 32], program: &Program) -> io::Result<()> {
-        let payload = codec::encode_program(program);
-        let record = frame_record(&key, &payload);
-        if let Err(e) = self.append_record(key, &record, true) {
-            self.inner.io_errors.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        self.inner.programs_appended.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .bytes_appended
-            .fetch_add(record.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn append_record(&self, key: [u8; 32], record: &[u8], is_program: bool) -> io::Result<()> {
+    fn append_record(&self, key: [u8; 32], record: &[u8]) -> io::Result<()> {
         let mut state = self.state()?;
         // Roll to a fresh segment when the active one is full (or none
         // exists yet).
@@ -589,11 +517,7 @@ impl PersistentStore {
             offset,
             len: record.len() as u32,
         };
-        if is_program {
-            state.program_index.insert(key, loc);
-        } else {
-            state.index.insert(key, loc);
-        }
+        state.index.insert(key, loc);
         state.unsynced += 1;
         if state.unsynced > self.inner.options.fsync_every {
             state.active.as_mut().expect("active segment").sync_data()?;
@@ -632,46 +556,6 @@ impl PersistentStore {
                     state.index.remove(key);
                 }
                 None
-            }
-        }
-    }
-
-    /// Reads one persisted compiled program back, verifying its checksum
-    /// and `PROGRAM_FORMAT_VERSION`.
-    ///
-    /// Never wrong, sometimes absent: a missing, torn, or
-    /// checksum-corrupt record is a [`ProgramLookup::Miss`]; a record
-    /// from a different format version is a [`ProgramLookup::Stale`].
-    /// Both mean "compile it yourself" — [`ProgramLookup::Stale`]
-    /// additionally invites an `append_program` rewrite.
-    pub fn lookup_program(&self, key: &[u8; 32]) -> ProgramLookup {
-        let loc = self
-            .state()
-            .ok()
-            .and_then(|state| state.program_index.get(key).copied());
-        let Some(loc) = loc else {
-            self.inner.program_misses.fetch_add(1, Ordering::Relaxed);
-            return ProgramLookup::Miss;
-        };
-        match self.with_record(key, loc, |payload| Some(codec::decode_program(payload))) {
-            Some(codec::ProgramDecode::Current(program)) => {
-                self.inner.program_hits.fetch_add(1, Ordering::Relaxed);
-                self.inner
-                    .bytes_read
-                    .fetch_add(loc.len as u64, Ordering::Relaxed);
-                ProgramLookup::Hit(*program)
-            }
-            Some(codec::ProgramDecode::Stale) => {
-                self.inner.program_stale.fetch_add(1, Ordering::Relaxed);
-                ProgramLookup::Stale
-            }
-            Some(codec::ProgramDecode::Malformed) | None => {
-                self.inner.corrupt_records.fetch_add(1, Ordering::Relaxed);
-                self.inner.program_misses.fetch_add(1, Ordering::Relaxed);
-                if let Ok(mut state) = self.state() {
-                    state.program_index.remove(key);
-                }
-                ProgramLookup::Miss
             }
         }
     }
@@ -736,7 +620,7 @@ impl PersistentStore {
             self.inner.fsyncs.fetch_add(1, Ordering::Relaxed);
             state.unsynced = 0;
         }
-        let bytes = encode_index(&state.index, &state.program_index, &state.segments);
+        let bytes = encode_index(&state.index, &state.segments);
         let tmp = self.inner.dir.join("index.flat.tmp");
         let final_path = index_path(&self.inner.dir);
         let mut f = File::create(&tmp)?;
@@ -830,13 +714,15 @@ fn list_segments(dir: &Path) -> io::Result<Vec<u32>> {
 }
 
 /// A segment scan's outcome: the clean length (the end of the last
-/// intact record), the intact records found (with their
-/// is-a-program-record flag), and any damage found.
-type SegmentScan = (u64, Vec<([u8; 32], RecordLoc, bool)>, Vec<StoreDiagnostic>);
+/// intact record), the intact contract records found, and any damage
+/// found.
+type SegmentScan = (u64, Vec<([u8; 32], RecordLoc)>, Vec<StoreDiagnostic>);
 
 /// Walks one segment, returning its clean length (the end of its last
-/// intact record), the records it holds, and any damage found. Records
-/// are classified contract-vs-program by their payload's leading byte.
+/// intact record), the contract records it holds, and any damage found.
+/// Legacy program records are intact records too, so they count toward
+/// the clean length, but they are skipped by their payload's leading
+/// byte.
 fn scan_segment(path: &Path, id: u32) -> io::Result<SegmentScan> {
     let mapping = Mapping::open(path)?;
     let buf = mapping.as_slice();
@@ -887,6 +773,9 @@ fn scan_segment(path: &Path, id: u32) -> io::Result<SegmentScan> {
             });
             continue;
         }
+        if payload.first() == Some(&LEGACY_PROGRAM_TAG) {
+            continue;
+        }
         records.push((
             key,
             RecordLoc {
@@ -894,51 +783,41 @@ fn scan_segment(path: &Path, id: u32) -> io::Result<SegmentScan> {
                 offset: start as u64,
                 len: (RECORD_HEADER + len as usize) as u32,
             },
-            payload.first() == Some(&PROGRAM_PAYLOAD_TAG),
         ));
     }
     Ok((clean, records, diags))
 }
 
 /// Serialises the index: magic, the segment layout it covers, then the
-/// contract and program key → location sections.
-fn encode_index(
-    index: &HashMap<[u8; 32], RecordLoc>,
-    programs: &HashMap<[u8; 32], RecordLoc>,
-    segments: &[(u32, u64)],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 12 * segments.len() + 48 * (index.len() + programs.len()));
+/// key → location entries.
+fn encode_index(index: &HashMap<[u8; 32], RecordLoc>, segments: &[(u32, u64)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + 12 * segments.len() + 48 * index.len());
     out.extend_from_slice(INDEX_MAGIC);
     out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
     for &(id, len) in segments {
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(&len.to_le_bytes());
     }
-    for section in [index, programs] {
-        out.extend_from_slice(&(section.len() as u64).to_le_bytes());
-        // Deterministic order so byte-identical stores write
-        // byte-identical indexes.
-        let mut entries: Vec<_> = section.iter().collect();
-        entries.sort_unstable_by_key(|(k, _)| **k);
-        for (key, loc) in entries {
-            out.extend_from_slice(key);
-            out.extend_from_slice(&loc.segment.to_le_bytes());
-            out.extend_from_slice(&loc.offset.to_le_bytes());
-            out.extend_from_slice(&loc.len.to_le_bytes());
-        }
+    out.extend_from_slice(&(index.len() as u64).to_le_bytes());
+    // Deterministic order so byte-identical stores write byte-identical
+    // indexes.
+    let mut entries: Vec<_> = index.iter().collect();
+    entries.sort_unstable_by_key(|(k, _)| **k);
+    for (key, loc) in entries {
+        out.extend_from_slice(key);
+        out.extend_from_slice(&loc.segment.to_le_bytes());
+        out.extend_from_slice(&loc.offset.to_le_bytes());
+        out.extend_from_slice(&loc.len.to_le_bytes());
     }
     out
 }
-
-/// The two sections of a loaded index: contract and program entries.
-type LoadedIndex = (HashMap<[u8; 32], RecordLoc>, HashMap<[u8; 32], RecordLoc>);
 
 /// Loads `index.flat` if it exactly describes the on-disk segment
 /// layout; any mismatch (crash, appends since the last flush, manual
 /// deletion, an index written by an older format) returns `None` and
 /// the caller falls back to the scan. The file is read through a memory
 /// mapping — entries decode straight from the mapped bytes.
-fn load_index(dir: &Path, segments: &[(u32, u64)]) -> Option<LoadedIndex> {
+fn load_index(dir: &Path, segments: &[(u32, u64)]) -> Option<HashMap<[u8; 32], RecordLoc>> {
     let mapping = Mapping::open(&index_path(dir)).ok()?;
     let mut r = codec::Reader::new(mapping.as_slice());
     if r.take(8)? != INDEX_MAGIC.as_slice() {
@@ -953,35 +832,31 @@ fn load_index(dir: &Path, segments: &[(u32, u64)]) -> Option<LoadedIndex> {
             return None;
         }
     }
-    let mut sections = [HashMap::new(), HashMap::new()];
-    for section in &mut sections {
-        let entries = r.u64()? as usize;
-        section.reserve(entries.min(1 << 20));
-        for _ in 0..entries {
-            let key: [u8; 32] = r.take(32)?.try_into().ok()?;
-            let segment = r.u32()?;
-            let offset = r.u64()?;
-            let len = r.u32()?;
-            // An entry pointing past its segment's clean length is stale.
-            let seg_len = segments.iter().find(|&&(id, _)| id == segment)?.1;
-            if offset + len as u64 > seg_len {
-                return None;
-            }
-            section.insert(
-                key,
-                RecordLoc {
-                    segment,
-                    offset,
-                    len,
-                },
-            );
+    let entries = r.u64()? as usize;
+    let mut index = HashMap::with_capacity(entries.min(1 << 20));
+    for _ in 0..entries {
+        let key: [u8; 32] = r.take(32)?.try_into().ok()?;
+        let segment = r.u32()?;
+        let offset = r.u64()?;
+        let len = r.u32()?;
+        // An entry pointing past its segment's clean length is stale.
+        let seg_len = segments.iter().find(|&&(id, _)| id == segment)?.1;
+        if offset + len as u64 > seg_len {
+            return None;
         }
+        index.insert(
+            key,
+            RecordLoc {
+                segment,
+                offset,
+                len,
+            },
+        );
     }
     if !r.at_end() {
         return None;
     }
-    let [index, programs] = sections;
-    Some((index, programs))
+    Some(index)
 }
 
 /// The record payload codec: hand-rolled, versioned, length-prefixed
@@ -1361,267 +1236,6 @@ mod codec {
         }
         Some((functions, diags))
     }
-
-    // ---- the program payload codec ----
-
-    use sigrec_evm::program::{BlockInfo, JumpTarget, Step, StepKind, MAX_SHUFFLE};
-    use sigrec_evm::{Opcode, U256};
-
-    /// Outcome of decoding a program payload. `Stale` is the one case
-    /// that is not damage: the record was written by a different
-    /// `PROGRAM_FORMAT_VERSION` and must be recompiled, never decoded.
-    pub(super) enum ProgramDecode {
-        /// A version-matching program, rebuilt via `Program::from_parts`.
-        Current(Box<Program>),
-        /// Valid framing, wrong format version.
-        Stale,
-        /// Anything else — reported as a corrupt record.
-        Malformed,
-    }
-
-    /// Writes a step/block index or pc as u16 (compact mode) or u32.
-    fn encode_idx(out: &mut Vec<u8>, compact: bool, v: u32) {
-        if compact {
-            out.extend_from_slice(&(v as u16).to_le_bytes());
-        } else {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    fn decode_idx(r: &mut Reader<'_>, compact: bool) -> Option<u32> {
-        if compact {
-            Some(r.u16()? as u32)
-        } else {
-            r.u32()
-        }
-    }
-
-    fn encode_target(out: &mut Vec<u8>, compact: bool, t: &JumpTarget) {
-        match t {
-            JumpTarget::Valid { pc, block } => {
-                out.push(0);
-                encode_idx(out, compact, *pc as u32);
-                encode_idx(out, compact, *block);
-            }
-            JumpTarget::Invalid => out.push(1),
-            JumpTarget::Huge => out.push(2),
-        }
-    }
-
-    fn decode_target(r: &mut Reader<'_>, compact: bool) -> Option<JumpTarget> {
-        Some(match r.u8()? {
-            0 => JumpTarget::Valid {
-                pc: decode_idx(r, compact)? as usize,
-                block: decode_idx(r, compact)?,
-            },
-            1 => JumpTarget::Invalid,
-            2 => JumpTarget::Huge,
-            _ => return None,
-        })
-    }
-
-    /// Writes a push value as its minimal big-endian bytes behind a
-    /// length prefix — dispatcher code is dominated by PUSH1..PUSH4, so
-    /// this is the single biggest payload (and checksum-work) saving.
-    fn encode_u256(out: &mut Vec<u8>, v: &U256) {
-        let bytes = v.to_be_bytes();
-        let first = bytes.iter().position(|&b| b != 0).unwrap_or(32);
-        out.push((32 - first) as u8);
-        out.extend_from_slice(&bytes[first..]);
-    }
-
-    fn u256(r: &mut Reader<'_>) -> Option<U256> {
-        let n = r.u8()? as usize;
-        if n > 32 {
-            return None;
-        }
-        Some(U256::from_be_bytes(r.take(n)?))
-    }
-
-    /// Encodes one compiled program into a record payload: tag, format
-    /// version, then steps, blocks, loop exits, and the compiled-block
-    /// bitmask. The `pc → step` table is *not* persisted — the decoder
-    /// rebuilds it in O(steps). Programs small enough for every pc and
-    /// index to fit in 16 bits (virtually all deployed contracts) use a
-    /// compact half-width layout, which saves disk bytes.
-    pub(super) fn encode_program(p: &Program) -> Vec<u8> {
-        let steps = p.steps();
-        let blocks = p.blocks();
-        // `next_pc` of a truncated trailing push can point up to 33
-        // bytes past the end of code, so the compact bound backs off by
-        // that much.
-        let compact = p.code_len() + 33 <= u16::MAX as usize
-            && steps.len() <= u16::MAX as usize
-            && blocks.len() <= u16::MAX as usize;
-        let mut out = Vec::with_capacity(32 + 12 * steps.len() + 24 * blocks.len());
-        out.push(PROGRAM_PAYLOAD_TAG);
-        out.extend_from_slice(&PROGRAM_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(p.code_len() as u64).to_le_bytes());
-        out.push(compact as u8);
-        encode_idx(&mut out, compact, steps.len() as u32);
-        for s in steps {
-            encode_idx(&mut out, compact, s.pc as u32);
-            encode_idx(&mut out, compact, s.next_pc as u32);
-            encode_idx(&mut out, compact, s.block);
-            out.push(s.width);
-            match &s.kind {
-                StepKind::Op(op) => {
-                    out.push(0);
-                    out.push(op.to_byte());
-                }
-                StepKind::Push(v) => {
-                    out.push(1);
-                    encode_u256(&mut out, v);
-                }
-                StepKind::FusedPushOp { value, op } => {
-                    out.push(2);
-                    encode_u256(&mut out, value);
-                    out.push(op.to_byte());
-                }
-                StepKind::FusedJump(t) => {
-                    out.push(3);
-                    encode_target(&mut out, compact, t);
-                }
-                StepKind::FusedJumpI(t) => {
-                    out.push(4);
-                    encode_target(&mut out, compact, t);
-                }
-                StepKind::Shuffle { ops, len } => {
-                    out.push(5);
-                    out.push(*len);
-                    out.extend_from_slice(&ops[..*len as usize]);
-                }
-            }
-        }
-        encode_idx(&mut out, compact, blocks.len() as u32);
-        for b in blocks {
-            encode_idx(&mut out, compact, b.start_pc as u32);
-            encode_idx(&mut out, compact, b.first_step);
-            encode_idx(&mut out, compact, b.len);
-            out.extend_from_slice(&b.stack_delta.to_le_bytes());
-            out.extend_from_slice(&b.min_depth.to_le_bytes());
-            out.push(b.straight_line as u8);
-        }
-        out.extend_from_slice(&(p.loop_exits().len() as u32).to_le_bytes());
-        for &(guard, exit) in p.loop_exits() {
-            encode_idx(&mut out, compact, guard as u32);
-            encode_idx(&mut out, compact, exit as u32);
-        }
-        let mask = p.compiled_mask();
-        let mut bits = vec![0u8; mask.len().div_ceil(8)];
-        for (i, &compiled) in mask.iter().enumerate() {
-            if compiled {
-                bits[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out.extend_from_slice(&bits);
-        out
-    }
-
-    /// Decodes a program payload. Total: every malformed input comes
-    /// back as [`ProgramDecode::Malformed`] (a corrupt-record miss), a
-    /// version mismatch as [`ProgramDecode::Stale`].
-    pub(super) fn decode_program(payload: &[u8]) -> ProgramDecode {
-        let mut r = Reader::new(payload);
-        let (Some(tag), Some(version)) = (r.u8(), r.u16()) else {
-            return ProgramDecode::Malformed;
-        };
-        if tag != PROGRAM_PAYLOAD_TAG {
-            return ProgramDecode::Malformed;
-        }
-        if version != PROGRAM_FORMAT_VERSION {
-            return ProgramDecode::Stale;
-        }
-        match decode_program_body(&mut r) {
-            Some(p) => ProgramDecode::Current(Box::new(p)),
-            None => ProgramDecode::Malformed,
-        }
-    }
-
-    fn decode_program_body(r: &mut Reader<'_>) -> Option<Program> {
-        let code_len = r.u64()? as usize;
-        let compact = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let n_steps = decode_idx(r, compact)? as usize;
-        if n_steps > (1 << 22) || code_len > (1 << 32) {
-            return None;
-        }
-        let mut steps = Vec::with_capacity(n_steps.min(1 << 16));
-        for _ in 0..n_steps {
-            let pc = decode_idx(r, compact)? as usize;
-            let next_pc = decode_idx(r, compact)? as usize;
-            let block = decode_idx(r, compact)?;
-            let width = r.u8()?;
-            let kind = match r.u8()? {
-                0 => StepKind::Op(Opcode::from_byte(r.u8()?)),
-                1 => StepKind::Push(u256(r)?),
-                2 => StepKind::FusedPushOp {
-                    value: u256(r)?,
-                    op: Opcode::from_byte(r.u8()?),
-                },
-                3 => StepKind::FusedJump(decode_target(r, compact)?),
-                4 => StepKind::FusedJumpI(decode_target(r, compact)?),
-                5 => {
-                    let len = r.u8()?;
-                    if !(2..=MAX_SHUFFLE as u8).contains(&len) {
-                        return None;
-                    }
-                    let mut ops = [0u8; MAX_SHUFFLE];
-                    ops[..len as usize].copy_from_slice(r.take(len as usize)?);
-                    StepKind::Shuffle { ops, len }
-                }
-                _ => return None,
-            };
-            steps.push(Step {
-                pc,
-                next_pc,
-                block,
-                width,
-                kind,
-            });
-        }
-        let n_blocks = decode_idx(r, compact)? as usize;
-        if n_blocks > (1 << 22) {
-            return None;
-        }
-        let mut blocks = Vec::with_capacity(n_blocks.min(1 << 16));
-        for _ in 0..n_blocks {
-            blocks.push(BlockInfo {
-                start_pc: decode_idx(r, compact)? as usize,
-                first_step: decode_idx(r, compact)?,
-                len: decode_idx(r, compact)?,
-                stack_delta: r.u32()? as i32,
-                min_depth: r.u32()?,
-                straight_line: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                },
-            });
-        }
-        let n_loops = r.u32()? as usize;
-        if n_loops > (1 << 20) {
-            return None;
-        }
-        let mut loop_exits = Vec::with_capacity(n_loops.min(1 << 12));
-        for _ in 0..n_loops {
-            loop_exits.push((
-                decode_idx(r, compact)? as usize,
-                decode_idx(r, compact)? as usize,
-            ));
-        }
-        let bits = r.take(n_blocks.div_ceil(8))?;
-        let compiled: Vec<bool> = (0..n_blocks)
-            .map(|i| bits[i / 8] >> (i % 8) & 1 == 1)
-            .collect();
-        if !r.at_end() {
-            return None;
-        }
-        Program::from_parts(steps, blocks, code_len, loop_exits, compiled)
-    }
 }
 
 #[cfg(test)]
@@ -1847,190 +1461,6 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn sample_program() -> Program {
-        // PUSH1 6; JUMPI | PUSH1 4; CALLDATALOAD; STOP | JUMPDEST;
-        // DUP1; DUP2; SWAP1; STOP — exercises fusion, shuffles, and a
-        // resolved jump in one program.
-        let code = [
-            0x60, 0x06, 0x57, 0x60, 0x04, 0x35, 0x00, 0x5b, 0x80, 0x81, 0x90, 0x00,
-        ];
-        Program::compile(&sigrec_evm::Disassembly::new(&code))
-    }
-
-    fn assert_programs_equal(a: &Program, b: &Program) {
-        assert_eq!(a.steps(), b.steps());
-        assert_eq!(a.blocks(), b.blocks());
-        assert_eq!(a.code_len(), b.code_len());
-        assert_eq!(a.loop_exits(), b.loop_exits());
-        assert_eq!(a.compiled_mask(), b.compiled_mask());
-    }
-
-    #[test]
-    fn program_records_round_trip_through_disk() {
-        let dir = scratch();
-        let store = PersistentStore::open(&dir).unwrap();
-        let program = sample_program();
-        let key = [3u8; 32];
-        assert!(matches!(store.lookup_program(&key), ProgramLookup::Miss));
-        store.append_program(key, &program).unwrap();
-        match store.lookup_program(&key) {
-            ProgramLookup::Hit(got) => assert_programs_equal(&got, &program),
-            other => panic!("expected hit, got {other:?}"),
-        }
-        let stats = store.stats();
-        assert_eq!(stats.programs_appended, 1);
-        assert_eq!(stats.program_hits, 1);
-        assert_eq!(stats.program_misses, 1);
-        // Program records never masquerade as contracts.
-        assert_eq!(stats.records_appended, 0);
-        assert_eq!(store.contract_count(), 0);
-        assert!(store.lookup(&key).is_none());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn wide_program_round_trips_without_the_compact_layout() {
-        // Code too long for u16 pcs forces the full-width (u32) payload
-        // layout; the sample program's short code exercises the compact
-        // one — together they pin both decoder branches.
-        let mut code = vec![0x5b]; // JUMPDEST so block 0 has an anchor
-        code.resize(u16::MAX as usize + 8, 0x00); // STOP padding
-        let wide = Program::compile(&sigrec_evm::Disassembly::new(&code));
-        let payload = codec::encode_program(&wide);
-        assert_eq!(payload[11], 0, "wide program must opt out of compact");
-        match codec::decode_program(&payload) {
-            codec::ProgramDecode::Current(got) => assert_programs_equal(&got, &wide),
-            _ => panic!("wide program payload failed to decode"),
-        }
-        let compact_payload = codec::encode_program(&sample_program());
-        assert_eq!(compact_payload[11], 1, "short program must be compact");
-    }
-
-    #[test]
-    fn program_survives_reopen_flushed_and_rebuilt() {
-        let dir = scratch();
-        let key = [4u8; 32];
-        let program = sample_program();
-        {
-            let store = PersistentStore::open(&dir).unwrap();
-            store.append(key, &[func(1, vec![])], &[]).unwrap();
-            store.append_program(key, &program).unwrap();
-            store.flush().unwrap();
-        }
-        // Flushed path: the I2 index carries the program section.
-        {
-            let store = PersistentStore::open(&dir).unwrap();
-            assert_eq!(store.stats().index_rebuilds, 0);
-            assert!(matches!(store.lookup_program(&key), ProgramLookup::Hit(_)));
-            assert_eq!(store.contract_count(), 1);
-        }
-        // Rebuild path: the scan reclassifies records by payload tag.
-        fs::remove_file(index_path(&dir)).unwrap();
-        let store = PersistentStore::open(&dir).unwrap();
-        assert_eq!(store.stats().index_rebuilds, 1);
-        match store.lookup_program(&key) {
-            ProgramLookup::Hit(got) => assert_programs_equal(&got, &program),
-            other => panic!("expected hit after rebuild, got {other:?}"),
-        }
-        assert_eq!(store.contract_count(), 1);
-        assert!(store.lookup(&key).is_some());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_program_version_reports_stale_not_garbage() {
-        let dir = scratch();
-        let key = [5u8; 32];
-        {
-            let store = PersistentStore::open(&dir).unwrap();
-            store.append(key, &[func(1, vec![])], &[]).unwrap();
-            store.flush().unwrap();
-        }
-        // Hand-write a program record stamped with a future format
-        // version (payload otherwise intact, checksum valid).
-        let mut payload = codec::encode_program(&sample_program());
-        let bumped = (PROGRAM_FORMAT_VERSION + 1).to_le_bytes();
-        payload[1..3].copy_from_slice(&bumped);
-        let record = frame_record(&key, &payload);
-        OpenOptions::new()
-            .append(true)
-            .open(segment_path(&dir, 0))
-            .unwrap()
-            .write_all(&record)
-            .unwrap();
-        let store = PersistentStore::open(&dir).unwrap();
-        assert!(matches!(store.lookup_program(&key), ProgramLookup::Stale));
-        let stats = store.stats();
-        assert_eq!(stats.program_stale, 1);
-        assert_eq!(stats.program_hits, 0);
-        assert_eq!(stats.corrupt_records, 0);
-        // The contract record next to it is untouched.
-        assert!(store.lookup(&key).is_some());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_program_record_is_a_miss_not_wrong_data() {
-        let dir = scratch();
-        let key = [6u8; 32];
-        let loc_offset;
-        {
-            let store = PersistentStore::open(&dir).unwrap();
-            store.append_program(key, &sample_program()).unwrap();
-            store.flush().unwrap();
-            let state = store.inner.state.lock().unwrap();
-            loc_offset = state.program_index[&key].offset;
-        }
-        // Flip one payload byte in place (same length: the flushed
-        // index stays trusted and still points at the record).
-        let seg = segment_path(&dir, 0);
-        let mut bytes = fs::read(&seg).unwrap();
-        let target = loc_offset as usize + RECORD_HEADER + 9;
-        bytes[target] ^= 0xff;
-        fs::write(&seg, &bytes).unwrap();
-        let store = PersistentStore::open(&dir).unwrap();
-        assert!(matches!(store.lookup_program(&key), ProgramLookup::Miss));
-        let stats = store.stats();
-        assert_eq!(stats.corrupt_records, 1);
-        assert_eq!(stats.program_hits, 0);
-        // The poisoned entry is dropped: the next lookup is a plain miss.
-        assert!(matches!(store.lookup_program(&key), ProgramLookup::Miss));
-        assert_eq!(store.stats().corrupt_records, 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn program_payload_truncations_never_misdecode() {
-        let payload = codec::encode_program(&sample_program());
-        assert!(matches!(
-            codec::decode_program(&payload),
-            codec::ProgramDecode::Current(_)
-        ));
-        for cut in 0..payload.len() {
-            assert!(
-                !matches!(
-                    codec::decode_program(&payload[..cut]),
-                    codec::ProgramDecode::Current(_)
-                ),
-                "truncation at {cut} decoded to a program"
-            );
-        }
-        let mut padded = payload.clone();
-        padded.push(0);
-        assert!(matches!(
-            codec::decode_program(&padded),
-            codec::ProgramDecode::Malformed
-        ));
-        // A contract payload handed to the program decoder is malformed,
-        // not stale, and vice versa the tag keeps them apart.
-        let contract = codec::encode_contract(&[func(1, vec![])], &[]);
-        assert!(matches!(
-            codec::decode_program(&contract),
-            codec::ProgramDecode::Malformed
-        ));
-        assert!(codec::decode_contract(&payload).is_none());
-    }
-
     #[test]
     fn records_appended_after_mapping_fall_back_to_file_reads() {
         let dir = scratch();
@@ -2042,13 +1472,8 @@ mod tests {
         store
             .append([2u8; 32], &[func(2, vec![AbiType::Bool])], &[])
             .unwrap();
-        store.append_program([2u8; 32], &sample_program()).unwrap();
         let (got, _) = store.lookup(&[2u8; 32]).unwrap();
         assert_eq!(got[0].params, vec![AbiType::Bool]);
-        assert!(matches!(
-            store.lookup_program(&[2u8; 32]),
-            ProgramLookup::Hit(_)
-        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2061,7 +1486,6 @@ mod tests {
         let store = PersistentStore::open(&dir).unwrap();
         let key = [1u8; 32];
         store.append(key, &[func(1, vec![])], &[]).unwrap();
-        store.append_program(key, &sample_program()).unwrap();
         let holder = store.clone();
         let panicked = std::thread::spawn(move || {
             let _state = holder.inner.state.lock().unwrap();
@@ -2072,20 +1496,17 @@ mod tests {
 
         // No call panics: lookups miss, writes and the flush fail.
         assert!(store.lookup(&key).is_none());
-        assert!(matches!(store.lookup_program(&key), ProgramLookup::Miss));
         assert_eq!(store.contract_count(), 0);
         assert!(store.append([2u8; 32], &[func(2, vec![])], &[]).is_err());
-        assert!(store.append_program([2u8; 32], &sample_program()).is_err());
         assert!(store.flush().is_err());
         assert!(
             !index_path(&dir).exists(),
             "a poisoned flush writes no index"
         );
         let stats = store.stats();
-        assert_eq!(stats.poisoned_refusals, 6);
-        assert_eq!(stats.io_errors, 2);
+        assert_eq!(stats.poisoned_refusals, 4);
+        assert_eq!(stats.io_errors, 1);
         assert_eq!((stats.disk_hits, stats.disk_misses), (0, 1));
-        assert_eq!((stats.program_hits, stats.program_misses), (0, 1));
         assert_eq!(stats.corrupt_records, 0);
 
         // A recoverer over the poisoned store answers from memory alone,
@@ -2110,16 +1531,12 @@ mod tests {
         let cache = sigrec.cache_stats();
         assert_eq!((cache.contract_hits, cache.contract_misses), (1, 1));
         assert!(sigrec.flush_store().is_err());
-        assert_eq!(store.stats().io_errors, 3, "the seal's append failed");
+        assert_eq!(store.stats().io_errors, 2, "the seal's append failed");
 
         // The next process rescans and serves what was written before.
         let reopened = PersistentStore::open(&dir).unwrap();
         assert_eq!(reopened.stats().index_rebuilds, 1);
         assert!(reopened.lookup(&key).is_some());
-        assert!(matches!(
-            reopened.lookup_program(&key),
-            ProgramLookup::Hit(_)
-        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -491,8 +491,7 @@ fn batch_runs_share_the_store_across_restarts() {
 }
 
 /// FNV-1a over `key || payload_len || payload`, mirroring the store's
-/// record checksum so the fault injectors below can re-frame a doctored
-/// record.
+/// record checksum so a test can frame records by hand.
 fn record_checksum(key: &[u8; 32], payload: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
@@ -507,13 +506,21 @@ fn record_checksum(key: &[u8; 32], payload: &[u8]) -> u64 {
     h
 }
 
+/// One self-verifying record, framed the way the store frames them:
+/// `key | payload_len:u32 | checksum:u64 | payload`.
+fn frame_record(key: &[u8; 32], payload: &[u8]) -> Vec<u8> {
+    let mut record = key.to_vec();
+    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    record.extend_from_slice(&record_checksum(key, payload).to_le_bytes());
+    record.extend_from_slice(payload);
+    record
+}
+
 /// A graceful restart serves a stored contract for the cost of reading
-/// that contract's one record: the program record beside it is not
-/// read, and nothing compiles. An `explain` on the same handle re-runs
-/// TASE, so it asks for the program, which comes from its record.
+/// that contract's one record, and nothing compiles.
 #[test]
 fn graceful_restart_reads_one_record_and_skips_compile() {
-    let dir = scratch("programs");
+    let dir = scratch("graceful");
     let contract = compile(
         &[
             spec("transfer(address,uint256)"),
@@ -522,33 +529,17 @@ fn graceful_restart_reads_one_record_and_skips_compile() {
         &CompilerConfig::default(),
     );
     let cold = {
-        let sigrec = SigRec::new()
-            .with_cache(RecoveryCache::persistent(
-                PersistentStore::open(&dir).unwrap(),
-            ))
-            .with_exec_stats();
+        let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(
+            PersistentStore::open(&dir).unwrap(),
+        ));
         let outcome = sigrec.recover_with_outcome(&contract.code);
-        let store = sigrec.store_stats().unwrap();
-        assert_eq!(
-            store.programs_appended, 1,
-            "cold seal persists the compiled program"
-        );
-        assert_eq!(
-            store.program_misses, 1,
-            "cold run probes the program tier once"
-        );
         sigrec.flush_store().unwrap();
         outcome
     };
     let segment = std::fs::read(dir.join("seg-00000.sigseg")).unwrap();
     let spans = record_spans(&segment);
-    assert_eq!(spans.len(), 2, "one contract record, one program record");
+    assert_eq!(spans.len(), 1, "seal writes the contract record alone");
     let (contract_start, contract_end) = spans[0];
-    assert_ne!(
-        segment[contract_start + 44],
-        sigrec_core::store::PROGRAM_PAYLOAD_TAG,
-        "seal writes the contract record first"
-    );
 
     let sigrec = SigRec::new()
         .with_cache(RecoveryCache::persistent(
@@ -559,8 +550,6 @@ fn graceful_restart_reads_one_record_and_skips_compile() {
     assert_same(&cold.functions, &warm.functions);
     let store = sigrec.store_stats().unwrap();
     assert_eq!(store.disk_hits, 1);
-    assert_eq!(store.program_hits, 0, "a contract hit reads no program");
-    assert_eq!(store.program_misses, 0);
     assert_eq!(
         store.bytes_read as usize,
         contract_end - contract_start,
@@ -571,227 +560,102 @@ fn graceful_restart_reads_one_record_and_skips_compile() {
         Duration::ZERO,
         "warm restart must skip the compile phase entirely"
     );
-
-    let explained: Vec<RecoveredFunction> = sigrec
-        .explain(&contract.code)
-        .into_iter()
-        .map(|e| e.function)
-        .collect();
-    assert_same(&cold.functions, &explained);
-    let store = sigrec.store_stats().unwrap();
-    assert_eq!(store.program_hits, 1, "program served from its record");
-    assert_eq!(store.program_misses, 0);
-    assert_eq!(store.program_stale, 0);
-    assert_eq!(
-        store.programs_appended, 0,
-        "nothing recompiled or rewritten"
-    );
-    assert_eq!(
-        sigrec.exec_stats().unwrap().compile_cold_time,
-        Duration::ZERO
-    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A checksum-corrupt program record behind a trusted index: warm
-/// contract hits never read it, so they stay byte-identical and see no
-/// corruption. The first `explain` reads it, counts it corrupt,
-/// recompiles, and its seal appends a good record that the next open
-/// serves.
+/// A store written while compiled programs were persisted holds a
+/// `0x50`-tagged program record after each contract record, under the
+/// same key, and an `SIGRECI2` index with a program section. It must
+/// open by rescan, skip the program records without counting them
+/// corrupt (decoding one as a contract would shadow the real record),
+/// and serve every contract byte-identically.
 #[test]
-fn corrupt_program_record_is_unseen_by_contract_hits_and_rewritten_by_explain() {
-    let dir = scratch("corrupt-program");
-    let contract = compile(
-        &[
-            spec("transfer(address,uint256)"),
-            spec("setData(bytes,uint256[])"),
-        ],
-        &CompilerConfig::default(),
-    );
-    let key = keccak256(&contract.code);
-    let cold = {
+fn stores_with_legacy_program_records_open_by_rescan() {
+    let dir = scratch("legacy-programs");
+    let config = CompilerConfig::default();
+    let codes: Vec<Vec<u8>> = [
+        vec![spec("transfer(address,uint256)")],
+        vec![spec("setData(bytes,uint256[])"), spec("balanceOf(address)")],
+        vec![spec("mint(address,uint128)")],
+    ]
+    .iter()
+    .map(|specs| compile(specs, &config).code)
+    .collect();
+    let cold: Vec<String> = {
         let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(
             PersistentStore::open(&dir).unwrap(),
         ));
-        let outcome = sigrec.recover_with_outcome(&contract.code);
+        let outcomes = codes
+            .iter()
+            .map(|code| format!("{:?}", sigrec.recover_with_outcome(code)))
+            .collect();
         sigrec.flush_store().unwrap();
-        outcome
+        outcomes
     };
-    // Flip one program payload byte in place: the length is unchanged,
-    // so the flushed index is still trusted and still points at it.
+
+    // Rewrite the segment in the older layout: each contract record is
+    // followed by a program record under its key, whose payload opens
+    // with the 0x50 tag and a format-version stamp.
     let seg_path = dir.join("seg-00000.sigseg");
-    let mut segment = std::fs::read(&seg_path).unwrap();
-    let (last_start, last_end) = last_record_span(&segment);
-    assert_eq!(
-        segment[last_start + 44],
-        sigrec_core::store::PROGRAM_PAYLOAD_TAG
-    );
-    segment[last_end - 1] ^= 0xff;
-    std::fs::write(&seg_path, &segment).unwrap();
-
-    let sigrec = SigRec::new()
-        .with_cache(RecoveryCache::persistent(
-            PersistentStore::open(&dir).unwrap(),
-        ))
-        .with_exec_stats();
-    let warm = sigrec.recover_with_outcome(&contract.code);
-    assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
-    let stats = sigrec.store_stats().unwrap();
-    assert_eq!(stats.index_rebuilds, 0, "the flushed index was trusted");
-    assert_eq!(stats.disk_hits, 1);
-    assert_eq!(stats.corrupt_records, 0);
-    assert_eq!(stats.program_hits + stats.program_misses, 0);
-
-    let explained: Vec<RecoveredFunction> = sigrec
-        .explain(&contract.code)
-        .into_iter()
-        .map(|e| e.function)
-        .collect();
-    assert_same(&cold.functions, &explained);
-    let stats = sigrec.store_stats().unwrap();
-    assert_eq!(stats.corrupt_records, 1);
-    assert_eq!(stats.program_hits, 0);
-    assert_eq!(stats.program_misses, 1);
-    assert_eq!(stats.programs_appended, 1, "the recompile is rewritten");
-    assert!(sigrec.exec_stats().unwrap().compile_cold_time > Duration::ZERO);
-    sigrec.flush_store().unwrap();
-
-    let store = PersistentStore::open(&dir).unwrap();
-    assert!(matches!(
-        store.lookup_program(&key),
-        sigrec_core::ProgramLookup::Hit(_)
-    ));
-    assert_eq!(store.stats().corrupt_records, 0);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// A crash that tears the segment mid-program-record costs exactly that
-/// program: the contract record beside it still serves, the program
-/// lookup degrades to a miss (never wrong decoded data), and recovery
-/// results stay byte-identical.
-#[test]
-fn torn_program_record_degrades_to_a_miss_never_wrong_data() {
-    let template = scratch("torn-prog-template");
-    let contract = compile(
-        &[spec("transfer(address,uint256)")],
-        &CompilerConfig::default(),
-    );
-    let key = keccak256(&contract.code);
-    let cold = {
-        let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(
-            PersistentStore::open(&template).unwrap(),
-        ));
-        let outcome = sigrec.recover_with_outcome(&contract.code);
-        sigrec.flush_store().unwrap();
-        outcome
-    };
-    let seg_path = template.join("seg-00000.sigseg");
     let segment = std::fs::read(&seg_path).unwrap();
-    let (last_start, last_end) = last_record_span(&segment);
-    assert_eq!(
-        segment[last_start + 44],
-        sigrec_core::store::PROGRAM_PAYLOAD_TAG,
-        "seal writes the program record after the contract record"
-    );
-
-    // Tear inside the framing, early in the payload, and one byte short
-    // of complete.
-    for cut in [
-        last_start + 1,
-        last_start + 40,
-        last_start + (last_end - last_start) / 2,
-        last_end - 1,
-    ] {
-        let dir = scratch("torn-prog-cut");
-        copy_store(&template, &dir);
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(dir.join("seg-00000.sigseg"))
-            .unwrap();
-        f.set_len(cut as u64).unwrap();
-        drop(f);
-
-        let store = PersistentStore::open(&dir).unwrap();
-        assert!(
-            store.lookup(&key).is_some(),
-            "cut {cut}: contract record lost"
-        );
-        assert!(
-            matches!(store.lookup_program(&key), sigrec_core::ProgramLookup::Miss),
-            "cut {cut}: torn program must read as a miss"
-        );
-        let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(store));
-        let warm = sigrec.recover_with_outcome(&contract.code);
-        assert_same(&cold.functions, &warm.functions);
-        // Two disk hits: the manual probe above and the warm recovery.
-        assert_eq!(sigrec.store_stats().unwrap().disk_hits, 2, "cut {cut}");
-        std::fs::remove_dir_all(&dir).unwrap();
+    let mut legacy = segment[..8].to_vec();
+    let mut contracts = Vec::new();
+    let mut programs = Vec::new();
+    for (start, end) in record_spans(&segment) {
+        let key: [u8; 32] = segment[start..start + 32].try_into().unwrap();
+        contracts.push((key, legacy.len(), end - start));
+        legacy.extend_from_slice(&segment[start..end]);
+        let mut payload = vec![0x50, 0x01, 0x00];
+        payload.extend_from_slice(&(0x1234u64).to_le_bytes());
+        payload.extend_from_slice(&[0xa5; 24]);
+        let record = frame_record(&key, &payload);
+        programs.push((key, legacy.len(), record.len()));
+        legacy.extend_from_slice(&record);
     }
-    std::fs::remove_dir_all(&template).unwrap();
-}
+    assert_eq!(contracts.len(), codes.len());
+    std::fs::write(&seg_path, &legacy).unwrap();
 
-/// A persisted program from a *future* (or past) format version is
-/// reported stale, recompiled from the bytecode — never misdecoded —
-/// and rewritten in the current format so the next open reads it back.
-#[test]
-fn stale_program_version_recompiles_and_rewrites() {
-    let dir = scratch("stale-program");
-    let contract = compile(
-        &[spec("transfer(address,uint256)")],
-        &CompilerConfig::default(),
-    );
-    let key = keccak256(&contract.code);
-    {
-        let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(
-            PersistentStore::open(&dir).unwrap(),
-        ));
-        let _ = sigrec.recover_with_outcome(&contract.code);
-        sigrec.flush_store().unwrap();
+    // The matching two-section index, which an older build would trust:
+    // segment layout, then contract and program entries sorted by key.
+    let mut index = b"SIGRECI2".to_vec();
+    index.extend_from_slice(&1u32.to_le_bytes());
+    index.extend_from_slice(&0u32.to_le_bytes());
+    index.extend_from_slice(&(legacy.len() as u64).to_le_bytes());
+    for mut section in [contracts, programs] {
+        section.sort_unstable_by_key(|&(key, ..)| key);
+        index.extend_from_slice(&(section.len() as u64).to_le_bytes());
+        for (key, offset, len) in section {
+            index.extend_from_slice(&key);
+            index.extend_from_slice(&0u32.to_le_bytes());
+            index.extend_from_slice(&(offset as u64).to_le_bytes());
+            index.extend_from_slice(&(len as u32).to_le_bytes());
+        }
     }
+    std::fs::write(dir.join("index.flat"), &index).unwrap();
 
-    // Byte surgery: bump the persisted program's format version and
-    // re-frame the record so only the version check can reject it.
-    let seg_path = dir.join("seg-00000.sigseg");
-    let mut segment = std::fs::read(&seg_path).unwrap();
-    let (last_start, last_end) = last_record_span(&segment);
-    assert_eq!(
-        segment[last_start + 44],
-        sigrec_core::store::PROGRAM_PAYLOAD_TAG
-    );
-    let version = u16::from_le_bytes(
-        segment[last_start + 45..last_start + 47]
-            .try_into()
-            .unwrap(),
-    );
-    assert_eq!(version, sigrec_core::store::PROGRAM_FORMAT_VERSION);
-    segment[last_start + 45..last_start + 47].copy_from_slice(&(version + 1).to_le_bytes());
-    let sum = record_checksum(&key, &segment[last_start + 44..last_end]);
-    segment[last_start + 36..last_start + 44].copy_from_slice(&sum.to_le_bytes());
-    std::fs::write(&seg_path, &segment).unwrap();
-
-    // `explain` re-runs TASE without reading the contract entry, so it
-    // reaches the program tier and hits the stale record.
-    let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(
-        PersistentStore::open(&dir).unwrap(),
-    ));
-    let explained = sigrec.explain(&contract.code);
-    assert_eq!(explained.len(), 1);
-    let stats = sigrec.store_stats().unwrap();
-    assert_eq!(stats.program_stale, 1, "version mismatch must report stale");
-    assert_eq!(stats.corrupt_records, 0, "stale is not corruption");
-    assert_eq!(
-        stats.programs_appended, 1,
-        "stale program rewritten in the current format"
-    );
-    sigrec.flush_store().unwrap();
-
-    // The rewrite shadows the stale record: the next open serves the
-    // current-format program.
     let store = PersistentStore::open(&dir).unwrap();
-    assert!(matches!(
-        store.lookup_program(&key),
-        sigrec_core::ProgramLookup::Hit(_)
-    ));
-    assert_eq!(store.stats().program_hits, 1);
+    assert!(store
+        .open_diagnostics()
+        .contains(&StoreDiagnostic::StaleIndex));
+    let stats = store.stats();
+    assert_eq!(stats.index_rebuilds, 1, "the older index is not trusted");
+    assert_eq!(stats.corrupt_records, 0, "program records are not damage");
+    assert_eq!(stats.torn_tails, 0);
+    assert_eq!(store.contract_count(), codes.len());
+
+    let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(store));
+    for (code, cold) in codes.iter().zip(&cold) {
+        assert_eq!(&format!("{:?}", sigrec.recover_with_outcome(code)), cold);
+    }
+    let stats = sigrec.store_stats().unwrap();
+    assert_eq!(stats.disk_hits as usize, codes.len());
+    assert_eq!(stats.records_appended, 0);
+    assert_eq!(stats.corrupt_records, 0);
+
+    // A flush writes the current index, which the next open trusts.
+    sigrec.flush_store().unwrap();
+    let reopened = PersistentStore::open(&dir).unwrap();
+    assert_eq!(reopened.stats().index_rebuilds, 0);
+    assert_eq!(reopened.contract_count(), codes.len());
     std::fs::remove_dir_all(&dir).unwrap();
 }

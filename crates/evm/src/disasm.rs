@@ -4,7 +4,10 @@
 //! are `PUSH1`–`PUSH32`, whose immediate follows the opcode byte. The
 //! disassembler performs a linear sweep (the strategy Geth's disassembler
 //! uses, which SigRec builds on), producing one [`Instruction`] per opcode
-//! with its program counter and any push immediate.
+//! with its program counter and any push immediate. The same sweep fills
+//! a dense `pc → instruction index` table, so [`Disassembly::at`],
+//! [`Disassembly::index_of`] and [`Disassembly::is_jumpdest`] are O(1)
+//! for every caller: the symbolic executor looks one up per step.
 
 use crate::opcode::Opcode;
 use crate::u256::U256;
@@ -65,10 +68,20 @@ impl fmt::Display for Instruction {
     }
 }
 
-/// A disassembled program: instructions in address order with pc lookup.
+/// Slot of [`Disassembly`]'s pc table for bytes that do not start an
+/// instruction (push immediates).
+const NO_INSTRUCTION: u32 = u32::MAX;
+
+/// A disassembled program: instructions in address order with O(1) pc
+/// lookup.
 #[derive(Clone, Debug, Default)]
 pub struct Disassembly {
     instructions: Vec<Instruction>,
+    /// `pc → index` into `instructions`, one slot per code byte;
+    /// [`NO_INSTRUCTION`] inside push immediates. Indices fit in `u32`:
+    /// 4 Gi instructions would need 4 GiB of code and far more for
+    /// `instructions` itself, whose allocation fails first.
+    pc_index: Vec<u32>,
 }
 
 impl Disassembly {
@@ -78,8 +91,10 @@ impl Disassembly {
     /// truncated trailing `PUSH` keeps whatever immediate bytes exist.
     pub fn new(code: &[u8]) -> Self {
         let mut instructions = Vec::new();
+        let mut pc_index = vec![NO_INSTRUCTION; code.len()];
         let mut pc = 0;
         while pc < code.len() {
+            pc_index[pc] = instructions.len() as u32;
             let opcode = Opcode::from_byte(code[pc]);
             let imm_len = opcode.immediate_len();
             let present = &code[pc + 1..(pc + 1 + imm_len).min(code.len())];
@@ -100,7 +115,10 @@ impl Disassembly {
             });
             pc += 1 + imm_len;
         }
-        Disassembly { instructions }
+        Disassembly {
+            instructions,
+            pc_index,
+        }
     }
 
     /// The instructions in address order.
@@ -108,20 +126,23 @@ impl Disassembly {
         &self.instructions
     }
 
-    /// Finds the instruction starting at `pc`, if any.
+    /// Finds the instruction starting at `pc`, if any. O(1).
+    #[inline]
     pub fn at(&self, pc: usize) -> Option<&Instruction> {
-        self.instructions
-            .binary_search_by_key(&pc, |i| i.pc)
-            .ok()
-            .map(|idx| &self.instructions[idx])
+        self.index_of(pc).map(|idx| &self.instructions[idx])
     }
 
-    /// Index (in [`Self::instructions`]) of the instruction at `pc`.
+    /// Index (in [`Self::instructions`]) of the instruction at `pc`. O(1).
+    #[inline]
     pub fn index_of(&self, pc: usize) -> Option<usize> {
-        self.instructions.binary_search_by_key(&pc, |i| i.pc).ok()
+        match self.pc_index.get(pc) {
+            Some(&idx) if idx != NO_INSTRUCTION => Some(idx as usize),
+            _ => None,
+        }
     }
 
-    /// True if `pc` holds a `JUMPDEST` — the only legal jump target.
+    /// True if `pc` holds a `JUMPDEST` — the only legal jump target. O(1).
+    #[inline]
     pub fn is_jumpdest(&self, pc: usize) -> bool {
         matches!(self.at(pc), Some(i) if i.opcode == Opcode::JumpDest)
     }
@@ -130,10 +151,7 @@ impl Disassembly {
     /// truncated immediates, so this is the real input length, not the
     /// sum of nominal instruction sizes).
     pub fn code_len(&self) -> usize {
-        self.instructions
-            .last()
-            .map(|i| i.pc + 1 + i.immediate_len as usize)
-            .unwrap_or(0)
+        self.pc_index.len()
     }
 
     /// Number of instructions.
@@ -292,6 +310,18 @@ mod tests {
             let d = Disassembly::new(&code);
             prop_assert_eq!(d.assemble(), code.clone());
             prop_assert_eq!(d.code_len(), code.len());
+            // The sweep's pc table answers like a linear search, on
+            // opcode bytes, push immediates, truncated tails and pcs past
+            // the end alike.
+            for pc in 0..code.len() + 33 {
+                let linear = d.instructions().iter().position(|i| i.pc == pc);
+                prop_assert_eq!(d.index_of(pc), linear);
+                prop_assert_eq!(d.at(pc), linear.map(|i| &d.instructions()[i]));
+                prop_assert_eq!(
+                    d.is_jumpdest(pc),
+                    linear.is_some_and(|i| d.instructions()[i].opcode == Opcode::JumpDest)
+                );
+            }
             for (i, ins) in d.instructions().iter().enumerate() {
                 let Opcode::Push(n) = ins.opcode else {
                     prop_assert_eq!(ins.push_value(), None);

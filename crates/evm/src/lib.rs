@@ -37,6 +37,6 @@ pub use dom::{natural_loops, Dominators, NaturalLoop};
 pub use interp::{Env, Execution, HaltReason, Interpreter, Outcome, STACK_LIMIT};
 pub use keccak::{keccak256, selector};
 pub use opcode::Opcode;
-pub use program::{BlockInfo, JumpTarget, Program, Step, StepKind};
+pub use program::Program;
 pub use trace::{OpcodeHistogram, TraceCollector, TraceStep, Tracer};
 pub use u256::U256;
