@@ -5,13 +5,12 @@
 //! dominated by how well the pipeline exploits that redundancy. This
 //! experiment builds a synthetic corpus with an on-chain-like duplication
 //! profile (~20× mean duplication, skewed so a few templates dominate),
-//! runs it through the naive per-contract scheduler and the dedup-aware
-//! function-grained sharded work-stealing scheduler at worker counts
-//! {1, 2, 4, 8, 16} (best of several profiled runs per point), verifies
-//! every run recovers identical signatures, and reports contracts/s,
-//! per-point contract-latency tails (p50/p90/p99/max from the
-//! scheduler's log-bucketed histogram) and steal/park counters, executor
-//! fork-cost stats (CoW vs eager-clone forking), a compile/explore/infer
+//! runs it through the naive per-contract batch and the dedup-aware batch
+//! at worker counts {1, 2, 4, 8, 16} (best of several profiled runs per
+//! point), verifies every run recovers identical signatures, and reports
+//! contracts/s, per-point contract-latency tails (p50/p90/p99/max from the
+//! batch's log-bucketed histogram), executor fork-cost stats (CoW vs
+//! eager-clone forking), a compile/explore/infer
 //! phase breakdown (with the inference phase further split into
 //! index/match/refine sub-phases and the per-rule attribution reported
 //! *exclusively* — shared index/dispatch time in its own bucket, so the
@@ -46,9 +45,8 @@ const REFERENCE_WORKERS: usize = 4;
 const SWEEP_REPS: usize = 3;
 
 /// One worker count's best run in the scaling sweep: wall seconds plus
-/// the scheduler telemetry that run produced — the per-contract latency
-/// tail (from the batch's log-bucketed histogram) and the steal/park
-/// counters aggregated from the per-worker scheduler counters.
+/// that run's per-contract latency tail (from the batch's log-bucketed
+/// histogram).
 struct SweepPoint {
     workers: usize,
     secs: f64,
@@ -56,10 +54,6 @@ struct SweepPoint {
     p90: Duration,
     p99: Duration,
     max: Duration,
-    steals: u64,
-    steal_failures: u64,
-    steal_backoffs: u64,
-    contention: u64,
 }
 
 /// Expands `distinct` codes into a `total`-element corpus with a skewed
@@ -275,8 +269,7 @@ pub fn throughput(scale: &Scale) -> String {
 
     // Worker-scaling sweep: a fresh profiled SigRec per run, every run
     // checked against the naive baseline signatures, best of SWEEP_REPS
-    // kept per point along with that run's latency tail and steal/park
-    // counters.
+    // kept per point along with that run's latency tail.
     let mut sweep: Vec<SweepPoint> = Vec::new();
     let mut reference: Option<(BatchResult, SigRec, f64)> = None;
     let mut latency_reference: Option<Vec<Duration>> = None;
@@ -293,7 +286,6 @@ pub fn throughput(scale: &Scale) -> String {
             }
         }
         let (secs, result, rec) = best.expect("SWEEP_REPS > 0");
-        let profile = rec.exec_stats().expect("profiling enabled");
         let hist = &result.contract_latency_hist;
         sweep.push(SweepPoint {
             workers,
@@ -302,10 +294,6 @@ pub fn throughput(scale: &Scale) -> String {
             p90: hist.p90(),
             p99: hist.p99(),
             max: hist.max(),
-            steals: profile.exec.steals,
-            steal_failures: profile.exec.steal_failures,
-            steal_backoffs: profile.exec.steal_backoffs,
-            contention: profile.exec.worklist_contention,
         });
         if workers == machine_workers {
             latency_reference = Some(result.contract_latencies.clone());
@@ -345,15 +333,15 @@ pub fn throughput(scale: &Scale) -> String {
         lat.iter().sum::<Duration>() / lat.len() as u32
     };
 
-    // Whole-contract wall-clock latency, plan → last function done.
-    // Naive gives per-input-contract figures; the dedup run gives
-    // per-distinct figures under function-grained scheduling. Both sides
-    // are taken at the machine's real parallelism (the naive run above
-    // and the matching sweep point here): comparing an oversubscribed
-    // dedup run against a non-oversubscribed naive baseline would charge
-    // kernel time-slicing — every contract in flight when its worker is
-    // descheduled absorbs a preemption quantum — to the scheduler. The
-    // sweep table still reports every worker count's tail unfiltered.
+    // Whole-contract wall-clock latency, plan → seal. Naive gives
+    // per-input-contract figures; the dedup run gives per-distinct
+    // figures. Both sides are taken at the machine's real parallelism
+    // (the naive run above and the matching sweep point here): comparing
+    // an oversubscribed dedup run against a non-oversubscribed naive
+    // baseline would charge kernel time-slicing — every contract in
+    // flight when its worker is descheduled absorbs a preemption quantum
+    // — to the batch. The sweep table still reports every worker count's
+    // tail unfiltered.
     let mut naive_clat = naive.contract_latencies.clone();
     naive_clat.sort_unstable();
     let mut dedup_clat = latency_reference.expect("machine_workers is in the sweep");
@@ -407,9 +395,7 @@ pub fn throughput(scale: &Scale) -> String {
             "    {{ \"workers\": {}, \"oversubscribed\": {}, \"seconds\": {:.4}, \
              \"contracts_per_sec\": {:.2}, \"speedup_vs_naive\": {:.2}, \
              \"latency\": {{ \"p50_us\": {:.1}, \"p90_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"max_us\": {:.1} }}, \
-             \"steals\": {}, \"steal_failures\": {}, \"steal_backoffs\": {}, \
-             \"contention\": {} }}{}\n",
+             \"max_us\": {:.1} }} }}{}\n",
             p.workers,
             // Honest scaling: points beyond the machine's real
             // parallelism only measure kernel time-slicing, not the
@@ -422,10 +408,6 @@ pub fn throughput(scale: &Scale) -> String {
             micros(p.p90),
             micros(p.p99),
             micros(p.max),
-            p.steals,
-            p.steal_failures,
-            p.steal_backoffs,
-            p.contention,
             if i + 1 < sweep.len() { "," } else { "" },
         ));
     }
@@ -433,7 +415,6 @@ pub fn throughput(scale: &Scale) -> String {
     json.push_str(&format!(
         "  \"exec\": {{ \"steps\": {}, \"paths\": {}, \"forks\": {}, \
          \"fork_units_copied\": {}, \"worklist_peak\": {}, \
-         \"worklist_contention\": {}, \"steals\": {}, \"steal_failures\": {}, \
          \"functions_explored\": {}, \
          \"tase_ms\": {:.2}, \"infer_ms\": {:.2} }},\n",
         profile.exec.steps,
@@ -441,9 +422,6 @@ pub fn throughput(scale: &Scale) -> String {
         profile.exec.forks,
         profile.exec.fork_units_copied,
         profile.exec.worklist_peak,
-        profile.exec.worklist_contention,
-        profile.exec.steals,
-        profile.exec.steal_failures,
         profile.functions_explored,
         profile.tase_time.as_secs_f64() * 1e3,
         profile.infer_time.as_secs_f64() * 1e3,
@@ -509,8 +487,7 @@ pub fn throughput(scale: &Scale) -> String {
     json.push_str(&format!(
         "  \"contract_latency\": {{ \"naive_p99_us\": {:.1}, \"naive_max_us\": {:.1}, \
          \"naive_max_over_p99\": {:.2}, \"dedup_p99_us\": {:.1}, \"dedup_max_us\": {:.1}, \
-         \"dedup_max_over_p99\": {:.2}, \"dedup_p99_over_naive_p99\": {:.2}, \
-         \"heavy_admissions\": {} }}\n",
+         \"dedup_max_over_p99\": {:.2}, \"dedup_p99_over_naive_p99\": {:.2} }}\n",
         micros(naive_p99),
         micros(*naive_clat.last().unwrap_or(&Duration::ZERO)),
         tail_ratio(&naive_clat),
@@ -518,7 +495,6 @@ pub fn throughput(scale: &Scale) -> String {
         micros(*dedup_clat.last().unwrap_or(&Duration::ZERO)),
         tail_ratio(&dedup_clat),
         dedup_p99.as_secs_f64() / naive_p99.as_secs_f64().max(1e-9),
-        dedup.heavy_admissions,
     ));
     json.push_str("}\n");
     if let Err(e) = std::fs::write("BENCH_throughput.json", &json) {
@@ -563,11 +539,6 @@ pub fn throughput(scale: &Scale) -> String {
             "—".into(),
             format!("{:.0}µs / {:.0}µs", micros(p.p99), micros(p.max)),
         ]);
-        t.row(&[
-            format!("steals/parks @{}w", p.workers),
-            "—".into(),
-            format!("{} / {}", p.steals, p.contention),
-        ]);
     }
     t.row(&[
         "dedup rate".into(),
@@ -595,16 +566,6 @@ pub fn throughput(scale: &Scale) -> String {
         format!("{:.1}× (tree)", inf_probe.infer_speedup()),
     ]);
     t.row(&[
-        "scheduler parks (ref)".into(),
-        "—".into(),
-        profile.exec.worklist_contention.to_string(),
-    ]);
-    t.row(&[
-        "steals / failed probes (ref)".into(),
-        "—".into(),
-        format!("{} / {}", profile.exec.steals, profile.exec.steal_failures),
-    ]);
-    t.row(&[
         "p99 fn latency".into(),
         format!("{:?}", percentile(&lat, 0.99)),
         "—".into(),
@@ -620,7 +581,7 @@ pub fn throughput(scale: &Scale) -> String {
         format!("{:.1}×", tail_ratio(&dedup_clat)),
     ]);
     format!(
-        "Throughput — dedup-aware function-grained batch vs naive over a \
+        "Throughput — dedup-aware batch vs naive over a \
          {:.0}×-duplicated corpus (signatures verified identical at every \
          worker count; BENCH_throughput.json written)\n{}",
         codes.len() as f64 / dedup.dedup.distinct_contracts.max(1) as f64,

@@ -144,20 +144,6 @@ pub struct ExecStats {
     pub fork_units_copied: u64,
     /// High-water mark of the pending-path worklist.
     pub worklist_peak: u64,
-    /// Park events (a worker found every shard drained, registered as a
-    /// sleeper, and waited on the wake-up condvar) observed by the batch
-    /// scheduler — the idleness/contention signal. Always 0 for a single
-    /// `explore` call; the pipeline's stats accumulator fills it in for
-    /// batch runs.
-    pub worklist_contention: u64,
-    /// Jobs obtained by work-stealing (a worker taking from another
-    /// worker's shard). Batch-only, like `worklist_contention`.
-    pub steals: u64,
-    /// Steal probes that found the victim's shard empty. Batch-only.
-    pub steal_failures: u64,
-    /// Bounded spin-backoff rounds a worker served after consecutive
-    /// failed steal sweeps, before it escalated to parking. Batch-only.
-    pub steal_backoffs: u64,
 }
 
 impl ExecStats {
@@ -168,10 +154,6 @@ impl ExecStats {
         self.forks += other.forks;
         self.fork_units_copied += other.fork_units_copied;
         self.worklist_peak = self.worklist_peak.max(other.worklist_peak);
-        self.worklist_contention += other.worklist_contention;
-        self.steals += other.steals;
-        self.steal_failures += other.steal_failures;
-        self.steal_backoffs += other.steal_backoffs;
     }
 }
 

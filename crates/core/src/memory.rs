@@ -100,6 +100,9 @@ impl SymMemory {
     /// - inside a copied region → the synthesised
     ///   `CalldataWord(src + (addr - dst))`;
     /// - otherwise `None` (the caller introduces a free symbol).
+    ///
+    /// Windows and regions are compared by distance, never by `start +
+    /// length`, so addresses near `u64::MAX` neither overflow nor wrap.
     pub fn load_word(&self, addr: u64) -> Option<Rc<Expr>> {
         for w in self.writes.iter_rev() {
             match w {
@@ -107,7 +110,7 @@ impl SymMemory {
                 Write::Word { addr: a, .. } => {
                     // Overlapping unaligned store: give up on this address
                     // if it intersects the 32-byte window.
-                    if addr < a + 32 && *a < addr + 32 {
+                    if a.abs_diff(addr) < 32 {
                         return None;
                     }
                 }
@@ -115,12 +118,9 @@ impl SymMemory {
                     // A read *starting* inside the region matches even if it
                     // runs past the end — the EVM zero-fills, and compilers
                     // routinely over-read short payloads.
-                    let within = match len {
-                        Some(l) => addr >= *dst && addr < dst + l,
-                        None => addr >= *dst && addr < dst + UNBOUNDED_REGION_SPAN,
-                    };
-                    if within {
-                        let delta = addr - dst;
+                    let span = len.unwrap_or(UNBOUNDED_REGION_SPAN);
+                    let delta = addr.checked_sub(*dst).filter(|&d| d < span);
+                    if let Some(delta) = delta {
                         let loc = if delta == 0 {
                             Rc::clone(src)
                         } else {
@@ -228,6 +228,52 @@ mod tests {
             m.deep_clone().load_word(0xa0).unwrap().as_const(),
             Some(U256::from(2u64))
         );
+    }
+
+    #[test]
+    fn word_windows_compare_without_overflow_at_the_top() {
+        let top = u64::MAX;
+        let mut m = SymMemory::new();
+        m.store_word(Some(top - 31), Expr::c64(1));
+        assert_eq!(
+            m.load_word(top - 31).unwrap().as_const(),
+            Some(U256::from(1u64))
+        );
+        // A newer store at the last address overlaps the older word's
+        // final byte, so the older value is hidden.
+        m.store_word(Some(top), Expr::c64(2));
+        assert_eq!(m.load_word(top - 31), None);
+        assert_eq!(m.load_word(top).unwrap().as_const(), Some(U256::from(2u64)));
+        // A window 32 bytes below the top store does not touch it.
+        m.store_word(Some(top - 32), Expr::c64(3));
+        m.store_word(Some(top), Expr::c64(4));
+        assert_eq!(
+            m.load_word(top - 32).unwrap().as_const(),
+            Some(U256::from(3u64))
+        );
+    }
+
+    #[test]
+    fn copy_regions_compare_without_overflow_at_the_top() {
+        // A copy of length u64::MAX covers every read above its start.
+        let mut m = SymMemory::new();
+        m.record_copy(Some(0x80), Expr::c64(4), Some(U256::from(u64::MAX)));
+        let e = m.load_word(0xa0).unwrap();
+        match e.kind() {
+            ExprKind::CalldataWord(loc) => assert_eq!(loc.eval(), Some(U256::from(0x24u64))),
+            _ => panic!("expected CalldataWord, got {e}"),
+        }
+        assert!(m.load_word(u64::MAX).is_some());
+        assert_eq!(m.load_word(0x7f), None);
+        // Bounded and unbounded regions starting near the top.
+        let mut m = SymMemory::new();
+        m.record_copy(Some(u64::MAX - 10), Expr::c64(4), Some(U256::from(64u64)));
+        assert!(m.load_word(u64::MAX).is_some());
+        assert_eq!(m.load_word(u64::MAX - 11), None);
+        let mut m = SymMemory::new();
+        m.record_copy(Some(u64::MAX - 100), Expr::c64(4), None);
+        assert!(m.load_word(u64::MAX).is_some());
+        assert_eq!(m.load_word(u64::MAX - 101), None);
     }
 
     #[test]

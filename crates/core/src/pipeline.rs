@@ -8,8 +8,8 @@
 //! per-function body extents), [`SigRec::run_entry`] recovers one
 //! dispatch-table entry, and [`SigRec::seal`] memoises the assembled
 //! contract. `recover`/`recover_cold`/`explain` are thin drivers over
-//! those three steps, and the batch scheduler calls them directly so it
-//! can interleave *functions* of different contracts across workers.
+//! those three steps, and `recover_batch` calls them directly so it can
+//! isolate a panic to the entry that raised it.
 //! Results are memoised in a shared content-addressed [`RecoveryCache`]:
 //! whole contracts by `keccak256(code)`, individual functions by
 //! `(body-extent hash, entry pc)`.
@@ -153,8 +153,7 @@ pub(crate) enum CacheMode {
 /// Everything needed to recover one contract's functions independently:
 /// the disassembly, the dispatch table, and each body's extent (the byte
 /// range its extent-keyed cache entry covers). Built once per contract by
-/// [`SigRec::plan`]; [`SigRec::run_entry`] then recovers entries in any
-/// order — including concurrently from different scheduler workers.
+/// [`SigRec::plan`]; [`SigRec::run_entry`] then recovers its entries.
 #[derive(Debug)]
 pub(crate) struct ContractPlan {
     /// `keccak256(code)` when the contract level participates in caching.
@@ -261,28 +260,12 @@ impl SigRec {
         self.cache.flush_store()
     }
 
-    /// Records one batch run's scheduler telemetry, reported by the batch
-    /// driver after its workers join: park events (the contention /
-    /// idleness signal), steal counts, and the per-contract latency
-    /// distribution. A no-op without [`SigRec::with_exec_stats`].
-    pub(crate) fn note_scheduler(
-        &self,
-        parks: u64,
-        steals: u64,
-        steal_failures: u64,
-        steal_backoffs: u64,
-        latencies: &[Duration],
-    ) {
+    /// Records one batch run's per-contract latency distribution,
+    /// reported by `recover_batch` once every contract is done. A no-op
+    /// without [`SigRec::with_exec_stats`].
+    pub(crate) fn note_contract_latencies(&self, hist: &LatencyHistogram) {
         if let Some(acc) = &self.stats {
             let r = Ordering::Relaxed;
-            acc.contention.fetch_add(parks, r);
-            acc.steals.fetch_add(steals, r);
-            acc.steal_failures.fetch_add(steal_failures, r);
-            acc.steal_backoffs.fetch_add(steal_backoffs, r);
-            let mut hist = LatencyHistogram::default();
-            for &d in latencies {
-                hist.record(d);
-            }
             for (slot, &n) in acc.latency_buckets.iter().zip(hist.buckets()) {
                 if n > 0 {
                     slot.fetch_add(n, r);
@@ -701,11 +684,12 @@ impl SigRec {
 ///   an atomic unit;
 /// - each individual `fetch_add`/`fetch_max` is still a single atomic
 ///   read-modify-write, so no increment is ever lost, regardless of how
-///   many scheduler workers record concurrently;
+///   many batch workers record concurrently;
 /// - quiescent snapshots — the ones tests and reports assert exact
-///   totals on — are taken after the batch's worker threads have been
-///   joined (`std::thread::scope` exit), and the join itself establishes
-///   the happens-before edge that makes every recorded value visible.
+///   totals on — are taken after the batch returns: its worker threads
+///   have been joined (`std::thread::scope` exit), and the join itself
+///   establishes the happens-before edge that makes every recorded value
+///   visible.
 ///
 /// Snapshots taken *while* workers run are advisory progress numbers and
 /// may be mid-record; that is acceptable for telemetry and the price of
@@ -730,25 +714,8 @@ struct StatsAccum {
     infer_shared_nanos: AtomicU64,
     /// Wall-clock spent building programs (plan stage).
     compile_nanos: AtomicU64,
-    /// Scheduler park events, reported by the batch driver after its
-    /// workers join. The batch scheduler itself keeps *plain* per-worker
-    /// counters (each owned exclusively by one worker for the pool's
-    /// lifetime) and sums them only after `std::thread::scope` joins —
-    /// the same quiescence argument as above, taken further: the join is
-    /// the sole visibility edge, so the hot path needs no atomics at all,
-    /// and these accumulator slots only ever see the already-aggregated
-    /// totals.
-    contention: AtomicU64,
-    /// Work-steal successes (jobs taken from another worker's shard),
-    /// aggregated like `contention`.
-    steals: AtomicU64,
-    /// Steal probes that found the victim empty, aggregated likewise.
-    steal_failures: AtomicU64,
-    /// Spin-backoff rounds served after consecutive failed steal sweeps,
-    /// aggregated likewise.
-    steal_backoffs: AtomicU64,
     /// Per-contract latency histogram (log2-nanosecond buckets mirroring
-    /// [`LatencyHistogram`]), merged in per batch after the workers join.
+    /// [`LatencyHistogram`]), merged in once per batch.
     latency_buckets: [AtomicU64; 64],
     latency_count: AtomicU64,
     latency_max_nanos: AtomicU64,
@@ -772,10 +739,6 @@ impl Default for StatsAccum {
             infer_refine_nanos: AtomicU64::new(0),
             infer_shared_nanos: AtomicU64::new(0),
             compile_nanos: AtomicU64::new(0),
-            contention: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            steal_failures: AtomicU64::new(0),
-            steal_backoffs: AtomicU64::new(0),
             latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             latency_count: AtomicU64::new(0),
             latency_max_nanos: AtomicU64::new(0),
@@ -847,10 +810,6 @@ impl StatsAccum {
                 forks: self.forks.load(r),
                 fork_units_copied: self.fork_units.load(r),
                 worklist_peak: self.worklist_peak.load(r),
-                worklist_contention: self.contention.load(r),
-                steals: self.steals.load(r),
-                steal_failures: self.steal_failures.load(r),
-                steal_backoffs: self.steal_backoffs.load(r),
             },
             contract_latency: LatencyHistogram::from_parts(
                 std::array::from_fn(|i| self.latency_buckets[i].load(r)),
@@ -898,8 +857,8 @@ pub struct PipelineStats {
     /// Summed executor counters (`worklist_peak` takes the max).
     pub exec: ExecStats,
     /// Per-contract wall-clock latency distribution over every batch run
-    /// this instance drove (plan to last function; distinct contracts
-    /// only). Empty for non-batch usage.
+    /// this instance drove (plan to seal; distinct contracts only).
+    /// Empty for non-batch usage.
     pub contract_latency: LatencyHistogram,
     /// Functions actually explored (= function-cache misses that ran).
     pub functions_explored: u64,

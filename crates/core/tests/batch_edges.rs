@@ -1,11 +1,12 @@
-//! Worker-count and degenerate-input edges of the batch schedulers.
+//! Worker-count and degenerate-input edges of the batch entry points.
 //!
-//! The scheduler clamps `workers` to at least 1 (surplus workers beyond
-//! the job count park and exit at quiescence), fans duplicate contracts
-//! out from one recovery, and must survive contracts with no
-//! dispatcher at all. These tests pin those edges for both the
-//! dedup-first and naive schedulers, always checking the two agree with
-//! each other and with serial cold recovery.
+//! A batch runs on the caller alone when `workers` is 0 or 1, uses at
+//! most one worker per distinct contract, fans duplicate contracts out
+//! from one recovery, and must survive contracts with no dispatcher at
+//! all.
+//! These tests pin those edges for both the dedup-first and naive
+//! batches, always checking the two agree with each other and with
+//! serial cold recovery.
 
 use sigrec_abi::FunctionSignature;
 use sigrec_core::{recover_batch, recover_batch_naive, BatchResult, SigRec};
@@ -76,10 +77,9 @@ fn single_contract_single_worker() {
 
 #[test]
 fn far_more_workers_than_jobs() {
-    // 64 workers for 3 contracts: the surplus workers find every shard
-    // empty, park, and exit at quiescence without disturbing the
-    // results, which stay position-for-position identical to the serial
-    // reference.
+    // 64 workers for 3 contracts: only three run (the caller and two
+    // spawned), and the results stay position-for-position identical to
+    // the serial reference.
     let codes = vec![
         code(&["transfer(address,uint256)"]),
         code(&["sum(uint256[])", "set(bytes)"]),

@@ -1,5 +1,6 @@
 //! Robustness guarantees: structured outcomes, budget diagnostics,
-//! wall-clock deadlines, and batch panic isolation.
+//! wall-clock deadlines, batch panic isolation, the caller as batch
+//! worker 0, and symbolic memory at the top of the address space.
 //!
 //! The hostile contract used throughout is hand-assembled (not compiled):
 //! a two-entry dispatcher whose first body is a well-behaved `uint256`
@@ -8,8 +9,10 @@
 //! guaranteed to exhaust `max_total_steps` while the first stays clean.
 
 use sigrec_core::exec::ForkMode;
-use sigrec_core::{recover_batch, BudgetKind, Diagnostic, SigRec, TaseConfig};
-use sigrec_evm::{Assembler, Opcode, U256};
+use sigrec_core::{
+    expr, recover_batch, BudgetKind, Diagnostic, RecoveryCache, SigRec, Tase, TaseConfig, Usage,
+};
+use sigrec_evm::{Assembler, Disassembly, Opcode, U256};
 use sigrec_solc::{compile_single, CompilerConfig, FunctionSpec, Visibility};
 use std::time::{Duration, Instant};
 
@@ -251,38 +254,142 @@ fn worker_panic_is_isolated_to_its_contract() {
     let victim = contract("victim(uint8,bool)");
     let bystanders = vec![contract("x(uint256)"), contract("y(address)")];
     let victim_selector = SigRec::new().recover_cold(&victim)[0].selector;
-    // Silence the default panic printer for the injected panic; restore
-    // it afterwards so genuine failures still report.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let config = TaseConfig {
         panic_on_selector: Some(victim_selector.as_u32()),
         ..TaseConfig::default()
     };
-    let mut codes = bystanders.clone();
-    codes.insert(1, victim.clone());
-    let result = recover_batch(&SigRec::with_config(config), &codes, 2);
-    std::panic::set_hook(hook);
-    assert_eq!(result.items.len(), 3);
-    for item in &result.items {
-        if item.index == 1 {
-            // The panicked entry is missing; the contract survives with
-            // an internal-error diagnostic.
-            assert!(item.functions.is_empty());
+    let mut codes = bystanders;
+    codes.insert(1, victim);
+    // One worker runs the batch on the calling thread alone; at two and
+    // four, spawned workers claim contracts off the shared cursor
+    // alongside it.
+    for workers in [1, 2, 4] {
+        let cache = RecoveryCache::new();
+        // Silence the default panic printer for the injected panic;
+        // restore it afterwards so genuine failures still report.
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let result = recover_batch(
+            &SigRec::with_config(config).with_cache(cache.clone()),
+            &codes,
+            workers,
+        );
+        std::panic::set_hook(hook);
+        assert_eq!(result.items.len(), 3, "workers={workers}");
+        for item in &result.items {
+            if item.index == 1 {
+                // The panicked entry is missing; the contract survives
+                // with an internal-error diagnostic.
+                assert!(item.functions.is_empty(), "workers={workers}");
+                assert!(
+                    item.diagnostics
+                        .iter()
+                        .any(|d| matches!(d, Diagnostic::InternalError { context } if context.contains("panicked"))),
+                    "workers={workers}: {:?}",
+                    item.diagnostics
+                );
+            } else {
+                assert_eq!(item.functions.len(), 1, "workers={workers} #{}", item.index);
+                assert!(
+                    item.diagnostics.is_empty(),
+                    "workers={workers} #{}",
+                    item.index
+                );
+            }
+        }
+        // A poisoned contract is never sealed: the batch's own cache
+        // holds the two bystanders only.
+        assert_eq!(cache.contract_count(), 2, "workers={workers}");
+    }
+}
+
+#[test]
+fn batches_run_on_the_caller_like_a_recover_loop() {
+    let code = contract("transfer(address,uint256)");
+    let codes = vec![
+        code.clone(),
+        spin_contract(),
+        contract("sum(uint256[])"),
+        vec![0x00],
+        code,
+    ];
+    let config = tight(ForkMode::CopyOnWrite);
+    for workers in [1, 2] {
+        // Warm this thread's interner, so that an empty table after the
+        // batch shows the batch cleared it.
+        SigRec::new().recover_cold(&codes[2]);
+        assert!(expr::interner_len() > 0, "workers={workers}");
+        let before = expr::interner_stats();
+        let batch = recover_batch(&SigRec::with_config(config), &codes, workers);
+        // The caller is worker 0, and its interner is cleared on return,
+        // as a spawned worker's is dropped with its thread.
+        assert_eq!(expr::interner_len(), 0, "workers={workers}");
+        if workers == 1 {
+            // Every claim ran on this thread: its interner saw the
+            // batch's lookups. A batch run on a spawned thread leaves
+            // this thread's counters where they were.
+            let after = expr::interner_stats();
             assert!(
-                item.diagnostics
-                    .iter()
-                    .any(|d| matches!(d, Diagnostic::InternalError { context } if context.contains("panicked"))),
-                "{:?}",
-                item.diagnostics
+                after.hits + after.misses > before.hits + before.misses,
+                "a one-worker batch ran off the calling thread"
             );
-        } else {
-            assert_eq!(item.functions.len(), 1, "bystander #{}", item.index);
-            assert!(item.diagnostics.is_empty(), "bystander #{}", item.index);
+        }
+        let serial = SigRec::with_config(config);
+        assert_eq!(batch.items.len(), codes.len());
+        for (item, code) in batch.items.iter().zip(&codes) {
+            let want = serial.recover_with_outcome(code);
+            let at = format!("workers={workers} #{}", item.index);
+            assert_eq!(*item.diagnostics, want.diagnostics, "{at}");
+            assert_eq!(item.functions.len(), want.functions.len(), "{at}");
+            for (got, want) in item.functions.iter().zip(&want.functions) {
+                assert_eq!(got.selector, want.selector, "{at}");
+                assert_eq!(got.entry, want.entry, "{at}");
+                assert_eq!(got.params, want.params, "{at}");
+                assert_eq!(got.language, want.language, "{at}");
+                assert_eq!(got.rules, want.rules, "{at}");
+                assert_eq!(got.budgets, want.budgets, "{at}");
+                assert_eq!(got.delegate, want.delegate, "{at}");
+            }
         }
     }
-    // A poisoned group is never memoised: a fresh recovery of the same
-    // bytes (no injection) succeeds from scratch.
-    let clean = SigRec::new().recover(&victim);
-    assert_eq!(clean.len(), 1);
+}
+
+/// `PUSH1 0; PUSH8 0xff…ff; MSTORE; PUSH8 0xff…e0; MLOAD; POP; STOP`: a
+/// store at the last address, then a read whose window it overlaps.
+const TOP_STORE_THEN_OVERLAPPING_LOAD: [u8; 24] = [
+    0x60, 0x00, 0x67, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x52, 0x67, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xe0, 0x51, 0x50, 0x00,
+];
+
+/// `PUSH8 0xff…ff; PUSH1 4; PUSH1 0x80; CALLDATACOPY; PUSH1 0xa0; MLOAD;
+/// POP; STOP`: a copy of length `u64::MAX`, then a read inside it.
+const MAX_LENGTH_COPY_THEN_LOAD: [u8; 19] = [
+    0x67, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x60, 0x04, 0x60, 0x80, 0x37, 0x60, 0xa0,
+    0x51, 0x50, 0x00,
+];
+
+#[test]
+fn memory_addresses_near_u64_max_never_overflow() {
+    for code in [
+        &TOP_STORE_THEN_OVERLAPPING_LOAD[..],
+        &MAX_LENGTH_COPY_THEN_LOAD[..],
+    ] {
+        let disasm = Disassembly::new(code);
+        let facts = Tase::new(&disasm, TaseConfig::default()).explore(0);
+        assert!(facts.paths_explored >= 1, "{code:02x?}");
+        SigRec::new().recover_cold(code);
+    }
+    // The read inside the max-length copy is the calldata word it maps
+    // to: with `PUSH1 0xff; AND` in place of the `POP`, the mask lands on
+    // `cd[0x24]` instead of on a free symbol.
+    let mut masked = MAX_LENGTH_COPY_THEN_LOAD[..17].to_vec();
+    masked.extend([0x60, 0xff, 0x16, 0x50, 0x00]);
+    let disasm = Disassembly::new(&masked);
+    let facts = Tase::new(&disasm, TaseConfig::default()).explore(0);
+    let mask = facts
+        .uses
+        .iter()
+        .find(|u| u.usage == Usage::MaskAnd(U256::from(0xffu64)))
+        .expect("mask use on the copied word");
+    assert_eq!(mask.keys, vec!["0x24".to_string()]);
 }
