@@ -4,17 +4,17 @@
 //! `cargo bench -p sigrec-bench --bench fork_cost`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sigrec_core::expr::Expr;
+use sigrec_core::expr::{ExprArena, ExprId};
 use sigrec_core::CowStack;
 use std::hint::black_box;
-use std::rc::Rc;
 
-/// A stack of `depth` distinct interned expressions, as a forked path
-/// would hold after deep concrete execution.
-fn deep_stack(depth: usize) -> CowStack<Rc<Expr>> {
+/// A stack of `depth` distinct expression ids, as a forked path would
+/// hold after deep concrete execution.
+fn deep_stack(depth: usize) -> CowStack<ExprId> {
+    let mut arena = ExprArena::new();
     let mut stack = CowStack::new();
     for i in 0..depth as u64 {
-        stack.push(Expr::c64(i));
+        stack.push(arena.c64(i));
     }
     stack
 }

@@ -13,7 +13,6 @@
 //! [`recover_batch_naive`] runs the same code with singleton groups and
 //! the cache bypassed, as the equivalence/throughput baseline.
 
-use crate::expr;
 use crate::outcome::{assemble_diagnostics, Diagnostic};
 use crate::pipeline::{CacheMode, RecoveredFunction, SigRec};
 use crate::rules::RuleStats;
@@ -236,8 +235,7 @@ impl BatchResult {
 /// Recovers every contract in `codes` on up to `workers` threads,
 /// recovering each byte-distinct code once and fanning the `Arc`-shared
 /// result out to duplicates. The calling thread is one of the workers,
-/// so with one worker, or one distinct contract, nothing is spawned; its
-/// expression interner is cleared on return.
+/// so with one worker, or one distinct contract, nothing is spawned.
 ///
 /// # Examples
 ///
@@ -349,9 +347,6 @@ fn run_batch(
         }
         claimed
     });
-    // Give the caller's interner the one-batch lifetime a spawned
-    // worker's thread-local table has.
-    expr::interner_clear();
     assert_eq!(claimed.len(), groups.len(), "every group claimed once");
     claimed.sort_unstable_by_key(|&(g, _)| g);
     for ((_, members), (_, (functions, diagnostics, elapsed))) in groups.iter().zip(claimed) {

@@ -8,9 +8,10 @@
 //! - **contract level**, keyed by `keccak256(runtime code)`: a byte-identical
 //!   contract is recovered once and every later [`SigRec::recover`] call
 //!   returns the memoised result;
-//! - **function level**, keyed by `(body-extent hash, entry pc)`: two
-//!   contracts that differ anywhere *outside* one function's body still
-//!   share that function's recovery. The extent hash covers
+//! - **function level**, keyed by `(body-extent hash, entry pc)` under a
+//!   per-process secret key ([`body_span_hash`]): two contracts that
+//!   differ anywhere *outside* one function's body still share that
+//!   function's recovery. The extent hash covers
 //!   `code[entry..end)` where `end` is the next dispatch entry (or the end
 //!   of code) — so a shared leading function hits even when the trailing
 //!   functions differ. Soundness is enforced dynamically: a function is
@@ -37,9 +38,11 @@ use crate::rules::RuleId;
 use crate::store::{PersistentStore, StoreStats};
 use sigrec_abi::AbiType;
 use sigrec_evm::{Disassembly, Program};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The contract-independent part of one function's recovery. The selector
 /// and entry pc are *not* cached — they come from the dispatcher of
@@ -358,22 +361,24 @@ impl RecoveryCache {
     }
 }
 
-/// Hashes the function body extent `code[entry..end)` (FNV-1a, 64-bit).
+/// Hashes the function body extent `code[entry..end)` with SipHash under
+/// a per-process random key.
 ///
 /// `end` is clamped to the code length; callers pass the next dispatch
 /// entry pc (or `code.len()` for the last body), so the hash covers
 /// exactly one function's bytes instead of the whole tail of the
-/// contract. Cheap enough to run per dispatcher entry; the
-/// `(hash, entry)` pair keys the function-level cache.
+/// contract. The `(hash, entry)` pair keys the function-level cache,
+/// which trusts a hit without comparing bytes, so the key must not be
+/// predictable: with an unkeyed hash, bytecode could be crafted to
+/// collide with another function's body and decide its parameters. Under
+/// a secret key two distinct spans collide with odds of about 2⁻⁶⁴ per
+/// pair, which nobody can steer. The cache lives in memory, so the key
+/// never has to outlive the process.
 pub fn body_span_hash(code: &[u8], entry: usize, end: usize) -> u64 {
+    static KEY: OnceLock<RandomState> = OnceLock::new();
     let end = end.min(code.len());
     let span = code.get(entry..end).unwrap_or(&[]);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in span {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    KEY.get_or_init(RandomState::new).hash_one(span)
 }
 
 #[cfg(test)]

@@ -4,32 +4,40 @@
 //! maintains, for every stack and memory value, an expression describing how
 //! it was computed (§4.2 of the paper). The rules R1–R31 are *structural*
 //! predicates over these expressions — e.g. R2's "`exp(loc)` contains the
-//! offset field" or "`exp(loc)` contains a multiplication by 32" — so
-//! [`Expr`] deliberately preserves the full operation tree rather than
+//! offset field" or "`exp(loc)` contains a multiplication by 32" — so the
+//! [`ExprArena`] deliberately preserves the full operation tree rather than
 //! constant-folding it away. Concrete evaluation is available separately
-//! through [`Expr::eval`].
+//! through [`ExprArena::eval`].
 //!
-//! # Hash consing
+//! # The arena
 //!
-//! Expressions are *hash consed*: every node is built through a thread-local
-//! interner keyed by structural hash, so structurally identical subtrees are
-//! physically shared (`Rc` pointer equality) within a thread. Each node
-//! caches its 64-bit structural hash and two dependency flags at
-//! construction, which turns the hot TASE-path predicates — equality,
-//! [`Expr::dag_hash`], [`Expr::depends_on_calldata`],
-//! [`Expr::depends_on_calldatasize`], [`Expr::key`] — into O(1) reads
-//! instead of full-DAG walks, and lets containment checks compare cached
-//! hashes while walking each distinct node once.
+//! Every node lives in an [`ExprArena`] and is named by an [`ExprId`]:
 //!
-//! The interner lives for the thread and is cleared wholesale when it
-//! exceeds [`INTERNER_CAP`] entries; interned nodes remain valid after a
-//! clear (sharing is an optimisation, never a correctness requirement).
+//! - **Exact identity.** The arena's node map keys on the whole node (a
+//!   constant's four words, or an operator over child ids) and compares
+//!   keys on every probe, so two ids are equal exactly when their nodes
+//!   are structurally equal. Equality, containment and the use-to-load
+//!   match are id comparisons; nothing is keyed by a hash alone.
+//! - **Topological ids.** A node's children always have smaller ids, and
+//!   ids are dense from 0, so id-indexed tables (the walk marks here, the
+//!   inference engine's membership tables) replace per-call hash sets.
+//! - **O(1) predicates.** Each node caches dependency flags at
+//!   construction, and an all-constant composite node caches its value,
+//!   so [`ExprArena::eval`], [`ExprArena::depends_on_calldata`] and the
+//!   other hot-path predicates never walk.
+//! - **One exploration.** An arena lives as long as one function
+//!   exploration: [`crate::Tase`] owns it while exploring and the
+//!   [`crate::FunctionFacts`] own it afterwards, so ids are only
+//!   meaningful against the facts they came with. The storage is recycled
+//!   per thread: dropping an arena clears it and keeps it for the next
+//!   one, unless its node map outgrew `MAX_POOLED_NODES`.
 
 use sigrec_evm::U256;
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::fmt;
-use std::rc::Rc;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Binary operators appearing in symbolic expressions.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -66,44 +74,62 @@ pub enum UnOp {
     Not,
 }
 
-/// The shape of a symbolic 256-bit value (the payload of an [`Expr`] node).
+/// The name of a node in its [`ExprArena`]: a dense index, smaller for
+/// every child than for its parent.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct ExprId(u32);
+
+impl ExprId {
+    /// The id as an index into id-indexed tables.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The shape of a symbolic 256-bit value (one [`ExprArena`] node).
 ///
 /// `Shl`/`Shr`/`Sar`/`Byte`/`SignExtend` are normalised to
 /// `(value, amount)` operand order regardless of EVM stack order.
-#[derive(Clone)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExprKind {
     /// A compile-time constant.
     Const(U256),
     /// `CALLDATALOAD(loc)`: 32 bytes of call data at a (possibly symbolic)
     /// location.
-    CalldataWord(Rc<Expr>),
+    CalldataWord(ExprId),
     /// `CALLDATASIZE`.
     CalldataSize,
     /// A free symbol: an environment read, storage load, external call
     /// result, hash, or unresolvable memory read. The id is unique per
-    /// *source* (interned), so two loads of the same storage slot yield the
-    /// same symbol.
+    /// *source*, so two loads of the same storage slot yield the same
+    /// symbol.
     FreeSym(u32),
     /// A binary operation.
-    Binary(BinOp, Rc<Expr>, Rc<Expr>),
+    Binary(BinOp, ExprId, ExprId),
     /// A unary operation.
-    Unary(UnOp, Rc<Expr>),
+    Unary(UnOp, ExprId),
 }
 
-/// A hash-consed symbolic 256-bit value.
-///
-/// Expressions form a *DAG*: `DUP`ed stack values share subtrees via `Rc`,
-/// and hash consing shares separately-built but structurally identical
-/// subtrees too — so a 20-level offset chain is linear in memory even
-/// though its tree expansion is exponential. Every recursive operation here
-/// (containment, walking, evaluation) is DAG-aware — shared nodes are
-/// visited once — keeping deep nested-array analysis linear (the Fig. 18
-/// experiment runs to dimension 20). Equality is by the cached 64-bit
-/// structural hash; see [`Expr::dag_hash`].
-pub struct Expr {
-    kind: ExprKind,
-    hash: u64,
-    flags: u8,
+impl Hash for ExprKind {
+    /// Whole 64-bit words, never bytes: a constant is its four limbs.
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        match *self {
+            ExprKind::Const(v) => {
+                h.write_u64(1);
+                for w in v.limbs() {
+                    h.write_u64(w);
+                }
+            }
+            ExprKind::CalldataWord(a) => h.write_u64(2 | u64::from(a.0) << 8),
+            ExprKind::CalldataSize => h.write_u64(3),
+            ExprKind::FreeSym(s) => h.write_u64(4 | u64::from(s) << 8),
+            ExprKind::Unary(op, a) => h.write_u64(5 | (op as u64) << 8 | u64::from(a.0) << 16),
+            ExprKind::Binary(op, a, b) => {
+                h.write_u64(6 | (op as u64) << 8 | u64::from(a.0) << 16);
+                h.write_u64(u64::from(b.0));
+            }
+        }
+    }
 }
 
 /// Flag bit: some subexpression is a `CalldataWord`.
@@ -121,135 +147,472 @@ const DEP_SYMBOLIC: u8 = DEP_CALLDATA | DEP_CDSIZE | DEP_FREESYM;
 /// DAG walk.
 const DEP_MASKED: u8 = 8;
 
-/// Entry cap of the thread-local interner; when exceeded, the table is
-/// cleared wholesale (already-interned nodes stay valid).
-pub const INTERNER_CAP: usize = 1 << 18;
-
-/// Interner keys are already well-mixed 64-bit structural hashes, so the
-/// table uses them verbatim instead of paying SipHash on every probe of
-/// the hottest map in the executor.
-#[derive(Default)]
-struct HashIsKey(u64);
-
-impl std::hash::Hasher for HashIsKey {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("interner keys hash through write_u64")
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type InternTable = HashMap<u64, Rc<Expr>, std::hash::BuildHasherDefault<HashIsKey>>;
-
-/// The thread's interner: the node table plus its lifetime counters, in
-/// one cell so the hot path pays a single thread-local access.
-#[derive(Default)]
-struct Interner {
-    table: InternTable,
-    stats: InternerStats,
-}
+/// Largest node map a dropped arena hands back to its thread for reuse.
+/// Clearing the map costs O(capacity), so one giant (possibly hostile)
+/// function must not tax every later exploration on the thread, nor pin
+/// its memory for the thread's life.
+pub(crate) const MAX_POOLED_NODES: usize = 1 << 14;
 
 thread_local! {
-    static INTERNER: RefCell<Interner> = RefCell::new(Interner::default());
+    /// The cleared storage of the last arena dropped on this thread.
+    static POOL: Cell<Option<Storage>> = const { Cell::new(None) };
 }
 
-/// Lifetime counters of this thread's expression interner.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InternerStats {
-    /// Lookups that found an existing node (shared allocation).
-    pub hits: u64,
-    /// Lookups that allocated a fresh node.
-    pub misses: u64,
-    /// Highest entry count the table ever reached.
-    pub high_water: u64,
-    /// Wholesale clears triggered by [`INTERNER_CAP`].
-    pub cap_clears: u64,
+/// The per-process key of the node map's hasher, so that bytecode cannot
+/// be crafted to pile its constants into one bucket.
+fn process_seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| RandomState::new().hash_one(0x5eed_u64))
 }
 
-impl InternerStats {
-    /// Fraction of lookups served by an existing node.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
+/// A multiply-rotate hasher over whole 64-bit words, keyed per process.
+/// Node keys are a few words each, and a byte-at-a-time hasher would
+/// spend most of the probe on a constant's 32 bytes.
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        // Products carry their entropy in the high bits; the map indexes
+        // buckets by the low ones.
+        self.0.rotate_left(26)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u64(&mut self, w: u64) {
+        self.0 = self.0.wrapping_add(w).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+#[derive(Clone)]
+struct KeyedWords(u64);
+
+impl Default for KeyedWords {
+    fn default() -> Self {
+        KeyedWords(process_seed())
+    }
+}
+
+impl BuildHasher for KeyedWords {
+    type Hasher = WordHasher;
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher(self.0)
+    }
+}
+
+/// `Node::value` of a node without a cached value.
+const NO_VALUE: u32 = u32::MAX;
+
+#[derive(Clone, Copy)]
+struct Node {
+    kind: ExprKind,
+    flags: u8,
+    /// For an all-constant composite node (structural `Mul`, comparisons
+    /// and what is built on them), the index of its value in
+    /// `Storage::values`; otherwise [`NO_VALUE`].
+    value: u32,
+}
+
+/// Id-indexed visit marks: [`Marks::reset`] starts a new visit in O(1)
+/// by bumping an epoch, so a walk touches only what it reaches.
+#[derive(Clone, Default)]
+pub(crate) struct Marks {
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl Marks {
+    /// Forgets every mark and makes room for ids below `len`.
+    pub(crate) fn reset(&mut self, len: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.clear();
+            self.epoch = 1;
+        }
+        if self.stamp.len() < len {
+            self.stamp.resize(len, 0);
+        }
+    }
+
+    /// Marks `id`; false if it already was.
+    pub(crate) fn insert(&mut self, id: ExprId) -> bool {
+        let s = &mut self.stamp[id.index()];
+        if *s == self.epoch {
+            return false;
+        }
+        *s = self.epoch;
+        true
+    }
+
+    pub(crate) fn contains(&self, id: ExprId) -> bool {
+        self.stamp.get(id.index()) == Some(&self.epoch)
+    }
+
+    /// Drops the storage if it grew past [`MAX_POOLED_NODES`], so a
+    /// recycled table does not pin one giant function's memory.
+    pub(crate) fn recycle(&mut self) {
+        if self.stamp.capacity() > MAX_POOLED_NODES {
+            *self = Marks::default();
         }
     }
 }
 
-/// Number of live entries in this thread's expression interner.
-pub fn interner_len() -> usize {
-    INTERNER.with(|t| t.borrow().table.len())
+/// Scratch space of the arena's walks.
+#[derive(Clone, Default)]
+struct Visit {
+    seen: Marks,
+    stack: Vec<ExprId>,
 }
 
-/// This thread's interner counters since thread start (clears included).
-pub fn interner_stats() -> InternerStats {
-    INTERNER.with(|t| t.borrow().stats)
+#[derive(Clone, Default)]
+struct Storage {
+    nodes: Vec<Node>,
+    values: Vec<U256>,
+    ids: HashMap<ExprKind, ExprId, KeyedWords>,
+    visit: RefCell<Visit>,
 }
 
-/// Clears this thread's expression interner. Existing `Rc<Expr>` values
-/// stay valid; only future sharing is reset.
-pub fn interner_clear() {
-    INTERNER.with(|t| t.borrow_mut().table.clear());
+/// The expressions of one function exploration (see the module docs).
+///
+/// Ids are only meaningful in the arena that issued them. The arena's
+/// walks are not reentrant: a walk's callback must not start another walk
+/// on the same arena.
+#[derive(Clone, Default)]
+pub struct ExprArena {
+    s: Storage,
 }
 
-/// Builds (or reuses) the unique interned node for `kind`.
-fn intern(kind: ExprKind) -> Rc<Expr> {
-    let hash = hash_kind(&kind);
-    let flags = flags_of(&kind);
-    INTERNER.with(|t| {
-        let mut cell = t.borrow_mut();
-        let t = &mut *cell;
-        if let Some(e) = t.table.get(&hash) {
-            t.stats.hits += 1;
-            return Rc::clone(e);
+impl ExprArena {
+    /// An empty arena, on the storage the thread's last dropped arena
+    /// left behind when there is one.
+    pub fn new() -> Self {
+        ExprArena {
+            s: POOL.with(Cell::take).unwrap_or_default(),
         }
-        if t.table.len() >= INTERNER_CAP {
-            t.table.clear();
-            t.stats.cap_clears += 1;
-        }
-        let e = Rc::new(Expr { kind, hash, flags });
-        t.table.insert(hash, Rc::clone(&e));
-        t.stats.misses += 1;
-        t.stats.high_water = t.stats.high_water.max(t.table.len() as u64);
-        e
-    })
-}
+    }
 
-/// Structural hash of a node from its children's cached hashes — O(1).
-fn hash_kind(kind: &ExprKind) -> u64 {
-    match kind {
-        ExprKind::Const(v) => {
-            let l = v.limbs();
-            mix(mix(mix(mix(1, l[0]), l[1]), l[2]), l[3])
+    /// Number of distinct nodes.
+    pub fn len(&self) -> usize {
+        self.s.nodes.len()
+    }
+
+    /// True if no node was built yet.
+    pub fn is_empty(&self) -> bool {
+        self.s.nodes.is_empty()
+    }
+
+    /// The node's shape, for pattern matching.
+    pub fn kind(&self, id: ExprId) -> &ExprKind {
+        &self.s.nodes[id.index()].kind
+    }
+
+    fn flags(&self, id: ExprId) -> u8 {
+        self.s.nodes[id.index()].flags
+    }
+
+    /// The one node of this shape, built on first use.
+    fn intern(&mut self, kind: ExprKind) -> ExprId {
+        let Storage {
+            nodes, values, ids, ..
+        } = &mut self.s;
+        match ids.entry(kind) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = ExprId(u32::try_from(nodes.len()).expect("under 2^32 nodes per arena"));
+                let flags = flags_of(nodes, &kind);
+                let value = if flags & DEP_SYMBOLIC == 0 && !matches!(kind, ExprKind::Const(_)) {
+                    values.push(fold_composite(nodes, values, &kind));
+                    (values.len() - 1) as u32
+                } else {
+                    NO_VALUE
+                };
+                nodes.push(Node { kind, flags, value });
+                *e.insert(id)
+            }
         }
-        ExprKind::CalldataWord(loc) => mix(2, loc.hash),
-        ExprKind::CalldataSize => mix(3, 0),
-        ExprKind::FreeSym(id) => mix(4, *id as u64),
-        ExprKind::Unary(op, a) => mix(mix(5, *op as u64), a.hash),
-        ExprKind::Binary(op, a, b) => mix(mix(mix(6, *op as u64), a.hash), b.hash),
+    }
+
+    /// The constant zero.
+    pub fn zero(&mut self) -> ExprId {
+        self.constant(U256::ZERO)
+    }
+
+    /// A `u64` constant.
+    pub fn c64(&mut self, v: u64) -> ExprId {
+        self.constant(U256::from(v))
+    }
+
+    /// A [`U256`] constant.
+    pub fn constant(&mut self, v: U256) -> ExprId {
+        self.intern(ExprKind::Const(v))
+    }
+
+    /// `CALLDATALOAD(loc)`.
+    pub fn calldata_word(&mut self, loc: ExprId) -> ExprId {
+        self.intern(ExprKind::CalldataWord(loc))
+    }
+
+    /// `CALLDATASIZE`.
+    pub fn calldata_size(&mut self) -> ExprId {
+        self.intern(ExprKind::CalldataSize)
+    }
+
+    /// The free symbol with the given id.
+    pub fn free_sym(&mut self, id: u32) -> ExprId {
+        self.intern(ExprKind::FreeSym(id))
+    }
+
+    /// Builds a binary node, folding when both operands are constants and
+    /// the operator is *location-irrelevant folding-safe*. Additions of
+    /// constants are folded so concrete memory addresses stay computable;
+    /// `Mul` is left structural (the ×32 evidence rules R2/R7 key on),
+    /// even `0 × k` — first-iteration loop bodies still carry the stride.
+    pub fn bin(&mut self, op: BinOp, a: ExprId, b: ExprId) -> ExprId {
+        if let (Some(x), Some(y)) = (self.as_const(a), self.as_const(b)) {
+            // Mul stays structural (the ×32 evidence of R2/R7); comparisons
+            // stay structural so concrete loop guards (`i < 3` with a
+            // concrete counter) remain visible to the rules. Everything
+            // else folds so memory addresses stay computable.
+            let keep = matches!(
+                op,
+                BinOp::Mul | BinOp::Lt | BinOp::Gt | BinOp::SLt | BinOp::SGt
+            );
+            if !keep {
+                return self.constant(apply_binop(op, x, y));
+            }
+        }
+        self.intern(ExprKind::Binary(op, a, b))
+    }
+
+    /// Builds a unary node with constant folding.
+    pub fn un(&mut self, op: UnOp, a: ExprId) -> ExprId {
+        if let Some(x) = self.as_const(a) {
+            return self.constant(apply_unop(op, x));
+        }
+        self.intern(ExprKind::Unary(op, a))
+    }
+
+    /// The constant value, if the node is a constant.
+    pub fn as_const(&self, id: ExprId) -> Option<U256> {
+        match self.kind(id) {
+            ExprKind::Const(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The node's value if every leaf below it is constant. O(1): the
+    /// value of an all-constant composite is computed when it is built.
+    pub fn eval(&self, id: ExprId) -> Option<U256> {
+        let n = &self.s.nodes[id.index()];
+        if n.flags & DEP_SYMBOLIC != 0 {
+            return None;
+        }
+        match n.kind {
+            ExprKind::Const(v) => Some(v),
+            _ => Some(self.s.values[n.value as usize]),
+        }
+    }
+
+    /// True if any subexpression is a `CALLDATALOAD` (the value depends on
+    /// the call data beyond its size). O(1): cached at construction.
+    pub fn depends_on_calldata(&self, id: ExprId) -> bool {
+        self.flags(id) & DEP_CALLDATA != 0
+    }
+
+    /// True if any subexpression is `CALLDATASIZE`. O(1).
+    pub fn depends_on_calldatasize(&self, id: ExprId) -> bool {
+        self.flags(id) & DEP_CDSIZE != 0
+    }
+
+    /// True if any subexpression masks a calldata-derived value — an
+    /// `AND` with a constant operand or an equal-amount shift pair
+    /// (R16's discriminator). O(1).
+    pub fn contains_masked_calldata(&self, id: ExprId) -> bool {
+        self.flags(id) & DEP_MASKED != 0
+    }
+
+    /// Visits every *distinct* node reachable from `root` once, in
+    /// pre-order (a node, then its first operand's subtree, then the
+    /// second's).
+    pub fn walk(&self, root: ExprId, mut f: impl FnMut(ExprId, &ExprKind)) {
+        let mut visit = self.s.visit.borrow_mut();
+        let Visit { seen, stack } = &mut *visit;
+        seen.reset(self.len());
+        stack.clear();
+        stack.push(root);
+        while let Some(id) = stack.pop() {
+            if !seen.insert(id) {
+                continue;
+            }
+            let kind = self.kind(id);
+            f(id, kind);
+            match *kind {
+                ExprKind::CalldataWord(a) | ExprKind::Unary(_, a) => stack.push(a),
+                ExprKind::Binary(_, a, b) => {
+                    stack.push(b);
+                    stack.push(a);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The location of every `CALLDATALOAD` node, outermost first (an
+    /// inner load inside another load's location is also reported).
+    pub fn calldata_locs(&self, root: ExprId) -> Vec<ExprId> {
+        let mut out = Vec::new();
+        self.walk(root, |_, k| {
+            if let ExprKind::CalldataWord(loc) = *k {
+                out.push(loc);
+            }
+        });
+        out
+    }
+
+    /// Every free-symbol id in the expression, sorted and deduplicated.
+    pub fn free_syms(&self, root: ExprId) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.walk(root, |_, k| {
+            if let ExprKind::FreeSym(s) = *k {
+                out.push(s);
+            }
+        });
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// True if some binary `op` node anywhere has the constant `k` as an
+    /// operand (R2's `exp(loc) ∘ (32×)`, R8's `x + 31`).
+    pub fn contains_op_by(&self, root: ExprId, op: BinOp, k: u64) -> bool {
+        let kc = U256::from(k);
+        let mut found = false;
+        self.walk(root, |_, n| {
+            if let ExprKind::Binary(o, a, b) = *n {
+                if o == op && (self.as_const(a) == Some(kc) || self.as_const(b) == Some(kc)) {
+                    found = true;
+                }
+            }
+        });
+        found
+    }
+
+    /// True if the expression contains a multiplication by the constant
+    /// `k` anywhere (rule R2's `exp(loc) ∘ (32×)` check).
+    pub fn contains_mul_by(&self, root: ExprId, k: u64) -> bool {
+        self.contains_op_by(root, BinOp::Mul, k)
+    }
+
+    /// True if `needle` occurs as a subexpression (rule notation
+    /// `exp(p) ∘ q`). A root below `needle` in id order cannot contain it.
+    pub fn contains(&self, root: ExprId, needle: ExprId) -> bool {
+        if root < needle {
+            return false;
+        }
+        let mut found = false;
+        self.walk(root, |id, _| found |= id == needle);
+        found
+    }
+
+    /// True if some `CalldataWord` node *other than* `needle` has `needle`
+    /// inside its location — i.e. there is an intermediate load between
+    /// this expression and `needle`. The complement of the rules' "one
+    /// level" relation.
+    pub fn has_load_between(&self, root: ExprId, needle: ExprId) -> bool {
+        if root < needle {
+            return false;
+        }
+        // Only nodes at or above the needle can contain it: visit those
+        // reachable from the root children first, and record in `has`
+        // (indexed from the needle) whose subtree contains the needle.
+        let mut order = Vec::new();
+        self.walk(root, |id, _| {
+            if id >= needle {
+                order.push(id);
+            }
+        });
+        order.sort_unstable();
+        let mut has = vec![false; root.index() - needle.index() + 1];
+        let contains = |has: &[bool], id: ExprId| id >= needle && has[id.index() - needle.index()];
+        for id in order {
+            let (below, cword) = match *self.kind(id) {
+                ExprKind::CalldataWord(loc) => (contains(&has, loc), true),
+                ExprKind::Unary(_, a) => (contains(&has, a), false),
+                ExprKind::Binary(_, a, b) => (contains(&has, a) || contains(&has, b), false),
+                _ => (false, false),
+            };
+            if cword && below && id != needle {
+                return true;
+            }
+            has[id.index() - needle.index()] = below || id == needle;
+        }
+        false
+    }
+
+    /// The sum of all constant addends reachable through `Add` nodes from
+    /// the root — e.g. `(CDW(4) + 36) + i*32` yields 36. Used to strip the
+    /// selector/num skip from item locations.
+    pub fn const_addend(&self, id: ExprId) -> U256 {
+        match *self.kind(id) {
+            ExprKind::Const(v) => v,
+            ExprKind::Binary(BinOp::Add, a, b) => self.const_addend(a) + self.const_addend(b),
+            _ => U256::ZERO,
+        }
+    }
+
+    /// Renders the expression (depth-limited: deep shared DAGs expand
+    /// exponentially as trees, so nodes past depth 12 print as `…#id`).
+    pub fn show(&self, id: ExprId) -> Shown<'_> {
+        Shown { arena: self, id }
     }
 }
 
-/// Dependency flags of a node from its children's cached flags — O(1).
-fn flags_of(kind: &ExprKind) -> u8 {
-    match kind {
+impl Drop for ExprArena {
+    /// Clears the storage and keeps it for the thread's next arena,
+    /// unless it never grew (an unused default arena must not displace a
+    /// warm one) or outgrew the cap.
+    fn drop(&mut self) {
+        let mut s = std::mem::take(&mut self.s);
+        if s.ids.capacity() == 0 || s.ids.capacity() > MAX_POOLED_NODES {
+            return;
+        }
+        s.nodes.clear();
+        s.values.clear();
+        s.ids.clear();
+        // Thread teardown may already have destroyed the pool.
+        let _ = POOL.try_with(|p| p.set(Some(s)));
+    }
+}
+
+impl fmt::Debug for ExprArena {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.s.nodes.iter().map(|n| &n.kind))
+            .finish()
+    }
+}
+
+/// Dependency flags of a new node from its children's cached flags — O(1).
+fn flags_of(nodes: &[Node], kind: &ExprKind) -> u8 {
+    let flags = |id: ExprId| nodes[id.index()].flags;
+    let as_const = |id: ExprId| match nodes[id.index()].kind {
+        ExprKind::Const(v) => Some(v),
+        _ => None,
+    };
+    match *kind {
         ExprKind::Const(_) => 0,
         ExprKind::FreeSym(_) => DEP_FREESYM,
-        ExprKind::CalldataWord(loc) => loc.flags | DEP_CALLDATA,
+        ExprKind::CalldataWord(loc) => flags(loc) | DEP_CALLDATA,
         ExprKind::CalldataSize => DEP_CDSIZE,
-        ExprKind::Unary(_, a) => a.flags,
+        ExprKind::Unary(_, a) => flags(a),
         ExprKind::Binary(op, a, b) => {
-            let mut f = a.flags | b.flags;
+            let mut f = flags(a) | flags(b);
             match op {
                 BinOp::And
-                    if (a.as_const().is_some() && b.flags & DEP_CALLDATA != 0)
-                        || (b.as_const().is_some() && a.flags & DEP_CALLDATA != 0) =>
+                    if (as_const(a).is_some() && flags(b) & DEP_CALLDATA != 0)
+                        || (as_const(b).is_some() && flags(a) & DEP_CALLDATA != 0) =>
                 {
                     f |= DEP_MASKED;
                 }
@@ -258,9 +621,9 @@ fn flags_of(kind: &ExprKind) -> u8 {
                 // `(value, amount)` order).
                 BinOp::Shr | BinOp::Shl => {
                     if let (ExprKind::Binary(BinOp::Shl | BinOp::Shr, x, k2), Some(kc)) =
-                        (a.kind(), b.as_const())
+                        (nodes[a.index()].kind, as_const(b))
                     {
-                        if k2.as_const() == Some(kc) && x.flags & DEP_CALLDATA != 0 {
+                        if as_const(k2) == Some(kc) && flags(x) & DEP_CALLDATA != 0 {
                             f |= DEP_MASKED;
                         }
                     }
@@ -272,265 +635,21 @@ fn flags_of(kind: &ExprKind) -> u8 {
     }
 }
 
-impl Expr {
-    /// The node's shape, for pattern matching.
-    pub fn kind(&self) -> &ExprKind {
-        &self.kind
-    }
-
-    /// Shared constant zero.
-    pub fn zero() -> Rc<Expr> {
-        Expr::constant(U256::ZERO)
-    }
-
-    /// Wraps a `u64` constant.
-    pub fn c64(v: u64) -> Rc<Expr> {
-        Expr::constant(U256::from(v))
-    }
-
-    /// Wraps a [`U256`] constant.
-    pub fn constant(v: U256) -> Rc<Expr> {
-        intern(ExprKind::Const(v))
-    }
-
-    /// Builds `CALLDATALOAD(loc)`.
-    pub fn calldata_word(loc: Rc<Expr>) -> Rc<Expr> {
-        intern(ExprKind::CalldataWord(loc))
-    }
-
-    /// Builds `CALLDATASIZE`.
-    pub fn calldata_size() -> Rc<Expr> {
-        intern(ExprKind::CalldataSize)
-    }
-
-    /// Builds the free symbol with the given id.
-    pub fn free_sym(id: u32) -> Rc<Expr> {
-        intern(ExprKind::FreeSym(id))
-    }
-
-    /// The constant value, if this node is a constant.
-    pub fn as_const(&self) -> Option<U256> {
-        match &self.kind {
-            ExprKind::Const(v) => Some(*v),
-            _ => None,
+/// The value of a new all-constant composite node, from its children's
+/// constants or cached values.
+fn fold_composite(nodes: &[Node], values: &[U256], kind: &ExprKind) -> U256 {
+    let value = |id: ExprId| {
+        let n = &nodes[id.index()];
+        match n.kind {
+            ExprKind::Const(v) => v,
+            _ => values[n.value as usize],
         }
+    };
+    match *kind {
+        ExprKind::Binary(op, a, b) => apply_binop(op, value(a), value(b)),
+        ExprKind::Unary(op, a) => apply_unop(op, value(a)),
+        _ => unreachable!("only operator nodes are all-constant composites"),
     }
-
-    /// Fully evaluates the expression if every leaf is constant
-    /// (DAG-aware: shared nodes evaluate once).
-    ///
-    /// The common cases never touch the memo table: a symbolic leaf
-    /// anywhere in the tree is an O(1) cached-flags check, and a bare
-    /// constant reads its value directly. Only the rare all-const
-    /// *composite* trees (structural `Mul` and comparisons, kept by
-    /// [`bin`] for the rules) take the memoised walk.
-    pub fn eval(&self) -> Option<U256> {
-        if self.flags & DEP_SYMBOLIC != 0 {
-            return None;
-        }
-        if let ExprKind::Const(v) = &self.kind {
-            return Some(*v);
-        }
-        fn go(e: &Expr, memo: &mut HashMap<usize, Option<U256>>) -> Option<U256> {
-            let key = e as *const Expr as usize;
-            if let Some(v) = memo.get(&key) {
-                return *v;
-            }
-            let v = match e.kind() {
-                ExprKind::Const(v) => Some(*v),
-                ExprKind::CalldataWord(_) | ExprKind::CalldataSize | ExprKind::FreeSym(_) => None,
-                ExprKind::Unary(op, a) => go(a, memo).map(|a| match op {
-                    UnOp::IsZero => {
-                        if a.is_zero() {
-                            U256::ONE
-                        } else {
-                            U256::ZERO
-                        }
-                    }
-                    UnOp::Not => !a,
-                }),
-                ExprKind::Binary(op, a, b) => match (go(a, memo), go(b, memo)) {
-                    (Some(a), Some(b)) => Some(apply_binop(*op, a, b)),
-                    _ => None,
-                },
-            };
-            memo.insert(key, v);
-            v
-        }
-        go(self, &mut HashMap::new())
-    }
-
-    /// The 64-bit structural hash, cached at construction. Two structurally
-    /// equal expressions hash equally; collisions between distinct
-    /// expressions are possible in principle (2⁻⁶⁴-ish per pair) and
-    /// accepted — this backs `PartialEq`, `contains`, and `key`.
-    pub fn dag_hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// True if any subexpression is a `CALLDATALOAD` (the value depends on
-    /// the call data beyond its size). O(1): cached at construction.
-    pub fn depends_on_calldata(&self) -> bool {
-        self.flags & DEP_CALLDATA != 0
-    }
-
-    /// True if any subexpression is `CALLDATASIZE`. O(1): cached at
-    /// construction.
-    pub fn depends_on_calldatasize(&self) -> bool {
-        self.flags & DEP_CDSIZE != 0
-    }
-
-    /// True if any subexpression masks a calldata-derived value — an
-    /// `AND` with a constant operand or an equal-amount shift pair
-    /// (R16's discriminator). O(1): cached at construction.
-    pub fn contains_masked_calldata(&self) -> bool {
-        self.flags & DEP_MASKED != 0
-    }
-
-    /// Collects the location expressions of every `CALLDATALOAD` node,
-    /// outermost first (an inner load inside another load's location is
-    /// also reported).
-    pub fn calldata_locs(&self) -> Vec<Rc<Expr>> {
-        let mut out = Vec::new();
-        self.walk(&mut |e| {
-            if let ExprKind::CalldataWord(loc) = e.kind() {
-                out.push(Rc::clone(loc));
-            }
-        });
-        out
-    }
-
-    /// Collects every free-symbol id in the expression.
-    pub fn free_syms(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.walk(&mut |e| {
-            if let ExprKind::FreeSym(id) = e.kind() {
-                out.push(*id);
-            }
-        });
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// True if the expression contains a multiplication by the constant
-    /// `k` anywhere (rule R2's `exp(loc) ∘ (32×)` check).
-    pub fn contains_mul_by(&self, k: u64) -> bool {
-        let kc = U256::from(k);
-        let mut found = false;
-        self.walk(&mut |e| {
-            if let ExprKind::Binary(BinOp::Mul, a, b) = e.kind() {
-                if a.as_const() == Some(kc) || b.as_const() == Some(kc) {
-                    found = true;
-                }
-            }
-        });
-        found
-    }
-
-    /// True if `needle` occurs as a subexpression (structural equality by
-    /// DAG hash — rule notation `exp(p) ∘ q`). Each distinct node compares
-    /// its cached hash once; no re-hashing.
-    pub fn contains(&self, needle: &Expr) -> bool {
-        let target = needle.hash;
-        let mut found = false;
-        self.walk(&mut |e| {
-            if e.hash == target {
-                found = true;
-            }
-        });
-        found
-    }
-
-    /// True if some `CalldataWord` node *other than* `needle` has `needle`
-    /// inside its location — i.e. there is an intermediate load between
-    /// this expression and `needle`. The complement of the rules' "one
-    /// level" relation, computed in one bottom-up pass over distinct nodes
-    /// using the cached hashes.
-    pub fn has_load_between(&self, needle: &Expr) -> bool {
-        let target = needle.hash;
-        // memo: node address → subtree contains the needle.
-        fn go(e: &Expr, target: u64, memo: &mut HashMap<usize, bool>, bad: &mut bool) -> bool {
-            let key = e as *const Expr as usize;
-            if let Some(&c) = memo.get(&key) {
-                return c;
-            }
-            let below = match e.kind() {
-                ExprKind::CalldataWord(loc) => {
-                    let lc = go(loc, target, memo, bad);
-                    if e.hash != target && lc {
-                        *bad = true;
-                    }
-                    lc
-                }
-                ExprKind::Const(_) | ExprKind::CalldataSize | ExprKind::FreeSym(_) => false,
-                ExprKind::Unary(_, a) => go(a, target, memo, bad),
-                ExprKind::Binary(_, a, b) => {
-                    let ac = go(a, target, memo, bad);
-                    let bc = go(b, target, memo, bad);
-                    ac || bc
-                }
-            };
-            let contains = below || e.hash == target;
-            memo.insert(key, contains);
-            contains
-        }
-        let mut bad = false;
-        go(self, target, &mut HashMap::new(), &mut bad);
-        bad
-    }
-
-    /// The sum of all constant addends reachable through `Add` nodes from
-    /// the root — e.g. `(CDW(4) + 36) + i*32` yields 36. Used to strip the
-    /// selector/num skip from item locations.
-    pub fn const_addend(&self) -> U256 {
-        match &self.kind {
-            ExprKind::Const(v) => *v,
-            ExprKind::Binary(BinOp::Add, a, b) => a.const_addend() + b.const_addend(),
-            _ => U256::ZERO,
-        }
-    }
-
-    /// Visits every *distinct* node of the expression DAG (pre-order;
-    /// shared subtrees are visited once).
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
-        fn go(e: &Expr, seen: &mut std::collections::HashSet<usize>, f: &mut impl FnMut(&Expr)) {
-            if !seen.insert(e as *const Expr as usize) {
-                return;
-            }
-            f(e);
-            match e.kind() {
-                ExprKind::CalldataWord(loc) => go(loc, seen, f),
-                ExprKind::Unary(_, a) => go(a, seen, f),
-                ExprKind::Binary(_, a, b) => {
-                    go(a, seen, f);
-                    go(b, seen, f);
-                }
-                _ => {}
-            }
-        }
-        go(self, &mut std::collections::HashSet::new(), f)
-    }
-
-    /// A stable textual key for this expression, used to match `Use` facts
-    /// against `Load` facts: constants render as hex (so positional keys
-    /// stay parseable), everything else keys by structural hash.
-    pub fn key(&self) -> String {
-        match &self.kind {
-            ExprKind::Const(v) => format!("0x{:x}", v),
-            _ => format!("e{:016x}", self.hash),
-        }
-    }
-}
-
-/// The 64-bit hash mixer behind [`Expr::dag_hash`].
-fn mix(mut h: u64, v: u64) -> u64 {
-    h ^= v
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(h << 6)
-        .wrapping_add(h >> 2);
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^ (h >> 33)
 }
 
 /// Applies a binary operator to concrete values with EVM semantics.
@@ -562,199 +681,184 @@ pub fn apply_binop(op: BinOp, a: U256, b: U256) -> U256 {
     }
 }
 
-impl PartialEq for Expr {
-    fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self, other) || self.hash == other.hash
+fn apply_unop(op: UnOp, a: U256) -> U256 {
+    match op {
+        UnOp::IsZero if a.is_zero() => U256::ONE,
+        UnOp::IsZero => U256::ZERO,
+        UnOp::Not => !a,
     }
 }
 
-impl Eq for Expr {}
+/// A node rendered through its arena ([`ExprArena::show`]).
+pub struct Shown<'a> {
+    arena: &'a ExprArena,
+    id: ExprId,
+}
 
-impl fmt::Display for Expr {
+impl fmt::Display for Shown<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn go(e: &Expr, depth: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn go(a: &ExprArena, id: ExprId, depth: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             if depth > 12 {
-                // Deep shared DAGs expand exponentially as trees; summarise.
-                return write!(f, "…e{:08x}", e.dag_hash() as u32);
+                return write!(f, "…#{}", id.0);
             }
-            match e.kind() {
-                ExprKind::Const(v) => write!(f, "0x{:x}", *v),
+            match *a.kind(id) {
+                ExprKind::Const(v) => write!(f, "0x{:x}", v),
                 ExprKind::CalldataWord(loc) => {
                     write!(f, "cd[")?;
-                    go(loc, depth + 1, f)?;
+                    go(a, loc, depth + 1, f)?;
                     write!(f, "]")
                 }
                 ExprKind::CalldataSize => write!(f, "cdsize"),
-                ExprKind::FreeSym(id) => write!(f, "sym{}", id),
-                ExprKind::Unary(op, a) => {
+                ExprKind::FreeSym(s) => write!(f, "sym{}", s),
+                ExprKind::Unary(op, x) => {
                     write!(f, "{:?}(", op)?;
-                    go(a, depth + 1, f)?;
+                    go(a, x, depth + 1, f)?;
                     write!(f, ")")
                 }
-                ExprKind::Binary(op, a, b) => {
+                ExprKind::Binary(op, x, y) => {
                     write!(f, "(")?;
-                    go(a, depth + 1, f)?;
+                    go(a, x, depth + 1, f)?;
                     write!(f, " {:?} ", op)?;
-                    go(b, depth + 1, f)?;
+                    go(a, y, depth + 1, f)?;
                     write!(f, ")")
                 }
             }
         }
-        go(self, 0, f)
+        go(self.arena, self.id, 0, f)
     }
-}
-
-impl fmt::Debug for Expr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(self, f)
-    }
-}
-
-/// Builds a binary node, folding when both operands are constants and the
-/// operator is *location-irrelevant folding-safe*. Additions of constants
-/// are folded so concrete memory addresses stay computable; `Mul` is left
-/// structural (the ×32 evidence rules R2/R7 key on), except `0 × k` which
-/// cannot carry evidence anyway — it is still kept structural for
-/// first-iteration loop bodies.
-pub fn bin(op: BinOp, a: Rc<Expr>, b: Rc<Expr>) -> Rc<Expr> {
-    if let (Some(x), Some(y)) = (a.as_const(), b.as_const()) {
-        // Mul stays structural (the ×32 evidence of R2/R7); comparisons
-        // stay structural so concrete loop guards (`i < 3` with a concrete
-        // counter) remain visible to the rules. Everything else folds so
-        // memory addresses stay computable.
-        let keep = matches!(
-            op,
-            BinOp::Mul | BinOp::Lt | BinOp::Gt | BinOp::SLt | BinOp::SGt
-        );
-        if !keep {
-            return Expr::constant(apply_binop(op, x, y));
-        }
-        let _ = (x, y);
-    }
-    intern(ExprKind::Binary(op, a, b))
-}
-
-/// Builds a unary node with constant folding.
-pub fn un(op: UnOp, a: Rc<Expr>) -> Rc<Expr> {
-    if let Some(x) = a.as_const() {
-        let v = match op {
-            UnOp::IsZero => {
-                if x.is_zero() {
-                    U256::ONE
-                } else {
-                    U256::ZERO
-                }
-            }
-            UnOp::Not => !x,
-        };
-        return Expr::constant(v);
-    }
-    intern(ExprKind::Unary(op, a))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cdw(loc: Rc<Expr>) -> Rc<Expr> {
-        Expr::calldata_word(loc)
-    }
+    use proptest::prelude::any;
 
     #[test]
     fn eval_folds_constants() {
-        let e = bin(BinOp::Add, Expr::c64(4), Expr::c64(38));
-        assert_eq!(e.as_const(), Some(U256::from(42u64)));
-        let m = bin(BinOp::Mul, Expr::c64(6), Expr::c64(7));
+        let mut a = ExprArena::new();
+        let (c4, c38) = (a.c64(4), a.c64(38));
+        let e = a.bin(BinOp::Add, c4, c38);
+        assert_eq!(a.as_const(e), Some(U256::from(42u64)));
+        let (c6, c7) = (a.c64(6), a.c64(7));
+        let m = a.bin(BinOp::Mul, c6, c7);
         // Mul stays structural but still evaluates.
-        assert!(m.as_const().is_none());
-        assert_eq!(m.eval(), Some(U256::from(42u64)));
+        assert!(a.as_const(m).is_none());
+        assert_eq!(a.eval(m), Some(U256::from(42u64)));
+        // So does a composite built on it.
+        let one = a.c64(1);
+        let lt = a.bin(BinOp::Lt, m, one);
+        let sum = a.bin(BinOp::Add, lt, m);
+        assert_eq!(a.eval(sum), Some(U256::from(42u64)));
     }
 
     #[test]
     fn eval_none_on_symbols() {
-        let e = bin(BinOp::Add, cdw(Expr::c64(4)), Expr::c64(1));
-        assert_eq!(e.eval(), None);
-        assert!(e.depends_on_calldata());
+        let mut a = ExprArena::new();
+        let c4 = a.c64(4);
+        let w = a.calldata_word(c4);
+        let one = a.c64(1);
+        let e = a.bin(BinOp::Add, w, one);
+        assert_eq!(a.eval(e), None);
+        assert!(a.depends_on_calldata(e));
     }
 
     #[test]
     fn mul_structure_preserved_with_zero_counter() {
         // First loop iteration: i = 0, loc = 4 + 0*32. The ×32 evidence
         // must survive.
-        let loc = bin(
-            BinOp::Add,
-            Expr::c64(4),
-            bin(BinOp::Mul, Expr::zero(), Expr::c64(32)),
-        );
-        assert!(loc.contains_mul_by(32));
-        assert_eq!(loc.eval(), Some(U256::from(4u64)));
+        let mut a = ExprArena::new();
+        let (c0, c32, c4) = (a.zero(), a.c64(32), a.c64(4));
+        let m = a.bin(BinOp::Mul, c0, c32);
+        let loc = a.bin(BinOp::Add, c4, m);
+        assert!(a.contains_mul_by(loc, 32));
+        assert_eq!(a.eval(loc), Some(U256::from(4u64)));
     }
 
     #[test]
     fn contains_subexpression() {
-        let offset = cdw(Expr::c64(4));
-        let loc = bin(BinOp::Add, Rc::clone(&offset), Expr::c64(36));
-        assert!(loc.contains(&offset));
-        assert!(!loc.contains(&Expr::calldata_size()));
+        let mut a = ExprArena::new();
+        let c4 = a.c64(4);
+        let offset = a.calldata_word(c4);
+        let c36 = a.c64(36);
+        let loc = a.bin(BinOp::Add, offset, c36);
+        assert!(a.contains(loc, offset));
+        let size = a.calldata_size();
+        assert!(!a.contains(loc, size));
+        assert!(!a.contains(offset, loc));
     }
 
     #[test]
     fn calldata_locs_collects_nested() {
         // cd[cd[4] + 4]: outer load's loc contains an inner load.
-        let inner = cdw(Expr::c64(4));
-        let loc = bin(BinOp::Add, inner, Expr::c64(4));
-        let outer = cdw(loc);
-        let locs = outer.calldata_locs();
-        assert_eq!(locs.len(), 2);
+        let mut a = ExprArena::new();
+        let c4 = a.c64(4);
+        let inner = a.calldata_word(c4);
+        let loc = a.bin(BinOp::Add, inner, c4);
+        let outer = a.calldata_word(loc);
+        assert_eq!(a.calldata_locs(outer), vec![loc, c4]);
+    }
+
+    #[test]
+    fn has_load_between_sees_intermediate_loads() {
+        // o = cd[4]; item = cd[o + 32]; deep = cd[item + 64].
+        let mut a = ExprArena::new();
+        let c4 = a.c64(4);
+        let o = a.calldata_word(c4);
+        let c32 = a.c64(32);
+        let item_loc = a.bin(BinOp::Add, o, c32);
+        let item = a.calldata_word(item_loc);
+        let c64 = a.c64(64);
+        let deep_loc = a.bin(BinOp::Add, item, c64);
+        assert!(!a.has_load_between(item_loc, o));
+        assert!(a.has_load_between(deep_loc, o));
+        assert!(!a.has_load_between(deep_loc, item));
+        assert!(!a.has_load_between(c4, o));
     }
 
     #[test]
     fn free_syms_dedup() {
-        let s = Expr::free_sym(3);
-        let e = bin(BinOp::Add, Rc::clone(&s), bin(BinOp::Mul, s, Expr::c64(32)));
-        assert_eq!(e.free_syms(), vec![3]);
+        let mut a = ExprArena::new();
+        let s = a.free_sym(3);
+        let c32 = a.c64(32);
+        let m = a.bin(BinOp::Mul, s, c32);
+        let e = a.bin(BinOp::Add, s, m);
+        assert_eq!(a.free_syms(e), vec![3]);
     }
 
     #[test]
     fn const_addend_sums_through_adds() {
-        let e = bin(
-            BinOp::Add,
-            bin(BinOp::Add, cdw(Expr::c64(4)), Expr::c64(36)),
-            bin(BinOp::Mul, Expr::free_sym(0), Expr::c64(32)),
-        );
-        assert_eq!(e.const_addend(), U256::from(36u64));
-    }
-
-    #[test]
-    fn keys_are_stable_and_distinguish() {
-        let e = bin(BinOp::Add, cdw(Expr::c64(4)), Expr::c64(1));
-        assert_eq!(e.key(), e.key());
-        // Structurally equal expressions built separately share a key.
-        let e2 = bin(BinOp::Add, cdw(Expr::c64(4)), Expr::c64(1));
-        assert_eq!(e.key(), e2.key());
-        // Constants keep their parseable hex form.
-        assert_eq!(Expr::c64(0x44).key(), "0x44");
-        // Different expressions get different keys.
-        let other = bin(BinOp::Add, cdw(Expr::c64(36)), Expr::c64(1));
-        assert_ne!(e.key(), other.key());
+        let mut a = ExprArena::new();
+        let c4 = a.c64(4);
+        let w = a.calldata_word(c4);
+        let c36 = a.c64(36);
+        let head = a.bin(BinOp::Add, w, c36);
+        let s = a.free_sym(0);
+        let c32 = a.c64(32);
+        let m = a.bin(BinOp::Mul, s, c32);
+        let e = a.bin(BinOp::Add, head, m);
+        assert_eq!(a.const_addend(e), U256::from(36u64));
     }
 
     #[test]
     fn dag_sharing_stays_cheap() {
         // s_{k+1} = s_k + cd[s_k]: tree size 2^k, DAG size k. All core
         // operations must finish instantly at depth 64.
-        let mut s = cdw(Expr::c64(4));
+        let mut a = ExprArena::new();
+        let c4 = a.c64(4);
+        let base = a.calldata_word(c4);
+        let mut s = base;
         for _ in 0..64 {
-            let loaded = cdw(Rc::clone(&s));
-            s = bin(BinOp::Add, Rc::clone(&s), loaded);
+            let loaded = a.calldata_word(s);
+            s = a.bin(BinOp::Add, s, loaded);
         }
-        assert!(s.depends_on_calldata());
-        assert!(!s.depends_on_calldatasize());
-        assert_eq!(s.dag_hash(), s.dag_hash());
-        assert!(s.contains(&Expr::calldata_word(Expr::c64(4))));
-        let _ = s.key();
-        let _ = format!("{}", s);
-        assert!(s.eval().is_none());
+        assert!(a.depends_on_calldata(s));
+        assert!(!a.depends_on_calldatasize(s));
+        assert!(a.contains(s, base));
+        assert!(a.has_load_between(s, base));
+        assert_eq!(a.calldata_locs(s).len(), 65);
+        let shown = a.show(s).to_string();
+        assert!(shown.contains('…'), "{shown}");
+        assert!(a.eval(s).is_none());
     }
 
     #[test]
@@ -767,52 +871,128 @@ mod tests {
 
     #[test]
     fn unary_folding() {
-        assert_eq!(un(UnOp::IsZero, Expr::zero()).as_const(), Some(U256::ONE));
-        assert_eq!(
-            un(UnOp::IsZero, un(UnOp::IsZero, Expr::c64(7))).as_const(),
-            Some(U256::ONE)
-        );
-        let sym = Expr::free_sym(1);
-        assert!(un(UnOp::IsZero, sym).as_const().is_none());
+        let mut a = ExprArena::new();
+        let z = a.zero();
+        let nz = a.un(UnOp::IsZero, z);
+        assert_eq!(a.as_const(nz), Some(U256::ONE));
+        let c7 = a.c64(7);
+        let once = a.un(UnOp::IsZero, c7);
+        let twice = a.un(UnOp::IsZero, once);
+        assert_eq!(a.as_const(twice), Some(U256::ONE));
+        let sym = a.free_sym(1);
+        let e = a.un(UnOp::IsZero, sym);
+        assert!(a.as_const(e).is_none());
     }
 
     #[test]
-    fn interning_shares_identical_nodes() {
-        // Two structurally identical expressions built independently are
-        // pointer-identical within a thread.
-        let a = bin(BinOp::Add, cdw(Expr::c64(4)), Expr::c64(36));
-        let b = bin(BinOp::Add, cdw(Expr::c64(4)), Expr::c64(36));
-        assert!(Rc::ptr_eq(&a, &b));
-        assert_eq!(a.dag_hash(), b.dag_hash());
-        assert_eq!(a, b);
+    fn structurally_equal_nodes_share_an_id() {
+        let mut a = ExprArena::new();
+        let build = |a: &mut ExprArena, k: u64| {
+            let c4 = a.c64(4);
+            let w = a.calldata_word(c4);
+            let ck = a.c64(k);
+            a.bin(BinOp::Add, w, ck)
+        };
+        let x = build(&mut a, 36);
+        let len = a.len();
+        let y = build(&mut a, 36);
+        assert_eq!(x, y);
+        assert_eq!(a.len(), len, "a rebuilt twin allocates nothing");
         // Different expressions stay distinct.
-        let c = bin(BinOp::Add, cdw(Expr::c64(4)), Expr::c64(68));
-        assert!(!Rc::ptr_eq(&a, &c));
-        assert_ne!(a, c);
+        let z = build(&mut a, 68);
+        assert_ne!(x, z);
+        // Ids are topological: children before parents.
+        let ExprKind::Binary(_, l, r) = *a.kind(x) else {
+            panic!("expected a binary node")
+        };
+        assert!(l < x && r < x);
     }
 
     #[test]
-    fn interner_clear_keeps_nodes_valid() {
-        let a = bin(BinOp::Mul, cdw(Expr::c64(4)), Expr::c64(32));
-        let h = a.dag_hash();
-        interner_clear();
-        // The node survives the clear; a rebuilt twin is a new allocation
-        // but still structurally equal.
-        let b = bin(BinOp::Mul, cdw(Expr::c64(4)), Expr::c64(32));
-        assert_eq!(a.dag_hash(), h);
-        assert_eq!(a, b);
-        assert!(a.contains_mul_by(32));
+    fn a_recycled_arena_starts_empty_and_rebuilds_exactly() {
+        let mut a = ExprArena::new();
+        let c4 = a.c64(4);
+        let w = a.calldata_word(c4);
+        let c32 = a.c64(32);
+        let m = a.bin(BinOp::Mul, w, c32);
+        let shown = a.show(m).to_string();
+        drop(a);
+        // The next arena on this thread reuses the cleared storage: no
+        // node of the last exploration survives, and identity restarts.
+        let mut b = ExprArena::new();
+        assert!(b.is_empty());
+        let c4 = b.c64(4);
+        let w = b.calldata_word(c4);
+        let c32 = b.c64(32);
+        let m2 = b.bin(BinOp::Mul, w, c32);
+        assert_eq!(m2, m);
+        assert_eq!(b.show(m2).to_string(), shown);
+        assert!(b.contains_mul_by(m2, 32));
+    }
+
+    #[test]
+    fn oversized_storage_is_not_kept() {
+        let mut a = ExprArena::new();
+        for i in 0..(MAX_POOLED_NODES as u64 + 1) {
+            a.c64(i);
+        }
+        drop(a);
+        let b = ExprArena::new();
+        assert!(b.s.ids.capacity() <= MAX_POOLED_NODES);
+    }
+
+    #[test]
+    fn a_crafted_constant_gets_its_own_id() {
+        // This constant collides with `0x20` under a 64-bit structural
+        // hash whose last round is invertible: identity must not rest on
+        // such a hash.
+        let crafted =
+            U256::from_hex("7a073c4333c76054000000000000000000000000000000000000000000000040")
+                .expect("hex constant");
+        let mut a = ExprArena::new();
+        let small = a.c64(0x20);
+        let big = a.constant(crafted);
+        assert_ne!(small, big);
+        assert_eq!(a.as_const(big), Some(crafted));
+        assert_eq!(a.as_const(small), Some(U256::from(0x20u64)));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn constants_share_an_id_exactly_when_equal(
+            (x0, x1, x2, x3) in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            (h2, h3) in (any::<u64>(), any::<u64>()),
+            pick in any::<u64>(),
+        ) {
+            let x = U256([x0, x1, x2, x3]);
+            // Equal pairs, pairs that differ only in their high limbs
+            // (where a weak hash would bucket them together), and pairs
+            // against a small offset-like constant.
+            let y = match pick % 3 {
+                0 => x,
+                1 => U256([x0, x1, h2, h3]),
+                _ => U256::from(x0 & 0xff),
+            };
+            let mut a = ExprArena::new();
+            let (ix, iy) = (a.constant(x), a.constant(y));
+            proptest::prop_assert_eq!(ix == iy, x == y);
+            proptest::prop_assert_eq!(a.as_const(ix), Some(x));
+            proptest::prop_assert_eq!(a.as_const(iy), Some(y));
+        }
     }
 
     #[test]
     fn flags_propagate_through_operators() {
-        let c = cdw(Expr::c64(4));
-        let s = Expr::calldata_size();
-        let e = bin(BinOp::Sub, s, c);
-        assert!(e.depends_on_calldata());
-        assert!(e.depends_on_calldatasize());
-        let f = un(UnOp::IsZero, Expr::free_sym(9));
-        assert!(!f.depends_on_calldata());
-        assert!(!f.depends_on_calldatasize());
+        let mut a = ExprArena::new();
+        let c4 = a.c64(4);
+        let c = a.calldata_word(c4);
+        let s = a.calldata_size();
+        let e = a.bin(BinOp::Sub, s, c);
+        assert!(a.depends_on_calldata(e));
+        assert!(a.depends_on_calldatasize(e));
+        let sym = a.free_sym(9);
+        let f = a.un(UnOp::IsZero, sym);
+        assert!(!a.depends_on_calldata(f));
+        assert!(!a.depends_on_calldatasize(f));
     }
 }

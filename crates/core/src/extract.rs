@@ -8,11 +8,10 @@
 //! `EQ(selector_expr, constant)`, it records the pair and continues down
 //! the not-taken chain.
 
-use crate::expr::{bin, un, BinOp, Expr, ExprKind, UnOp};
+use crate::expr::{BinOp, ExprArena, ExprId, ExprKind, UnOp};
 use crate::outcome::{Diagnostic, MalformedKind, TruncationKind};
 use sigrec_abi::Selector;
 use sigrec_evm::{Disassembly, Opcode, U256};
-use std::rc::Rc;
 
 /// A dispatch table entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -64,7 +63,9 @@ pub fn extract_dispatch_diag(disasm: &Disassembly) -> DispatchExtraction {
         };
     }
     let mut out = Vec::new();
-    let mut worklist: Vec<(usize, Vec<Rc<Expr>>)> = vec![(0, Vec::new())];
+    // The walk's own expressions, shared by every chain of this extraction.
+    let mut arena = ExprArena::new();
+    let mut worklist: Vec<(usize, Vec<ExprId>)> = vec![(0, Vec::new())];
     let mut forked: std::collections::HashSet<usize> = std::collections::HashSet::new();
     let mut walk = WalkDiag::default();
     let mut branches = 0;
@@ -77,6 +78,7 @@ pub fn extract_dispatch_diag(disasm: &Disassembly) -> DispatchExtraction {
         }
         walk_chain(
             disasm,
+            &mut arena,
             start_pc,
             start_stack,
             &mut out,
@@ -115,10 +117,11 @@ struct WalkDiag {
 #[allow(clippy::too_many_arguments)]
 fn walk_chain(
     disasm: &Disassembly,
+    arena: &mut ExprArena,
     start_pc: usize,
-    start_stack: Vec<Rc<Expr>>,
+    start_stack: Vec<ExprId>,
     out: &mut Vec<DispatchEntry>,
-    worklist: &mut Vec<(usize, Vec<Rc<Expr>>)>,
+    worklist: &mut Vec<(usize, Vec<ExprId>)>,
     forked: &mut std::collections::HashSet<usize>,
     diag: &mut WalkDiag,
 ) {
@@ -144,7 +147,7 @@ fn walk_chain(
         use Opcode::*;
         match op {
             Stop | Return | Revert | SelfDestruct | Invalid(_) => break,
-            Push(_) => stack.push(Expr::constant(ins.push_value().unwrap_or(U256::ZERO))),
+            Push(_) => stack.push(arena.constant(ins.push_value().unwrap_or(U256::ZERO))),
             Pop => {
                 if stack.pop().is_none() {
                     break;
@@ -155,8 +158,7 @@ fn walk_chain(
                 if stack.len() < n {
                     break;
                 }
-                let v = Rc::clone(&stack[stack.len() - n]);
-                stack.push(v);
+                stack.push(stack[stack.len() - n]);
             }
             Swap(n) => {
                 let n = n as usize;
@@ -169,16 +171,16 @@ fn walk_chain(
             JumpDest => {}
             CallDataLoad => {
                 let Some(loc) = stack.pop() else { break };
-                stack.push(Expr::calldata_word(loc));
+                stack.push(arena.calldata_word(loc));
             }
-            CallDataSize => stack.push(Expr::calldata_size()),
+            CallDataSize => stack.push(arena.calldata_size()),
             IsZero => {
                 let Some(a) = stack.pop() else { break };
-                stack.push(un(UnOp::IsZero, a));
+                stack.push(arena.un(UnOp::IsZero, a));
             }
             Not => {
                 let Some(a) = stack.pop() else { break };
-                stack.push(un(UnOp::Not, a));
+                stack.push(arena.un(UnOp::Not, a));
             }
             Add | Sub | Mul | Div | Mod | And | Or | Xor | Lt | Gt | Eq | SDiv | SMod | Exp
             | SLt | SGt => {
@@ -204,7 +206,7 @@ fn walk_chain(
                     SGt => BinOp::SGt,
                     _ => unreachable!(),
                 };
-                stack.push(bin(bop, a, b));
+                stack.push(arena.bin(bop, a, b));
             }
             Shl | Shr | Sar => {
                 let (Some(amount), Some(value)) = (stack.pop(), stack.pop()) else {
@@ -215,11 +217,11 @@ fn walk_chain(
                     Shr => BinOp::Shr,
                     _ => BinOp::Sar,
                 };
-                stack.push(bin(bop, value, amount));
+                stack.push(arena.bin(bop, value, amount));
             }
             Jump => {
                 let Some(t) = stack.pop() else { break };
-                match t.eval().and_then(|v| v.as_usize()) {
+                match arena.eval(t).and_then(|v| v.as_usize()) {
                     Some(t) if disasm.is_jumpdest(t) => {
                         pc = t;
                         continue;
@@ -231,7 +233,7 @@ fn walk_chain(
                 let (Some(target), Some(cond)) = (stack.pop(), stack.pop()) else {
                     break;
                 };
-                if let Some((sel, entry)) = selector_comparison(&cond, &target, disasm) {
+                if let Some((sel, entry)) = selector_comparison(arena, cond, target, disasm) {
                     out.push(DispatchEntry {
                         selector: sel,
                         entry,
@@ -242,8 +244,8 @@ fn walk_chain(
                 }
                 // A selector range split (binary-search dispatch): explore
                 // both halves — queue the jump target, continue inline.
-                if is_selector_range_split(&cond) {
-                    if let Some(t) = target.eval().and_then(|v| v.as_usize()) {
+                if is_selector_range_split(arena, cond) {
+                    if let Some(t) = arena.eval(target).and_then(|v| v.as_usize()) {
                         if disasm.is_jumpdest(t) && forked.insert(pc) {
                             worklist.push((t, stack.clone()));
                         }
@@ -251,14 +253,16 @@ fn walk_chain(
                     pc = next_pc;
                     continue;
                 }
-                match cond.eval() {
-                    Some(c) if !c.is_zero() => match target.eval().and_then(|v| v.as_usize()) {
-                        Some(t) if disasm.is_jumpdest(t) => {
-                            pc = t;
-                            continue;
+                match arena.eval(cond) {
+                    Some(c) if !c.is_zero() => {
+                        match arena.eval(target).and_then(|v| v.as_usize()) {
+                            Some(t) if disasm.is_jumpdest(t) => {
+                                pc = t;
+                                continue;
+                            }
+                            _ => break,
                         }
-                        _ => break,
-                    },
+                    }
                     // Symbolic or false: take the fallthrough (non-selector
                     // guards in prologues typically jump to aborts).
                     _ => {
@@ -276,7 +280,7 @@ fn walk_chain(
                 }
                 for _ in 0..op.stack_out() {
                     next_sym += 1;
-                    stack.push(Expr::free_sym(1_000_000 + next_sym));
+                    stack.push(arena.free_sym(1_000_000 + next_sym));
                 }
             }
         }
@@ -286,15 +290,15 @@ fn walk_chain(
 
 /// A comparison of the selector against a constant (possibly `ISZERO`-
 /// negated) — the shape of solc's binary-search dispatcher splits.
-fn is_selector_range_split(cond: &Rc<Expr>) -> bool {
+fn is_selector_range_split(arena: &ExprArena, cond: ExprId) -> bool {
     let mut base = cond;
-    while let ExprKind::Unary(UnOp::IsZero, inner) = base.kind() {
+    while let ExprKind::Unary(UnOp::IsZero, inner) = *arena.kind(base) {
         base = inner;
     }
-    match base.kind() {
+    match *arena.kind(base) {
         ExprKind::Binary(BinOp::Lt | BinOp::Gt, a, b) => {
-            (is_selector_shaped(a) && b.as_const().is_some())
-                || (is_selector_shaped(b) && a.as_const().is_some())
+            (is_selector_shaped(arena, a) && arena.as_const(b).is_some())
+                || (is_selector_shaped(arena, b) && arena.as_const(a).is_some())
         }
         _ => false,
     }
@@ -304,24 +308,25 @@ fn is_selector_range_split(cond: &Rc<Expr>) -> bool {
 /// selector expression is the dispatch idiom: `SHR`/`DIV` applied to
 /// `CALLDATALOAD(0)`. Returns the selector and the (constant) jump target.
 fn selector_comparison(
-    cond: &Rc<Expr>,
-    target: &Rc<Expr>,
+    arena: &ExprArena,
+    cond: ExprId,
+    target: ExprId,
     disasm: &Disassembly,
 ) -> Option<(Selector, usize)> {
-    let ExprKind::Binary(BinOp::Eq, a, b) = cond.kind() else {
+    let ExprKind::Binary(BinOp::Eq, a, b) = *arena.kind(cond) else {
         return None;
     };
-    let (sel_expr, constant) = match (a.as_const(), b.as_const()) {
+    let (sel_expr, constant) = match (arena.as_const(a), arena.as_const(b)) {
         (Some(c), None) => (b, c),
         (None, Some(c)) => (a, c),
         _ => return None,
     };
-    if !is_selector_shaped(sel_expr) {
+    if !is_selector_shaped(arena, sel_expr) {
         return None;
     }
     let id = constant.as_u64()?;
     let id = u32::try_from(id).ok()?;
-    let t = target.eval()?.as_usize()?;
+    let t = arena.eval(target)?.as_usize()?;
     if !disasm.is_jumpdest(t) {
         return None;
     }
@@ -330,21 +335,20 @@ fn selector_comparison(
 
 /// The selector idiom: `SHR(cd[0], 224)` or `DIV(cd[0], 2²²⁴)`, possibly
 /// wrapped in an `AND` mask.
-fn is_selector_shaped(e: &Rc<Expr>) -> bool {
-    match e.kind() {
+fn is_selector_shaped(arena: &ExprArena, e: ExprId) -> bool {
+    let loads_word_zero = |e: ExprId| matches!(*arena.kind(e), ExprKind::CalldataWord(loc) if arena.as_const(loc) == Some(U256::ZERO));
+    match *arena.kind(e) {
         ExprKind::Binary(BinOp::Shr, v, amount) => {
-            loads_word_zero(v) && amount.as_const() == Some(U256::from(224u64))
+            loads_word_zero(v) && arena.as_const(amount) == Some(U256::from(224u64))
         }
         ExprKind::Binary(BinOp::Div, v, d) => {
-            loads_word_zero(v) && d.as_const() == Some(U256::ONE << 224u32)
+            loads_word_zero(v) && arena.as_const(d) == Some(U256::ONE << 224u32)
         }
-        ExprKind::Binary(BinOp::And, a, b) => is_selector_shaped(a) || is_selector_shaped(b),
+        ExprKind::Binary(BinOp::And, a, b) => {
+            is_selector_shaped(arena, a) || is_selector_shaped(arena, b)
+        }
         _ => false,
     }
-}
-
-fn loads_word_zero(e: &Rc<Expr>) -> bool {
-    matches!(e.kind(), ExprKind::CalldataWord(loc) if loc.as_const() == Some(U256::ZERO))
 }
 
 #[cfg(test)]

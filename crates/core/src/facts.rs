@@ -5,11 +5,13 @@
 //! copied (`CALLDATACOPY`), which comparisons guarded execution, and which
 //! type-revealing operations touched calldata-derived values. The inference
 //! engine (rules R1–R31) consumes only these facts.
+//!
+//! Every expression in the facts is an [`ExprId`] into
+//! [`FunctionFacts::arena`], the exploration's own [`ExprArena`].
 
-use crate::expr::Expr;
+use crate::expr::{ExprArena, ExprId};
 use crate::outcome::{BudgetKind, DelegateTarget};
 use sigrec_evm::U256;
-use std::rc::Rc;
 
 /// One `CALLDATALOAD` observed during execution.
 #[derive(Clone, Debug)]
@@ -17,9 +19,9 @@ pub struct LoadFact {
     /// pc of the instruction.
     pub pc: usize,
     /// Symbolic location read.
-    pub loc: Rc<Expr>,
+    pub loc: ExprId,
     /// The resulting value node (`CalldataWord(loc)`).
-    pub value: Rc<Expr>,
+    pub value: ExprId,
 }
 
 /// One `CALLDATACOPY` observed during execution.
@@ -28,11 +30,11 @@ pub struct CopyFact {
     /// pc of the instruction.
     pub pc: usize,
     /// Memory destination.
-    pub dst: Rc<Expr>,
+    pub dst: ExprId,
     /// Calldata source.
-    pub src: Rc<Expr>,
+    pub src: ExprId,
     /// Byte length.
-    pub len: Rc<Expr>,
+    pub len: ExprId,
 }
 
 /// A comparison-shaped `JUMPI` guard executed on some path.
@@ -46,7 +48,7 @@ pub struct GuardFact {
     /// pc of the `JUMPI`.
     pub pc: usize,
     /// The comparison condition (with any `ISZERO` wrappers stripped).
-    pub cond: Rc<Expr>,
+    pub cond: ExprId,
     /// Forward target of the loop-exit branch when this guard heads a
     /// detected natural loop.
     pub loop_exit_pc: Option<usize>,
@@ -57,9 +59,9 @@ pub struct GuardFact {
 pub struct UseFact {
     /// pc of the instruction.
     pub pc: usize,
-    /// Keys (stable renderings) of the `CALLDATALOAD` locations appearing
-    /// in the used value — links the usage back to specific loads.
-    pub keys: Vec<String>,
+    /// The `CALLDATALOAD` locations appearing in the used value, outermost
+    /// first — links the usage back to the loads of those locations.
+    pub keys: Vec<ExprId>,
     /// What was done to the value.
     pub usage: Usage,
 }
@@ -93,6 +95,8 @@ pub enum Usage {
 /// Everything TASE learned about one function.
 #[derive(Clone, Debug, Default)]
 pub struct FunctionFacts {
+    /// The expressions every id below names.
+    pub arena: ExprArena,
     /// Calldata loads, deduplicated by pc (first occurrence kept).
     pub loads: Vec<LoadFact>,
     /// Calldata copies, deduplicated by pc.
@@ -176,62 +180,29 @@ impl FunctionFacts {
             self.budgets.push(kind);
         }
     }
-
-    /// All usages whose key set mentions `key`.
-    pub fn uses_of<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a UseFact> + 'a {
-        self.uses
-            .iter()
-            .filter(move |u| u.keys.iter().any(|k| k == key))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Expr;
 
     #[test]
     fn load_dedup_by_pc() {
         let mut f = FunctionFacts::default();
-        let loc = Expr::c64(4);
-        let val = Expr::calldata_word(Rc::clone(&loc));
-        f.add_load(LoadFact {
-            pc: 10,
-            loc: Rc::clone(&loc),
-            value: Rc::clone(&val),
-        });
-        f.add_load(LoadFact {
-            pc: 10,
-            loc,
-            value: val,
-        });
+        let loc = f.arena.c64(4);
+        let value = f.arena.calldata_word(loc);
+        f.add_load(LoadFact { pc: 10, loc, value });
+        f.add_load(LoadFact { pc: 10, loc, value });
         assert_eq!(f.loads.len(), 1);
-    }
-
-    #[test]
-    fn uses_of_filters_by_key() {
-        let mut f = FunctionFacts::default();
-        f.add_use(UseFact {
-            pc: 1,
-            keys: vec!["0x4".into()],
-            usage: Usage::DoubleIsZero,
-        });
-        f.add_use(UseFact {
-            pc: 2,
-            keys: vec!["0x24".into()],
-            usage: Usage::Arithmetic,
-        });
-        assert_eq!(f.uses_of("0x4").count(), 1);
-        assert_eq!(f.uses_of("0x24").count(), 1);
-        assert_eq!(f.uses_of("0x44").count(), 0);
     }
 
     #[test]
     fn use_dedup_exact() {
         let mut f = FunctionFacts::default();
+        let (k, k2) = (f.arena.c64(4), f.arena.c64(0x24));
         let u = UseFact {
             pc: 1,
-            keys: vec!["k".into()],
+            keys: vec![k],
             usage: Usage::ByteExtract,
         };
         f.add_use(u.clone());
@@ -239,7 +210,7 @@ mod tests {
         assert_eq!(f.uses.len(), 1);
         f.add_use(UseFact {
             pc: 1,
-            keys: vec!["k2".into()],
+            keys: vec![k2],
             usage: Usage::ByteExtract,
         });
         assert_eq!(f.uses.len(), 2);

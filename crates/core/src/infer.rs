@@ -19,14 +19,13 @@
 
 mod tree;
 
-use crate::expr::{BinOp, Expr, ExprKind};
+use crate::expr::{BinOp, ExprArena, ExprId, ExprKind};
 use crate::facts::{CopyFact, FunctionFacts, LoadFact, Usage};
 use crate::rules::RuleId;
 use sigrec_abi::AbiType;
 use sigrec_evm::U256;
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The source language TASE believes produced the bytecode (rule R20).
@@ -141,26 +140,27 @@ struct Candidate {
 /// `find_num_value`, the member walk in `classify_struct`) see facts in
 /// exactly the order a linear scan would produce.
 struct FactsIndex {
-    /// Use indices by exact location key (the `refine_basic_key` probe
-    /// behind R4/R11 refinement).
-    uses_by_key: BTreeMap<String, Vec<u32>>,
-    /// Use indices by parsed constant calldata offset, enabling range
-    /// queries over copied static regions.
+    /// Use indices by location (the `refine_basic_key` probe behind
+    /// R4/R11 refinement).
+    uses_by_key: BTreeMap<ExprId, Vec<u32>>,
+    /// Use indices by constant calldata offset, enabling range queries
+    /// over copied static regions.
     uses_by_offset: BTreeMap<u64, Vec<u32>>,
-    /// Load indices by the dag hash of every node inside the load's
-    /// location — the containment probe behind R1 num-field discovery
-    /// and offset-marker detection.
-    loads_by_node: HashMap<u64, Vec<u32>>,
+    /// Load indices by every node inside the load's location — the
+    /// containment probe behind R1 num-field discovery and offset-marker
+    /// detection.
+    loads_by_node: BTreeMap<ExprId, Vec<u32>>,
 }
 
 impl FactsIndex {
     fn build(facts: &FunctionFacts) -> Self {
-        let mut uses_by_key: BTreeMap<String, Vec<u32>> = BTreeMap::new();
+        let arena = &facts.arena;
+        let mut uses_by_key: BTreeMap<ExprId, Vec<u32>> = BTreeMap::new();
         let mut uses_by_offset: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         for (i, u) in facts.uses.iter().enumerate() {
-            for k in &u.keys {
-                uses_by_key.entry(k.clone()).or_default().push(i as u32);
-                if let Some(off) = parse_hex_key(k) {
+            for &k in &u.keys {
+                uses_by_key.entry(k).or_default().push(i as u32);
+                if let Some(off) = const_offset(arena, k) {
                     uses_by_offset.entry(off).or_default().push(i as u32);
                 }
             }
@@ -173,15 +173,11 @@ impl FactsIndex {
         for v in uses_by_offset.values_mut() {
             v.dedup();
         }
-        let mut loads_by_node: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut loads_by_node: BTreeMap<ExprId, Vec<u32>> = BTreeMap::new();
         for (i, l) in facts.loads.iter().enumerate() {
-            let mut hashes: Vec<u64> = Vec::new();
-            l.loc.walk(&mut |e| hashes.push(e.dag_hash()));
-            hashes.sort_unstable();
-            hashes.dedup();
-            for h in hashes {
-                loads_by_node.entry(h).or_default().push(i as u32);
-            }
+            arena.walk(l.loc, |id, _| {
+                loads_by_node.entry(id).or_default().push(i as u32);
+            });
         }
         FactsIndex {
             uses_by_key,
@@ -193,6 +189,7 @@ impl FactsIndex {
 
 struct Inference<'a> {
     facts: &'a FunctionFacts,
+    arena: &'a ExprArena,
     index: FactsIndex,
     rules: Vec<RuleId>,
     vyper: bool,
@@ -205,6 +202,7 @@ impl<'a> Inference<'a> {
     fn new(facts: &'a FunctionFacts) -> Self {
         Inference {
             facts,
+            arena: &facts.arena,
             index: FactsIndex::build(facts),
             rules: Vec::new(),
             vyper: false,
@@ -213,15 +211,13 @@ impl<'a> Inference<'a> {
         }
     }
 
-    /// Loads whose location contains `e`, in original load order.
-    /// Equivalent to filtering `facts.loads` on `l.loc.contains(e)`:
-    /// `contains` matches subexpressions by dag hash, which is exactly
-    /// what `loads_by_node` is keyed on.
-    fn loads_containing(&self, e: &Expr) -> Vec<&'a LoadFact> {
+    /// Loads whose location contains `e`, in original load order —
+    /// `facts.loads` filtered on `arena.contains(l.loc, e)`.
+    fn loads_containing(&self, e: ExprId) -> Vec<&'a LoadFact> {
         let facts = self.facts;
         self.index
             .loads_by_node
-            .get(&e.dag_hash())
+            .get(&e)
             .into_iter()
             .flatten()
             .map(|&i| &facts.loads[i as usize])
@@ -233,19 +229,20 @@ impl<'a> Inference<'a> {
 
         // Group loads by location key (the same slot is often read several
         // times at different pcs).
-        let groups = group_loads(&self.facts.loads);
+        let arena = self.arena;
+        let groups = group_loads(arena, &self.facts.loads);
 
         // Offset markers: constant-location loads whose value word is used
         // as a base for further loads or copies.
-        let mut marker_keys: Vec<String> = Vec::new();
+        let mut marker_locs: Vec<ExprId> = Vec::new();
         for g in &groups {
             let Some(pos) = g.const_pos else { continue };
             if pos < 4 {
                 continue;
             }
-            if self.is_offset_marker(&g.value) {
-                marker_keys.push(g.loc.key());
-                let ty = self.classify_offset_param(&g.value);
+            if self.is_offset_marker(g.value) {
+                marker_locs.push(g.loc);
+                let ty = self.classify_offset_param(g.value);
                 candidates.push(Candidate { start: pos, ty });
             }
         }
@@ -253,11 +250,11 @@ impl<'a> Inference<'a> {
         // Public static arrays: constant-source copies.
         let mut static_copy_ranges: Vec<(u64, u64)> = Vec::new();
         for copy in &self.facts.copies {
-            if copy.src.depends_on_calldata() {
+            if arena.depends_on_calldata(copy.src) {
                 continue;
             }
-            let base = copy.src.const_addend().as_u64().unwrap_or(0);
-            let Some(len) = copy.len.eval().and_then(|v| v.as_u64()) else {
+            let base = arena.const_addend(copy.src).as_u64().unwrap_or(0);
+            let Some(len) = arena.eval(copy.len).and_then(|v| v.as_u64()) else {
                 continue;
             };
             if base < 4 || len == 0 || len % 32 != 0 {
@@ -296,14 +293,14 @@ impl<'a> Inference<'a> {
         // calldata word inside (R3 / Vyper R24).
         let mut seen_bases: Vec<u64> = Vec::new();
         for g in &groups {
-            if g.const_pos.is_some() || g.loc.depends_on_calldata() {
+            if g.const_pos.is_some() || arena.depends_on_calldata(g.loc) {
                 continue;
             }
-            let syms = g.loc.free_syms();
+            let syms = arena.free_syms(g.loc);
             if syms.is_empty() {
                 continue;
             }
-            let base = g.loc.const_addend().as_u64().unwrap_or(0);
+            let base = arena.const_addend(g.loc).as_u64().unwrap_or(0);
             if base < 4 || seen_bases.contains(&base) {
                 continue;
             }
@@ -311,12 +308,12 @@ impl<'a> Inference<'a> {
             let bounds = const_guard_bounds(self.facts, &syms);
             if bounds.is_empty() {
                 // A symbolic read with no bound checks: no array evidence.
-                let (ty, _) = self.refine_basic_key(&g.loc.key());
+                let (ty, _) = self.refine_basic_key(g.loc);
                 self.rules.push(RuleId::R4);
                 candidates.push(Candidate { start: base, ty });
                 continue;
             }
-            let element = self.refine_basic_key_counted(&g.loc.key());
+            let element = self.refine_basic_key_counted(g.loc);
             let mut ty = element;
             for &d in bounds.iter().rev() {
                 ty = AbiType::Array(Box::new(ty), d as usize);
@@ -328,7 +325,7 @@ impl<'a> Inference<'a> {
         // Basic parameters: remaining constant-location loads.
         for g in &groups {
             let Some(pos) = g.const_pos else { continue };
-            if pos < 4 || marker_keys.contains(&g.loc.key()) {
+            if pos < 4 || marker_locs.contains(&g.loc) {
                 continue;
             }
             // Skip loads that fall inside a recognised static-array copy
@@ -336,7 +333,7 @@ impl<'a> Inference<'a> {
             if static_copy_ranges.iter().any(|&(s, e)| pos >= s && pos < e) {
                 continue;
             }
-            let ty = self.refine_basic_key_counted(&g.loc.key());
+            let ty = self.refine_basic_key_counted(g.loc);
             self.rules.push(RuleId::R4);
             candidates.push(Candidate { start: pos, ty });
         }
@@ -358,27 +355,27 @@ impl<'a> Inference<'a> {
 
     /// True if `value` (a `CalldataWord` node) is used as a base for other
     /// loads or copies — i.e. it is an offset field.
-    fn is_offset_marker(&self, value: &Rc<Expr>) -> bool {
+    fn is_offset_marker(&self, value: ExprId) -> bool {
         // A load's own location never contains the value it produces (the
         // value strictly wraps it), so a non-empty bucket means some
         // *other* load addresses through `value`.
-        self.index.loads_by_node.contains_key(&value.dag_hash())
+        self.index.loads_by_node.contains_key(&value)
             || self
                 .facts
                 .copies
                 .iter()
-                .any(|c| c.src.contains(value) || c.len.contains(value))
+                .any(|c| self.arena.contains(c.src, value) || self.arena.contains(c.len, value))
     }
 
     // ---- offset-rooted (dynamic) parameters ---------------------------
 
     /// Classifies a parameter whose offset word is `o`.
-    fn classify_offset_param(&mut self, o: &Rc<Expr>) -> AbiType {
+    fn classify_offset_param(&mut self, o: ExprId) -> AbiType {
         let copies: Vec<&CopyFact> = self
             .facts
             .copies
             .iter()
-            .filter(|c| c.src.contains(o))
+            .filter(|c| self.arena.contains(c.src, o))
             .collect();
         if !copies.is_empty() {
             return self.classify_copied(o, &copies);
@@ -387,7 +384,8 @@ impl<'a> Inference<'a> {
     }
 
     /// Public-mode and Vyper copy patterns (R5–R10, R23).
-    fn classify_copied(&mut self, o: &Rc<Expr>, copies: &[&CopyFact]) -> AbiType {
+    fn classify_copied(&mut self, o: ExprId, copies: &[&CopyFact]) -> AbiType {
+        let arena = self.arena;
         let copy = copies[0];
         let num = self.find_num_value(o);
         if num.is_some() {
@@ -396,9 +394,9 @@ impl<'a> Inference<'a> {
         if copies.len() == 1 {
             self.rules.push(RuleId::R5);
         }
-        if let Some(len) = copy.len.eval().and_then(|v| v.as_u64()) {
+        if let Some(len) = arena.eval(copy.len).and_then(|v| v.as_u64()) {
             // Constant length.
-            if copy.src.const_addend() == U256::from(4u64) && num.is_none() {
+            if arena.const_addend(copy.src) == U256::from(4u64) && num.is_none() {
                 // Vyper fixed-size byte array / string (R23): the copy
                 // starts at the num field itself and spans 32 + maxLen.
                 self.rules.push(RuleId::R23);
@@ -436,7 +434,7 @@ impl<'a> Inference<'a> {
             return AbiType::DynArray(Box::new(ty));
         }
         // Symbolic length.
-        if contains_add_of(&copy.len, 31) {
+        if arena.contains_op_by(copy.len, BinOp::Add, 31) {
             // bytes/string: length rounded up to a word multiple (R8).
             self.rules.push(RuleId::R8);
             return if self.has_byte_access(o) {
@@ -446,7 +444,7 @@ impl<'a> Inference<'a> {
                 AbiType::String
             };
         }
-        if copy.len.contains_mul_by(32) {
+        if arena.contains_mul_by(copy.len, 32) {
             // num × 32: one-dimensional dynamic array (R7).
             self.rules.push(RuleId::R7);
             let element = self.refine_dynamic_element(o);
@@ -456,25 +454,23 @@ impl<'a> Inference<'a> {
     }
 
     /// External-mode on-demand reads (R1/R2/R17/R21/R22).
-    fn classify_on_demand(&mut self, o: &Rc<Expr>) -> AbiType {
+    fn classify_on_demand(&mut self, o: ExprId) -> AbiType {
+        let arena = self.arena;
         let deep: Vec<&LoadFact> = self
             .loads_containing(o)
             .into_iter()
-            .filter(|l| !Rc::ptr_eq(&l.value, o))
+            .filter(|l| l.value != o)
             .collect();
         let num = self.find_num_value(o);
         if num.is_some() {
             self.rules.push(RuleId::R1);
         }
-        let num_guarded = num
-            .as_ref()
-            .map(|n| is_guard_bound(self.facts, n))
-            .unwrap_or(false);
+        let num_guarded = num.is_some_and(|n| is_guard_bound(self.facts, n));
 
         // One-level item loads with symbolic components.
         let items: Vec<&&LoadFact> = deep
             .iter()
-            .filter(|l| is_one_level(&l.loc, o) && !syms_outside(&l.loc, o).is_empty())
+            .filter(|l| is_one_level(arena, l.loc, o) && !syms_outside(arena, l.loc).is_empty())
             .collect();
 
         if num_guarded {
@@ -483,14 +479,14 @@ impl<'a> Inference<'a> {
             // look like ×32 item loads.
             if let Some(inner_marker) = self.find_inner_marker(o, &deep) {
                 self.rules.push(RuleId::R22);
-                let inner = self.classify_offset_param(&inner_marker);
+                let inner = self.classify_offset_param(inner_marker);
                 return AbiType::DynArray(Box::new(inner));
             }
             // Word-granular item with ×32 → dynamic array (R2).
-            if let Some(item) = items.iter().find(|l| mul32_outside(&l.loc, o)) {
-                let syms = syms_outside(&item.loc, o);
+            if let Some(item) = items.iter().find(|l| mul32_outside(arena, l.loc)) {
+                let syms = syms_outside(arena, item.loc);
                 let inner = const_guard_bounds(self.facts, &syms);
-                let element = self.refine_basic_key_counted(&item.loc.key());
+                let element = self.refine_basic_key_counted(item.loc);
                 let mut ty = element;
                 for &d in inner.iter().rev() {
                     ty = AbiType::Array(Box::new(ty), d as usize);
@@ -499,7 +495,7 @@ impl<'a> Inference<'a> {
                 return AbiType::DynArray(Box::new(ty));
             }
             // Byte-granular item → bytes (R17).
-            if items.iter().any(|l| !mul32_outside(&l.loc, o)) {
+            if items.iter().any(|l| !mul32_outside(arena, l.loc)) {
                 self.rules.push(RuleId::R17);
                 return AbiType::Bytes;
             }
@@ -517,12 +513,12 @@ impl<'a> Inference<'a> {
                 .iter()
                 .find(|l| l.value == inner_marker)
                 .expect("marker has a producing load");
-            if !syms_outside(&marker_load.loc, o).is_empty() {
+            let syms = syms_outside(arena, marker_load.loc);
+            if !syms.is_empty() {
                 // Static-count outer dimension (bound-checked).
-                let syms = syms_outside(&marker_load.loc, o);
                 let bounds = const_guard_bounds(self.facts, &syms);
                 self.rules.push(RuleId::R22);
-                let inner = self.classify_offset_param(&inner_marker);
+                let inner = self.classify_offset_param(inner_marker);
                 let n = bounds.first().copied().unwrap_or(1) as usize;
                 return AbiType::Array(Box::new(inner), n);
             }
@@ -533,7 +529,7 @@ impl<'a> Inference<'a> {
         // still best explained as a struct.
         if deep
             .iter()
-            .any(|l| is_one_level(&l.loc, o) && syms_outside(&l.loc, o).is_empty())
+            .any(|l| is_one_level(arena, l.loc, o) && syms_outside(arena, l.loc).is_empty())
         {
             return self.classify_struct(o, &deep);
         }
@@ -542,26 +538,27 @@ impl<'a> Inference<'a> {
 
     /// Dynamic struct (R21): members at constant offsets from the content
     /// base.
-    fn classify_struct(&mut self, o: &Rc<Expr>, deep: &[&LoadFact]) -> AbiType {
+    fn classify_struct(&mut self, o: ExprId, deep: &[&LoadFact]) -> AbiType {
+        let arena = self.arena;
         self.rules.push(RuleId::R21);
         // Member slot loads: one-level, constant addend, no symbols.
         let mut slots: Vec<(u64, &LoadFact)> = deep
             .iter()
-            .filter(|l| is_one_level(&l.loc, o) && syms_outside(&l.loc, o).is_empty())
-            .map(|l| (l.loc.const_addend().as_u64().unwrap_or(0), *l))
+            .filter(|l| is_one_level(arena, l.loc, o) && syms_outside(arena, l.loc).is_empty())
+            .map(|l| (arena.const_addend(l.loc).as_u64().unwrap_or(0), *l))
             .collect();
         slots.sort_by_key(|(k, _)| *k);
         slots.dedup_by_key(|(k, _)| *k);
         let mut members = Vec::new();
         for (_, slot) in slots {
-            if self.is_offset_marker(&slot.value) {
-                let member = self.classify_offset_param(&slot.value);
+            if self.is_offset_marker(slot.value) {
+                let member = self.classify_offset_param(slot.value);
                 if member.is_nested_array() {
                     self.rules.push(RuleId::R19);
                 }
                 members.push(member);
             } else {
-                let ty = self.refine_basic_key_counted(&slot.loc.key());
+                let ty = self.refine_basic_key_counted(slot.loc);
                 members.push(ty);
             }
         }
@@ -574,47 +571,41 @@ impl<'a> Inference<'a> {
     /// The per-item inner offset word of a two-level chain rooted at `o`:
     /// a load value `X` (≠ `o`) produced from a location containing `o`,
     /// itself used as a base for further loads.
-    fn find_inner_marker(&self, o: &Rc<Expr>, deep: &[&LoadFact]) -> Option<Rc<Expr>> {
-        for l in deep {
-            if !is_one_level(&l.loc, o) {
-                continue;
-            }
-            if self.is_offset_marker(&l.value) {
-                return Some(Rc::clone(&l.value));
-            }
-        }
-        None
+    fn find_inner_marker(&self, o: ExprId, deep: &[&LoadFact]) -> Option<ExprId> {
+        deep.iter()
+            .find(|l| is_one_level(self.arena, l.loc, o) && self.is_offset_marker(l.value))
+            .map(|l| l.value)
     }
 
     /// The num-field word of the structure rooted at `o`: a one-level,
     /// symbol-free, multiplication-free load through `o`.
-    fn find_num_value(&self, o: &Rc<Expr>) -> Option<Rc<Expr>> {
+    fn find_num_value(&self, o: ExprId) -> Option<ExprId> {
+        let arena = self.arena;
         let mut candidates: Vec<&LoadFact> = self
             .loads_containing(o)
             .into_iter()
             .filter(|l| {
-                !Rc::ptr_eq(&l.value, o)
-                    && is_one_level(&l.loc, o)
-                    && syms_outside(&l.loc, o).is_empty()
-                    && !mul32_outside(&l.loc, o)
+                l.value != o
+                    && is_one_level(arena, l.loc, o)
+                    && syms_outside(arena, l.loc).is_empty()
+                    && !mul32_outside(arena, l.loc)
             })
             .collect();
         // Prefer one that is actually used as a bound or length.
-        candidates.sort_by_key(|l| !is_count_like(self.facts, &l.value));
-        candidates.first().map(|l| Rc::clone(&l.value))
+        candidates.sort_by_key(|l| !is_count_like(self.facts, l.value));
+        candidates.first().map(|l| l.value)
     }
 
     /// True if some byte-granular use mentions the parameter rooted at `o`
-    /// (R17/R26/R31 evidence). The key of `o`'s own location appears in
-    /// every use of region-derived values.
-    fn has_byte_access(&self, o: &Rc<Expr>) -> bool {
-        let ExprKind::CalldataWord(loc) = o.kind() else {
+    /// (R17/R26/R31 evidence). `o`'s own location is a key of every use
+    /// of region-derived values.
+    fn has_byte_access(&self, o: ExprId) -> bool {
+        let ExprKind::CalldataWord(loc) = *self.arena.kind(o) else {
             return false;
         };
-        let key = loc.key();
         self.index
             .uses_by_key
-            .get(&key)
+            .get(&loc)
             .into_iter()
             .flatten()
             .any(|&i| self.facts.uses[i as usize].usage == Usage::ByteExtract)
@@ -623,11 +614,11 @@ impl<'a> Inference<'a> {
     /// Refinement of a dynamic array's element type: mask-like uses whose
     /// keys mention the parameter's offset slot (copied-region reads and
     /// on-demand reads both embed it).
-    fn refine_dynamic_element(&mut self, o: &Rc<Expr>) -> AbiType {
-        let ExprKind::CalldataWord(loc) = o.kind() else {
+    fn refine_dynamic_element(&mut self, o: ExprId) -> AbiType {
+        let ExprKind::CalldataWord(loc) = *self.arena.kind(o) else {
             return AbiType::Uint(256);
         };
-        self.refine_basic_key_counted(&loc.key())
+        self.refine_basic_key_counted(loc)
     }
 
     /// Refinement of a copied static region's element: mask-like uses whose
@@ -653,19 +644,19 @@ impl<'a> Inference<'a> {
         ty
     }
 
-    /// Refinement via uses mentioning an exact location key, with rule
+    /// Refinement via uses keyed to the location `key`, with rule
     /// accounting.
-    fn refine_basic_key_counted(&mut self, key: &str) -> AbiType {
+    fn refine_basic_key_counted(&mut self, key: ExprId) -> AbiType {
         let (ty, rules) = self.refine_basic_key(key);
         self.note_refinement(&rules);
         ty
     }
 
-    fn refine_basic_key(&self, key: &str) -> (AbiType, Vec<RuleId>) {
+    fn refine_basic_key(&self, key: ExprId) -> (AbiType, Vec<RuleId>) {
         let uses: Vec<&Usage> = self
             .index
             .uses_by_key
-            .get(key)
+            .get(&key)
             .into_iter()
             .flatten()
             .map(|&i| &self.facts.uses[i as usize].usage)
@@ -703,16 +694,15 @@ enum Bound {
 
 /// True if `v` appears as the right side of a `Lt` guard (it bounds some
 /// index — the "num used as bound" test of R1/R22).
-fn is_guard_bound(facts: &FunctionFacts, v: &Rc<Expr>) -> bool {
-    facts
-        .guards
-        .iter()
-        .any(|g| matches!(g.cond.kind(), ExprKind::Binary(BinOp::Lt, _, rhs) if **rhs == **v))
+fn is_guard_bound(facts: &FunctionFacts, v: ExprId) -> bool {
+    facts.guards.iter().any(
+        |g| matches!(*facts.arena.kind(g.cond), ExprKind::Binary(BinOp::Lt, _, rhs) if rhs == v),
+    )
 }
 
 /// True if `v` is used as a loop bound or copy length (count evidence).
-fn is_count_like(facts: &FunctionFacts, v: &Rc<Expr>) -> bool {
-    is_guard_bound(facts, v) || facts.copies.iter().any(|c| c.len.contains(v))
+fn is_count_like(facts: &FunctionFacts, v: ExprId) -> bool {
+    is_guard_bound(facts, v) || facts.copies.iter().any(|c| facts.arena.contains(c.len, v))
 }
 
 /// Bounds of constant guards whose left side shares a free symbol with
@@ -720,18 +710,19 @@ fn is_count_like(facts: &FunctionFacts, v: &Rc<Expr>) -> bool {
 /// both engines: the probe only runs on the (rare) array-shaped paths, so
 /// the tree engine gains nothing from precomputing it.
 fn const_guard_bounds(facts: &FunctionFacts, item_syms: &[u32]) -> Vec<u64> {
+    let arena = &facts.arena;
     let mut out: Vec<(usize, u64)> = Vec::new();
     for g in &facts.guards {
-        let ExprKind::Binary(BinOp::Lt, lhs, rhs) = g.cond.kind() else {
+        let ExprKind::Binary(BinOp::Lt, lhs, rhs) = *arena.kind(g.cond) else {
             continue;
         };
-        if lhs.depends_on_calldata() {
+        if arena.depends_on_calldata(lhs) {
             continue; // Vyper value range check, not a bound check
         }
-        let Some(bound) = rhs.eval().and_then(|v| v.as_u64()) else {
+        let Some(bound) = arena.eval(rhs).and_then(|v| v.as_u64()) else {
             continue;
         };
-        let lsyms = lhs.free_syms();
+        let lsyms = arena.free_syms(lhs);
         if lsyms.is_empty() || !lsyms.iter().all(|s| item_syms.contains(s)) {
             continue;
         }
@@ -751,10 +742,10 @@ fn loop_bounds_for(facts: &FunctionFacts, copy: &CopyFact) -> Vec<Bound> {
         if !(g.pc < copy.pc && copy.pc < exit) {
             continue;
         }
-        let ExprKind::Binary(BinOp::Lt, _, rhs) = g.cond.kind() else {
+        let ExprKind::Binary(BinOp::Lt, _, rhs) = *facts.arena.kind(g.cond) else {
             continue;
         };
-        let bound = match rhs.eval().and_then(|v| v.as_u64()) {
+        let bound = match facts.arena.eval(rhs).and_then(|v| v.as_u64()) {
             Some(b) => Bound::Const(b),
             None => Bound::Dynamic,
         };
@@ -877,24 +868,25 @@ fn high_mask_bytes(m: U256) -> Option<u32> {
 
 /// True when no intermediate `CALLDATALOAD` sits between `loc` and `o`:
 /// every calldata word inside `loc` that contains `o` *is* `o`.
-fn is_one_level(loc: &Rc<Expr>, o: &Rc<Expr>) -> bool {
-    !loc.has_load_between(o)
+fn is_one_level(arena: &ExprArena, loc: ExprId, o: ExprId) -> bool {
+    !arena.has_load_between(loc, o)
 }
 
 /// Pre-order walk that does not descend into any `CalldataWord` subtree.
 /// The location of a nested load belongs to *another* value's addressing;
 /// only structure outside every load reflects how this location itself is
 /// indexed.
-fn walk_outside_loads(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    if matches!(e.kind(), ExprKind::CalldataWord(_)) {
+fn walk_outside_loads(arena: &ExprArena, e: ExprId, f: &mut impl FnMut(&ExprKind)) {
+    let kind = arena.kind(e);
+    if matches!(kind, ExprKind::CalldataWord(_)) {
         return;
     }
-    f(e);
-    match e.kind() {
-        ExprKind::Unary(_, a) => walk_outside_loads(a, f),
+    f(kind);
+    match *kind {
+        ExprKind::Unary(_, a) => walk_outside_loads(arena, a, f),
         ExprKind::Binary(_, a, b) => {
-            walk_outside_loads(a, f);
-            walk_outside_loads(b, f);
+            walk_outside_loads(arena, a, f);
+            walk_outside_loads(arena, b, f);
         }
         _ => {}
     }
@@ -903,11 +895,11 @@ fn walk_outside_loads(e: &Expr, f: &mut impl FnMut(&Expr)) {
 /// Free symbols occurring outside every nested `CalldataWord` — the index
 /// symbols that scale *this* location (ancestor markers carry their own
 /// index symbols inside their load subtrees and must not leak here).
-fn syms_outside(loc: &Rc<Expr>, _o: &Rc<Expr>) -> Vec<u32> {
+fn syms_outside(arena: &ExprArena, loc: ExprId) -> Vec<u32> {
     let mut out = Vec::new();
-    walk_outside_loads(loc, &mut |e| {
-        if let ExprKind::FreeSym(id) = e.kind() {
-            out.push(*id);
+    walk_outside_loads(arena, loc, &mut |k| {
+        if let ExprKind::FreeSym(id) = *k {
+            out.push(id);
         }
     });
     out.sort_unstable();
@@ -915,58 +907,41 @@ fn syms_outside(loc: &Rc<Expr>, _o: &Rc<Expr>) -> Vec<u32> {
     out
 }
 
-/// Like [`Expr::contains_mul_by`]`(32)` but only outside nested loads.
-fn mul32_outside(loc: &Rc<Expr>, _o: &Rc<Expr>) -> bool {
+/// Like [`ExprArena::contains_mul_by`]`(32)` but only outside nested loads.
+fn mul32_outside(arena: &ExprArena, loc: ExprId) -> bool {
     let mut found = false;
-    walk_outside_loads(loc, &mut |e| {
-        if let ExprKind::Binary(BinOp::Mul, a, b) = e.kind() {
-            let k = U256::from(32u64);
-            if a.as_const() == Some(k) || b.as_const() == Some(k) {
-                found = true;
-            }
-        }
-    });
+    walk_outside_loads(arena, loc, &mut |k| found |= is_mul32(arena, k));
     found
 }
 
-/// True if the expression contains `x + 31` anywhere (the `bytes` padding
-/// round-up of rule R8).
-fn contains_add_of(e: &Rc<Expr>, k: u64) -> bool {
-    let kc = U256::from(k);
-    let mut found = false;
-    e.walk(&mut |n| {
-        if let ExprKind::Binary(BinOp::Add, a, b) = n.kind() {
-            if a.as_const() == Some(kc) || b.as_const() == Some(kc) {
-                found = true;
-            }
-        }
-    });
-    found
+/// A multiplication with the constant 32 as an operand.
+fn is_mul32(arena: &ExprArena, k: &ExprKind) -> bool {
+    let k32 = Some(U256::from(32u64));
+    matches!(*k, ExprKind::Binary(BinOp::Mul, a, b) if arena.as_const(a) == k32 || arena.as_const(b) == k32)
 }
 
-/// Parses a rendered constant key like `0x44`.
-fn parse_hex_key(k: &str) -> Option<u64> {
-    let s = k.strip_prefix("0x")?;
-    u64::from_str_radix(s, 16).ok()
+/// A location's constant calldata offset, if it is a constant that fits
+/// `u64`.
+fn const_offset(arena: &ExprArena, loc: ExprId) -> Option<u64> {
+    arena.as_const(loc).and_then(|v| v.as_u64())
 }
 
 struct LoadGroup {
-    loc: Rc<Expr>,
-    value: Rc<Expr>,
+    loc: ExprId,
+    value: ExprId,
     const_pos: Option<u64>,
 }
 
-fn group_loads(loads: &[LoadFact]) -> Vec<LoadGroup> {
+fn group_loads(arena: &ExprArena, loads: &[LoadFact]) -> Vec<LoadGroup> {
     let mut out: Vec<LoadGroup> = Vec::new();
     for l in loads {
-        let key = l.loc.key();
-        if out.iter().any(|g| g.loc.key() == key) {
+        if out.iter().any(|g| g.loc == l.loc) {
             continue;
         }
         out.push(LoadGroup {
-            loc: Rc::clone(&l.loc),
-            value: Rc::clone(&l.value),
-            const_pos: l.loc.eval().and_then(|v| v.as_u64()),
+            loc: l.loc,
+            value: l.value,
+            const_pos: arena.eval(l.loc).and_then(|v| v.as_u64()),
         });
     }
     out
@@ -1037,55 +1012,50 @@ mod tests {
     }
 
     #[test]
-    fn hex_key_parse() {
-        assert_eq!(parse_hex_key("0x44"), Some(0x44));
-        assert_eq!(parse_hex_key("cd[0x4]"), None);
-        assert_eq!(parse_hex_key("0xzz"), None);
-    }
-
-    #[test]
     fn facts_index_matches_linear_scans() {
-        use crate::expr::bin;
         use crate::facts::{LoadFact, UseFact};
 
         let mut f = FunctionFacts::default();
-        let base = Expr::c64(4);
-        let o = Expr::calldata_word(Rc::clone(&base));
+        let a = &mut f.arena;
+        let base = a.c64(4);
+        let o = a.calldata_word(base);
+        let c32 = a.c64(32);
+        let inner_loc = a.bin(BinOp::Add, o, c32);
+        let inner = a.calldata_word(inner_loc);
+        let k24 = a.c64(0x24);
         f.add_load(LoadFact {
             pc: 1,
-            loc: Rc::clone(&base),
-            value: Rc::clone(&o),
+            loc: base,
+            value: o,
         });
-        let inner_loc = bin(BinOp::Add, Rc::clone(&o), Expr::c64(32));
-        let inner = Expr::calldata_word(Rc::clone(&inner_loc));
         f.add_load(LoadFact {
             pc: 2,
-            loc: Rc::clone(&inner_loc),
-            value: Rc::clone(&inner),
+            loc: inner_loc,
+            value: inner,
         });
         // Duplicate key within one use must still count that use once.
         f.add_use(UseFact {
             pc: 3,
-            keys: vec!["0x4".into(), "0x4".into()],
+            keys: vec![base, base],
             usage: Usage::Arithmetic,
         });
         f.add_use(UseFact {
             pc: 4,
-            keys: vec!["0x24".into()],
+            keys: vec![k24],
             usage: Usage::ByteExtract,
         });
 
         let idx = FactsIndex::build(&f);
 
-        // Containment agrees with the linear `loc.contains` scan: the
-        // second load addresses through `o`, the first does not.
-        let by_o = idx.loads_by_node.get(&o.dag_hash()).unwrap();
+        // Containment agrees with the linear `contains` scan: the second
+        // load addresses through `o`, the first does not.
+        let by_o = idx.loads_by_node.get(&o).unwrap();
         assert_eq!(by_o, &vec![1u32]);
-        assert!(!idx.loads_by_node.contains_key(&inner.dag_hash()));
+        assert!(!idx.loads_by_node.contains_key(&inner));
 
         // Key table: one entry per use, original order, no duplicates.
-        assert_eq!(idx.uses_by_key.get("0x4"), Some(&vec![0u32]));
-        assert_eq!(idx.uses_by_key.get("0x24"), Some(&vec![1u32]));
+        assert_eq!(idx.uses_by_key.get(&base), Some(&vec![0u32]));
+        assert_eq!(idx.uses_by_key.get(&k24), Some(&vec![1u32]));
 
         // Offset table supports range queries over parsed constants.
         let in_range: Vec<u32> = idx

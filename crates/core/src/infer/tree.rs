@@ -8,13 +8,13 @@
 //! * **load groups** — distinct locations in first-load order, each with
 //!   its constant offset (if any) pre-evaluated: the static-offset
 //!   candidates of the tree's coarse stage;
-//! * **per-key refinement summaries** ([`RefineSummary`]) — every `Use`
-//!   fact is decoded once ([`DecodedUsage`]: mask width class, sign
+//! * **per-location refinement summaries** ([`RefineSummary`]) — every
+//!   `Use` fact is decoded once ([`DecodedUsage`]: mask width class, sign
 //!   extension, compare/arithmetic context, Vyper range class) and folded
-//!   into a feature bitset per location key, so refinement later
+//!   into a feature bitset per location it names, so refinement later
 //!   dispatches on the summary instead of re-scanning and re-decoding the
 //!   use list per candidate;
-//! * **node-membership sets** — the dag-hash sets answering the shared
+//! * **node-membership tables** — id-indexed marks answering the shared
 //!   prefix tests ("is this value a base of another load?", "does a copy
 //!   read through it?") in O(1), where the per-rule engine re-walks every
 //!   copy expression per candidate.
@@ -25,11 +25,11 @@
 //! emitted in exactly the same sequence. The rare dynamic-shape paths
 //! (R1/R2/R5–R10/R17/R19/R21–R23) intentionally share the reference
 //! engine's predicate helpers (`const_guard_bounds`, `loop_bounds_for`,
-//! `is_one_level`, `syms_outside`, …): they run a handful of times per
-//! contract, and sharing the code makes divergence structurally
-//! impossible there. What the tree engine compiles away is the hot path —
-//! group construction, marker detection and refinement, which the profile
-//! shows dominate (R4/R11/R12/R13 on basic parameters).
+//! `walk_outside_loads`, …): they run a handful of times per contract,
+//! and sharing the code makes divergence structurally impossible there.
+//! What the tree engine compiles away is the hot path — group
+//! construction, marker detection and refinement, which the profile shows
+//! dominate (R4/R11/R12/R13 on basic parameters).
 //!
 //! ## Soundness of hoisting the shared prefix tests
 //!
@@ -37,185 +37,91 @@
 //! [`FunctionFacts`], so evaluating it at index-build time instead of at
 //! each rule's probe site cannot change its value — only rule *emission*
 //! is order-sensitive, and the match stage preserves the reference
-//! emission order exactly. The two probes the bitsets replace are both
-//! hash-membership tests the reference engine already treats as equality
-//! (`Expr::contains` and `PartialEq` match by cached dag hash), so the
-//! precomputed node sets answer them identically. The refinement
-//! dispatch is sound because [`RefineSummary::fold`] is idempotent and
-//! order-insensitive by construction (minima and monotone flags), except
-//! for the one order-sensitive rule pair in the reference —
-//! R27/R30's "first matching range check wins" — which the summary
-//! preserves explicitly by tracking the minimum use index
-//! ([`RefineSummary::first_uns`]). [`refine_summary`] then mirrors the
-//! reference decision order test for test, mapping each feature
-//! signature to a static rule slice.
+//! emission order exactly. The two probes the tables replace are id tests
+//! in the reference engine too (`ExprArena::contains` and id equality),
+//! and arena ids are exact, so the precomputed tables answer them
+//! identically. The refinement dispatch is sound because
+//! [`RefineSummary::fold`] is idempotent and order-insensitive by
+//! construction (minima and monotone flags), except for the one
+//! order-sensitive rule pair in the reference — R27/R30's "first matching
+//! range check wins" — which the summary preserves explicitly by tracking
+//! the minimum use index ([`RefineSummary::first_uns`]).
+//! [`refine_summary`] then mirrors the reference decision order test for
+//! test, mapping each feature signature to a static rule slice.
 //!
 //! ## Key identity without strings
 //!
-//! The reference engine matches use facts to locations by rendered key
-//! strings ([`Expr::key`]). That rendering is canonical and injective —
-//! a constant location renders as its hex offset, anything else as its
-//! dag hash — so the tree engine matches by the parsed `(domain, value)`
-//! identity instead ([`use_key_mix`]/[`loc_key_mix`]): the same match
-//! relation with no string formatting, hashing or comparison on the hot
-//! path, at the ~2⁻⁶⁴ hash-collision odds the expression layer already
-//! accepts for dag hashes.
+//! A use fact names the locations it touches by [`ExprId`], the same ids
+//! the load facts carry, so both engines match uses to loads by id
+//! equality: no key is rendered, parsed or hashed, and since arena
+//! identity is exact there are no collision odds to accept. The tree
+//! engine resolves a location's summary through an id-indexed table.
 //!
 //! [`InferEngine::Tree`]: super::InferEngine::Tree
 
 use super::{
-    const_guard_bounds, contains_add_of, is_count_like, is_guard_bound, loop_bounds_for,
-    parse_hex_key, signed_bound_matches, vyperise, walk_outside_loads, Bound, Candidate, Language,
+    const_guard_bounds, const_offset, is_count_like, is_guard_bound, is_mul32, loop_bounds_for,
+    signed_bound_matches, vyperise, walk_outside_loads, Bound, Candidate, Language,
     RecoveredParams,
 };
-use crate::expr::{BinOp, Expr, ExprKind};
+use crate::expr::{BinOp, ExprArena, ExprId, ExprKind, Marks, MAX_POOLED_NODES};
 use crate::facts::{CopyFact, FunctionFacts, Usage};
 use crate::rules::RuleId;
 use sigrec_abi::AbiType;
 use sigrec_evm::U256;
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::rc::Rc;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Dag hashes are already well-mixed 64-bit values; hashing them again
-/// through SipHash would only burn cycles on the hottest probe in the
-/// matcher. Same idiom as the expression interner's key hasher.
-#[derive(Default)]
-struct NodeHasher(u64);
+/// An empty slot of an id-indexed table.
+const NONE: u32 = u32::MAX;
 
-impl std::hash::Hasher for NodeHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("node keys hash through write_u64")
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type NodeBuild = std::hash::BuildHasherDefault<NodeHasher>;
-type NodeMap<V> = HashMap<u64, V, NodeBuild>;
-type NodeSet = HashSet<u64, NodeBuild>;
-
-/// Largest hash-container capacity worth keeping warm in the recycled
-/// indexes. Clearing a hash table costs O(capacity), so one giant
-/// (possibly adversarial) function must not tax every later function on
-/// the worker — nor pin its memory in thread-local storage forever.
-const MAX_POOLED_CAPACITY: usize = 4096;
-
-fn clear_set(s: &mut NodeSet) {
-    if s.capacity() > MAX_POOLED_CAPACITY {
-        *s = NodeSet::default();
+/// Empties a recycled table, dropping its allocation when one giant
+/// (possibly hostile) function grew it past what the arena itself keeps:
+/// that memory must not stay pinned in thread-local storage.
+fn recycle<T>(v: &mut Vec<T>) {
+    if v.capacity() > MAX_POOLED_NODES {
+        *v = Vec::new();
     } else {
-        s.clear();
-    }
-}
-
-fn clear_map<V>(m: &mut NodeMap<V>) {
-    if m.capacity() > MAX_POOLED_CAPACITY {
-        *m = NodeMap::default();
-    } else {
-        m.clear();
+        v.clear();
     }
 }
 
 thread_local! {
     /// Recycled index containers. A batch worker runs inference for
-    /// thousands of functions back to back; rebuilding the index's hash
-    /// tables and vectors from scratch each time spends more wall clock
-    /// on the allocator than on the facts. Build takes a cleared index
-    /// from here (capacity intact from the largest function seen so
-    /// far), and [`TreeInference`]'s drop returns it.
+    /// thousands of functions back to back; rebuilding the index's tables
+    /// and vectors from scratch each time spends more wall clock on the
+    /// allocator than on the facts. Build takes a cleared index from here
+    /// (capacity intact from the largest function seen so far), and
+    /// [`TreeInference`]'s drop returns it.
     static IDX_POOL: Cell<Option<TreeIndex>> = const { Cell::new(None) };
     /// Same recycling for the lazily built dynamic-shape index.
     static DYN_POOL: Cell<Option<DynIndex>> = const { Cell::new(None) };
 }
 
-// Domain tags for [`mix`], keeping constant-offset, node-hash and raw-string
-// key identities in disjoint namespaces.
-const TAG_OFF: u64 = 0x9e37_79b9_7f4a_7c15;
-const TAG_NODE: u64 = 0xc2b2_ae3d_27d4_eb4f;
-const TAG_STR: u64 = 0x1656_67b1_9e37_79f9;
-
-/// SplitMix64 finalizer: spreads a tagged 64-bit identity over the whole
-/// key space before it enters a [`NodeMap`].
-fn mix(tag: u64, v: u64) -> u64 {
-    let mut z = v ^ tag;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h = (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The compact identity of a rendered use key. [`Expr::key`] renders a
-/// constant location as `0x{offset:x}` and every other location as
-/// `e{dag_hash:016x}`, so two keys are string-equal exactly when their
-/// parsed (domain, value) identities are equal — matching by this mix is
-/// the reference engine's string match without rendering or hashing a
-/// string per probe. Unparseable keys (constants beyond `u64`) fall back
-/// to an FNV-1a string hash; every path shares the expression layer's
-/// documented ~2⁻⁶⁴ hash-collision gamble.
-fn use_key_mix(k: &str) -> u64 {
-    if let Some(off) = parse_hex_key(k) {
-        return mix(TAG_OFF, off);
-    }
-    if let Some(rest) = k.strip_prefix('e') {
-        if rest.len() == 16 {
-            if let Ok(h) = u64::from_str_radix(rest, 16) {
-                return mix(TAG_NODE, h);
-            }
-        }
-    }
-    mix(TAG_STR, fnv1a(k))
-}
-
-/// [`Expr::walk`] specialised for the index builders: the memo is keyed
-/// by dag hash in a caller-supplied [`NodeSet`] (reused across calls, or
-/// doubling as the result set when accumulating a union — interning makes
-/// hash identity node identity, at the expression layer's documented
-/// ~2⁻⁶⁴ collision odds), and traversal prunes calldata-*independent*
-/// subtrees via the O(1) cached flag. The node sets built with it are
-/// only ever probed for `CalldataWord` hashes — offset markers,
-/// containment, the between-loads test — and calldata words occur
-/// exclusively inside dependent subtrees, so skipping the (usually
-/// dominant) constant and symbolic arithmetic around them cannot change
-/// any probe's answer.
-fn walk_dep(e: &Rc<Expr>, seen: &mut NodeSet, f: &mut impl FnMut(&Rc<Expr>)) {
-    if !e.depends_on_calldata() || !seen.insert(e.dag_hash()) {
+/// [`ExprArena::walk`] specialised for the index builders: the visit
+/// marks are caller-supplied (reused across calls, or doubling as the
+/// result set when accumulating a union), and traversal prunes
+/// calldata-*independent* subtrees via the O(1) cached flag. The node
+/// tables built with it are only ever probed for `CalldataWord` ids —
+/// offset markers, containment, the between-loads test — and calldata
+/// words occur exclusively inside dependent subtrees, so skipping the
+/// (usually dominant) constant and symbolic arithmetic around them cannot
+/// change any probe's answer.
+fn walk_dep(arena: &ExprArena, e: ExprId, seen: &mut Marks, f: &mut impl FnMut(ExprId, &ExprKind)) {
+    if !arena.depends_on_calldata(e) || !seen.insert(e) {
         return;
     }
-    f(e);
-    match e.kind() {
-        ExprKind::CalldataWord(loc) => walk_dep(loc, seen, f),
-        ExprKind::Unary(_, a) => walk_dep(a, seen, f),
+    let kind = arena.kind(e);
+    f(e, kind);
+    match *kind {
+        ExprKind::CalldataWord(a) | ExprKind::Unary(_, a) => walk_dep(arena, a, seen, f),
         ExprKind::Binary(_, a, b) => {
-            walk_dep(a, seen, f);
-            walk_dep(b, seen, f);
+            walk_dep(arena, a, seen, f);
+            walk_dep(arena, b, seen, f);
         }
         _ => {}
     }
-}
-
-/// [`use_key_mix`] computed from the location expression itself — what
-/// `use_key_mix(&loc.key())` would return, without rendering the key.
-fn loc_key_mix(loc: &Expr) -> u64 {
-    if let ExprKind::Const(v) = loc.kind() {
-        return match v.as_u64() {
-            Some(off) => mix(TAG_OFF, off),
-            None => mix(TAG_STR, fnv1a(&loc.key())),
-        };
-    }
-    mix(TAG_NODE, loc.dag_hash())
 }
 
 /// Usage feature flags folded into [`RefineSummary::flags`].
@@ -455,16 +361,16 @@ fn refine_summary(s: &RefineSummary) -> (AbiType, &'static [RuleId]) {
 }
 
 /// One distinct load location, in first-load order (the dedup the
-/// per-rule engine derives with an O(n²) key comparison per run).
+/// per-rule engine derives with an O(n²) location comparison per run).
 struct Group {
-    loc: Rc<Expr>,
-    value: Rc<Expr>,
+    loc: ExprId,
+    value: ExprId,
     /// The location's constant calldata offset, pre-evaluated. `None`
     /// keeps dynamic-offset candidates (symbolic or offset-rooted
     /// locations) out of every static-offset stage.
     const_pos: Option<u64>,
-    /// Index into the summary pool for this location's key, resolved at
-    /// build time so basic-parameter refinement needs no key rendering.
+    /// Index into the summary pool for this location, resolved at build
+    /// time so basic-parameter refinement needs no lookup.
     summary: Option<u32>,
 }
 
@@ -473,35 +379,35 @@ struct Group {
 #[derive(Default)]
 struct TreeIndex {
     groups: Vec<Group>,
-    /// Dag hashes of every *calldata-dependent* node inside a load
-    /// location (shared prefix test: "is this value addressed through?").
-    /// Restricting to calldata-dependent nodes is sound because the
-    /// values probed are always calldata words, which cannot occur inside
-    /// a calldata-independent expression (see [`walk_dep`]).
-    referenced: NodeSet,
-    /// Dag hashes of every node inside any copy's calldata-dependent
-    /// source or length (shared prefix test: "does a copy read through
-    /// this value?"), restricted the same way.
-    copy_ref_nodes: NodeSet,
+    /// Every *calldata-dependent* node inside a load location (shared
+    /// prefix test: "is this value addressed through?"). Restricting to
+    /// calldata-dependent nodes is sound because the values probed are
+    /// always calldata words, which cannot occur inside a
+    /// calldata-independent expression (see [`walk_dep`]).
+    referenced: Marks,
+    /// Every node inside any copy's calldata-dependent source or length
+    /// (shared prefix test: "does a copy read through this value?"),
+    /// restricted the same way.
+    copy_ref_nodes: Marks,
     /// Per-copy `[start, end)` ranges into `copy_src_arena`, for the
     /// which-copies-read-this-offset filter of the copied-parameter path.
     copy_src_ranges: Vec<(u32, u32)>,
-    /// Sorted calldata-dependent node hashes of every copy source, packed
+    /// Sorted calldata-dependent node ids of every copy source, packed
     /// end to end (one allocation for all copies instead of one each).
-    copy_src_arena: Vec<u64>,
-    /// Folded refinement summaries, indexed by `entry_by_key`.
+    copy_src_arena: Vec<ExprId>,
+    /// Folded refinement summaries, indexed by `entry_of`.
     entries: Vec<RefineSummary>,
-    /// Key-identity mix ([`use_key_mix`]) → entry index.
-    entry_by_key: NodeMap<u32>,
+    /// Location id → entry index ([`NONE`] for a location no use names).
+    entry_of: Vec<u32>,
     /// Per-use decoded features, for re-folding over a copied region —
     /// only kept when the function copies calldata (the sole consumer is
     /// the static-region element refinement of R6/R9).
     decoded: Vec<DecodedUsage>,
-    /// Use indices by parsed constant offset, gated the same way.
+    /// Use indices by constant offset, gated the same way.
     uses_by_offset: BTreeMap<u64, Vec<u32>>,
-    /// Reused working set: key-mix dedup in the group pass, then the
+    /// Reused visit marks: location dedup in the group pass, then the
     /// per-copy walk memo.
-    scratch: NodeSet,
+    scratch: Marks,
     /// Recycled candidate buffer for [`TreeInference::run`] (drained into
     /// the result each run, so only its capacity survives here).
     cand_pool: Vec<Candidate>,
@@ -520,28 +426,31 @@ impl TreeIndex {
     }
 
     fn clear(&mut self) {
-        self.groups.clear();
-        clear_set(&mut self.referenced);
-        clear_set(&mut self.copy_ref_nodes);
-        self.copy_src_ranges.clear();
-        self.copy_src_arena.clear();
-        self.entries.clear();
-        clear_map(&mut self.entry_by_key);
-        self.decoded.clear();
+        recycle(&mut self.groups);
+        self.referenced.recycle();
+        self.copy_ref_nodes.recycle();
+        recycle(&mut self.copy_src_ranges);
+        recycle(&mut self.copy_src_arena);
+        recycle(&mut self.entries);
+        recycle(&mut self.entry_of);
+        recycle(&mut self.decoded);
         self.uses_by_offset.clear();
-        clear_set(&mut self.scratch);
+        self.scratch.recycle();
         self.cand_pool.clear();
         self.marker_pool.clear();
         self.deep_pool.clear();
     }
 
-    /// The sorted dependent-node hashes of copy `i`'s source.
-    fn copy_src(&self, i: usize) -> &[u64] {
+    /// The sorted dependent-node ids of copy `i`'s source.
+    fn copy_src(&self, i: usize) -> &[ExprId] {
         let (a, b) = self.copy_src_ranges[i];
         &self.copy_src_arena[a as usize..b as usize]
     }
 
     fn fill(&mut self, facts: &FunctionFacts) {
+        let arena = &facts.arena;
+        let n = arena.len();
+        self.entry_of.resize(n, NONE);
         // Stage 0a: decode every use once and fold it into its keys'
         // summaries. Duplicate keys within one use fold idempotently, so
         // no dedup pass is needed (the offset table still dedups: its
@@ -552,20 +461,15 @@ impl TreeIndex {
             if has_copies {
                 self.decoded.push(d);
             }
-            for k in &u.keys {
-                let off = parse_hex_key(k);
-                let km = match off {
-                    Some(o) => mix(TAG_OFF, o),
-                    None => use_key_mix(k),
-                };
-                let entries = &mut self.entries;
-                let si = *self.entry_by_key.entry(km).or_insert_with(|| {
-                    entries.push(RefineSummary::default());
-                    (entries.len() - 1) as u32
-                });
-                self.entries[si as usize].fold(i as u32, d);
+            for &k in &u.keys {
+                let slot = &mut self.entry_of[k.index()];
+                if *slot == NONE {
+                    *slot = self.entries.len() as u32;
+                    self.entries.push(RefineSummary::default());
+                }
+                self.entries[*slot as usize].fold(i as u32, d);
                 if has_copies {
-                    if let Some(o) = off {
+                    if let Some(o) = const_offset(arena, k) {
                         self.uses_by_offset.entry(o).or_default().push(i as u32);
                     }
                 }
@@ -575,22 +479,24 @@ impl TreeIndex {
             v.dedup();
         }
 
-        // Stage 0b: load groups (key-deduped, first-load order) and the
-        // referenced-node set. `referenced` doubles as the walk memo: it
-        // *is* the union of visited (calldata-dependent) nodes, so
+        // Stage 0b: load groups (location-deduped, first-load order) and
+        // the referenced-node set. `referenced` doubles as the walk memo:
+        // it *is* the union of visited (calldata-dependent) nodes, so
         // subtrees shared across loads walk once.
+        self.referenced.reset(n);
+        self.scratch.reset(n);
         self.groups.reserve(facts.loads.len());
         for l in &facts.loads {
-            walk_dep(&l.loc, &mut self.referenced, &mut |_| {});
-            let km = loc_key_mix(&l.loc);
-            if !self.scratch.insert(km) {
+            walk_dep(arena, l.loc, &mut self.referenced, &mut |_, _| {});
+            if !self.scratch.insert(l.loc) {
                 continue;
             }
+            let entry = self.entry_of[l.loc.index()];
             self.groups.push(Group {
-                loc: Rc::clone(&l.loc),
-                value: Rc::clone(&l.value),
-                const_pos: l.loc.eval().and_then(|v| v.as_u64()),
-                summary: self.entry_by_key.get(&km).copied(),
+                loc: l.loc,
+                value: l.value,
+                const_pos: arena.eval(l.loc).and_then(|v| v.as_u64()),
+                summary: (entry != NONE).then_some(entry),
             });
         }
 
@@ -604,15 +510,18 @@ impl TreeIndex {
             scratch,
             ..
         } = self;
+        copy_ref_nodes.reset(n);
         for c in &facts.copies {
             let s0 = copy_src_arena.len();
             // Per-copy memo (the source range must be per copy), range
             // already deduped by it.
-            scratch.clear();
-            walk_dep(&c.src, scratch, &mut |e| copy_src_arena.push(e.dag_hash()));
+            scratch.reset(n);
+            walk_dep(arena, c.src, scratch, &mut |id, _| copy_src_arena.push(id));
             copy_src_arena[s0..].sort_unstable();
-            copy_ref_nodes.extend(copy_src_arena[s0..].iter().copied());
-            walk_dep(&c.len, copy_ref_nodes, &mut |_| {});
+            for &id in &copy_src_arena[s0..] {
+                copy_ref_nodes.insert(id);
+            }
+            walk_dep(arena, c.len, copy_ref_nodes, &mut |_, _| {});
             copy_src_ranges.push((s0 as u32, copy_src_arena.len() as u32));
         }
     }
@@ -625,32 +534,31 @@ impl TreeIndex {
 struct DynLoad {
     /// Index into `facts.loads`.
     load: u32,
-    /// `Rc` pointer identity of the load's value (the interner guarantees
-    /// pointer equality for structurally equal expressions), for the
-    /// reference's `!Rc::ptr_eq(&l.value, o)` self-load filter.
-    value_ptr: usize,
-    /// Range in [`DynIndex::node_arena`]: sorted dag hashes of the
-    /// location's calldata-dependent nodes ([`walk_dep`]), so
-    /// `loc.contains(o)` becomes a binary search.
+    /// The load's value, for the reference's `l.value != o` self-load
+    /// filter.
+    value: ExprId,
+    /// Range in [`DynIndex::node_arena`]: sorted ids of the location's
+    /// calldata-dependent nodes ([`walk_dep`]), so `contains(loc, o)`
+    /// becomes a binary search.
     nodes: (u32, u32),
     /// Range in [`DynIndex::cw_arena`]: indices into [`DynIndex::cwords`]
     /// of every `CalldataWord` node in the location's dag (nested ones
     /// included).
     cwords: (u32, u32),
-    /// Range in [`DynIndex::sym_arena`]: `syms_outside(loc, _)` — free
+    /// Range in [`DynIndex::sym_arena`]: `syms_outside(loc)` — free
     /// symbols outside nested loads, sorted and deduped.
     syms: (u32, u32),
-    /// `mul32_outside(loc, _)` — a ×32 stride outside nested loads.
+    /// `mul32_outside(loc)` — a ×32 stride outside nested loads.
     mul32_out: bool,
 }
 
 /// A distinct `CalldataWord` node occurring inside some load location.
 struct CwordInfo {
-    hash: u64,
-    /// Range in [`DynIndex::cw_node_arena`]: sorted dag hashes of the
-    /// word's own location subtree (pruned like [`DynLoad::nodes`]),
-    /// answering `Expr::has_load_between`'s "does this intermediate
-    /// load's location contain the needle?" by binary search.
+    id: ExprId,
+    /// Range in [`DynIndex::cw_node_arena`]: sorted ids of the word's own
+    /// location subtree (pruned like [`DynLoad::nodes`]), answering
+    /// `ExprArena::has_load_between`'s "does this intermediate load's
+    /// location contain the needle?" by binary search.
     loc_nodes: (u32, u32),
 }
 
@@ -664,12 +572,13 @@ struct CwordInfo {
 struct DynIndex {
     loads: Vec<DynLoad>,
     cwords: Vec<CwordInfo>,
-    node_arena: Vec<u64>,
+    node_arena: Vec<ExprId>,
     cw_arena: Vec<u32>,
     sym_arena: Vec<u32>,
-    cw_node_arena: Vec<u64>,
-    cword_by_hash: NodeMap<u32>,
-    scratch: NodeSet,
+    cw_node_arena: Vec<ExprId>,
+    /// `CalldataWord` id → index into `cwords` ([`NONE`] until seen).
+    cword_of: Vec<u32>,
+    scratch: Marks,
 }
 
 impl DynIndex {
@@ -681,17 +590,19 @@ impl DynIndex {
     }
 
     fn clear(&mut self) {
-        self.loads.clear();
-        self.cwords.clear();
-        self.node_arena.clear();
-        self.cw_arena.clear();
-        self.sym_arena.clear();
-        self.cw_node_arena.clear();
-        clear_map(&mut self.cword_by_hash);
-        clear_set(&mut self.scratch);
+        recycle(&mut self.loads);
+        recycle(&mut self.cwords);
+        recycle(&mut self.node_arena);
+        recycle(&mut self.cw_arena);
+        recycle(&mut self.sym_arena);
+        recycle(&mut self.cw_node_arena);
+        recycle(&mut self.cword_of);
+        self.scratch.recycle();
     }
 
     fn fill(&mut self, facts: &FunctionFacts) {
+        let arena = &facts.arena;
+        let n = arena.len();
         let DynIndex {
             loads,
             cwords,
@@ -699,57 +610,54 @@ impl DynIndex {
             cw_arena,
             sym_arena,
             cw_node_arena,
-            cword_by_hash,
+            cword_of,
             scratch,
         } = self;
-        let k32 = U256::from(32u64);
-        // Reused per load; holds each word's hash and location until the
-        // outer walk finishes (the memo must not be cleared mid-walk).
-        let mut cw_locs: Vec<(u64, Rc<Expr>)> = Vec::new();
+        cword_of.resize(n, NONE);
+        // Reused per load; holds each word's id and location until the
+        // outer walk finishes (the memo must not be reset mid-walk).
+        let mut cw_locs: Vec<(ExprId, ExprId)> = Vec::new();
         for (i, l) in facts.loads.iter().enumerate() {
-            if !l.loc.depends_on_calldata() {
+            if !arena.depends_on_calldata(l.loc) {
                 continue;
             }
             let n0 = node_arena.len();
             cw_locs.clear();
-            scratch.clear();
-            walk_dep(&l.loc, scratch, &mut |e| {
-                node_arena.push(e.dag_hash());
-                if let ExprKind::CalldataWord(loc) = e.kind() {
-                    cw_locs.push((e.dag_hash(), Rc::clone(loc)));
+            scratch.reset(n);
+            walk_dep(arena, l.loc, scratch, &mut |id, kind| {
+                node_arena.push(id);
+                if let ExprKind::CalldataWord(loc) = *kind {
+                    cw_locs.push((id, loc));
                 }
             });
             node_arena[n0..].sort_unstable();
             let c0 = cw_arena.len();
-            for (h, loc) in cw_locs.drain(..) {
-                let ci = *cword_by_hash.entry(h).or_insert_with(|| {
+            for &(id, loc) in &cw_locs {
+                if cword_of[id.index()] == NONE {
                     let l0 = cw_node_arena.len();
-                    scratch.clear();
-                    walk_dep(&loc, scratch, &mut |e| cw_node_arena.push(e.dag_hash()));
+                    scratch.reset(n);
+                    walk_dep(arena, loc, scratch, &mut |e, _| cw_node_arena.push(e));
                     cw_node_arena[l0..].sort_unstable();
+                    cword_of[id.index()] = cwords.len() as u32;
                     cwords.push(CwordInfo {
-                        hash: h,
+                        id,
                         loc_nodes: (l0 as u32, cw_node_arena.len() as u32),
                     });
-                    (cwords.len() - 1) as u32
-                });
-                cw_arena.push(ci);
+                }
+                cw_arena.push(cword_of[id.index()]);
             }
             let s0 = sym_arena.len();
             let mut mul32_out = false;
-            walk_outside_loads(&l.loc, &mut |e| match e.kind() {
-                ExprKind::FreeSym(id) => sym_arena.push(*id),
-                ExprKind::Binary(BinOp::Mul, a, b)
-                    if (a.as_const() == Some(k32) || b.as_const() == Some(k32)) =>
-                {
-                    mul32_out = true;
+            walk_outside_loads(arena, l.loc, &mut |k| {
+                if let ExprKind::FreeSym(s) = *k {
+                    sym_arena.push(s);
                 }
-                _ => {}
+                mul32_out |= is_mul32(arena, k);
             });
             sym_arena[s0..].sort_unstable();
             // In-place dedup of the fresh tail (`Vec::dedup` over a
             // subrange): keeps the range sorted+deduped exactly like the
-            // reference's `free_syms` post-processing.
+            // reference's `syms_outside` post-processing.
             let mut w = s0;
             for r in s0..sym_arena.len() {
                 if r == s0 || sym_arena[r] != sym_arena[w - 1] {
@@ -760,7 +668,7 @@ impl DynIndex {
             sym_arena.truncate(w);
             loads.push(DynLoad {
                 load: i as u32,
-                value_ptr: Rc::as_ptr(&l.value) as usize,
+                value: l.value,
                 nodes: (n0 as u32, node_arena.len() as u32),
                 cwords: (c0 as u32, cw_arena.len() as u32),
                 syms: (s0 as u32, sym_arena.len() as u32),
@@ -769,8 +677,8 @@ impl DynIndex {
         }
     }
 
-    /// The sorted node-hash slice for the load at `li`.
-    fn nodes(&self, li: usize) -> &[u64] {
+    /// The sorted node-id slice for the load at `li`.
+    fn nodes(&self, li: usize) -> &[ExprId] {
         let (a, b) = self.loads[li].nodes;
         &self.node_arena[a as usize..b as usize]
     }
@@ -781,22 +689,22 @@ impl DynIndex {
         &self.sym_arena[a as usize..b as usize]
     }
 
-    /// `loc.contains(o)` for the load at `li`, by hash — exactly the
-    /// relation `Expr::contains` computes.
-    fn contains(&self, li: usize, o_hash: u64) -> bool {
-        self.nodes(li).binary_search(&o_hash).is_ok()
+    /// `contains(loc, o)` for the load at `li`.
+    fn contains(&self, li: usize, o: ExprId) -> bool {
+        self.nodes(li).binary_search(&o).is_ok()
     }
 
     /// `is_one_level(loc, o)`: no `CalldataWord` other than `o` itself
-    /// has `o` inside its location ([`Expr::has_load_between`] negated).
-    fn one_level(&self, li: usize, o_hash: u64) -> bool {
+    /// has `o` inside its location ([`ExprArena::has_load_between`]
+    /// negated).
+    fn one_level(&self, li: usize, o: ExprId) -> bool {
         let (a, b) = self.loads[li].cwords;
         !self.cw_arena[a as usize..b as usize].iter().any(|&ci| {
             let cw = &self.cwords[ci as usize];
             let (la, lb) = cw.loc_nodes;
-            cw.hash != o_hash
+            cw.id != o
                 && self.cw_node_arena[la as usize..lb as usize]
-                    .binary_search(&o_hash)
+                    .binary_search(&o)
                     .is_ok()
         })
     }
@@ -819,6 +727,7 @@ struct DeepView {
 /// every behavioural comment lives on the reference implementation.
 pub(super) struct TreeInference<'a> {
     facts: &'a FunctionFacts,
+    arena: &'a ExprArena,
     idx: TreeIndex,
     dyn_idx: Option<DynIndex>,
     rules: Vec<RuleId>,
@@ -843,6 +752,7 @@ impl<'a> TreeInference<'a> {
     pub(super) fn new(facts: &'a FunctionFacts) -> Self {
         TreeInference {
             facts,
+            arena: &facts.arena,
             idx: TreeIndex::build(facts),
             dyn_idx: None,
             rules: Vec::new(),
@@ -862,19 +772,17 @@ impl<'a> TreeInference<'a> {
     /// location contains `o` but whose value is not `o` itself, with
     /// their per-`o` predicates resolved — in original load order, like
     /// the reference's `loads_containing` filter chain.
-    fn deep_views(&self, o: &Rc<Expr>, out: &mut Vec<DeepView>) {
+    fn deep_views(&self, o: ExprId, out: &mut Vec<DeepView>) {
         let dynx = self.dyn_idx.as_ref().expect("dyn index built");
-        let oh = o.dag_hash();
-        let op = Rc::as_ptr(o) as usize;
         out.extend(
             dynx.loads
                 .iter()
                 .enumerate()
-                .filter(|(li, dl)| dl.value_ptr != op && dynx.contains(*li, oh))
+                .filter(|(li, dl)| dl.value != o && dynx.contains(*li, o))
                 .map(|(li, dl)| DeepView {
                     li: li as u32,
                     load: dl.load,
-                    one_level: dynx.one_level(li, oh),
+                    one_level: dynx.one_level(li, o),
                     has_syms: dl.syms.0 != dl.syms.1,
                     mul32: dl.mul32_out,
                 }),
@@ -892,24 +800,23 @@ impl<'a> TreeInference<'a> {
         for gi in 0..n {
             let g = &self.idx.groups[gi];
             let Some(pos) = g.const_pos else { continue };
-            if pos < 4 || !self.is_offset_marker(&g.value) {
+            if pos < 4 || !self.is_offset_marker(g.value) {
                 continue;
             }
-            // The clone (classification needs `&mut self`) only happens
-            // for actual markers, not every static group.
-            let value = Rc::clone(&g.value);
+            let value = g.value;
             markers.push(gi);
-            let ty = self.classify_offset_param(&value);
+            let ty = self.classify_offset_param(value);
             candidates.push(Candidate { start: pos, ty });
         }
         // Stage 2: public static arrays — constant-source copies.
+        let arena = self.arena;
         let mut static_copy_ranges: Vec<(u64, u64)> = Vec::new();
         for copy in &self.facts.copies {
-            if copy.src.depends_on_calldata() {
+            if arena.depends_on_calldata(copy.src) {
                 continue;
             }
-            let base = copy.src.const_addend().as_u64().unwrap_or(0);
-            let Some(len) = copy.len.eval().and_then(|v| v.as_u64()) else {
+            let base = arena.const_addend(copy.src).as_u64().unwrap_or(0);
+            let Some(len) = arena.eval(copy.len).and_then(|v| v.as_u64()) else {
                 continue;
             };
             if base < 4 || len == 0 || len % 32 != 0 {
@@ -954,14 +861,14 @@ impl<'a> TreeInference<'a> {
         let mut seen_bases: Vec<u64> = Vec::new();
         for gi in 0..n {
             let g = &self.idx.groups[gi];
-            if g.const_pos.is_some() || g.loc.depends_on_calldata() {
+            if g.const_pos.is_some() || arena.depends_on_calldata(g.loc) {
                 continue;
             }
-            let syms = g.loc.free_syms();
+            let syms = arena.free_syms(g.loc);
             if syms.is_empty() {
                 continue;
             }
-            let base = g.loc.const_addend().as_u64().unwrap_or(0);
+            let base = arena.const_addend(g.loc).as_u64().unwrap_or(0);
             if base < 4 || seen_bases.contains(&base) {
                 continue;
             }
@@ -1027,23 +934,21 @@ impl<'a> TreeInference<'a> {
 
     /// Shared prefix test, answered from the precomputed node sets: is
     /// `value` used as a base for other loads or copies?
-    fn is_offset_marker(&self, value: &Rc<Expr>) -> bool {
-        let h = value.dag_hash();
-        self.idx.referenced.contains(&h) || self.idx.copy_ref_nodes.contains(&h)
+    fn is_offset_marker(&self, value: ExprId) -> bool {
+        self.idx.referenced.contains(value) || self.idx.copy_ref_nodes.contains(value)
     }
 
     // ---- offset-rooted (dynamic) parameters ---------------------------
 
     /// Classifies a parameter whose offset word is `o`.
-    fn classify_offset_param(&mut self, o: &Rc<Expr>) -> AbiType {
+    fn classify_offset_param(&mut self, o: ExprId) -> AbiType {
         self.ensure_dyn();
-        let h = o.dag_hash();
         let copies: Vec<&CopyFact> = self
             .facts
             .copies
             .iter()
             .enumerate()
-            .filter(|(i, _)| self.idx.copy_src(*i).binary_search(&h).is_ok())
+            .filter(|(i, _)| self.idx.copy_src(*i).binary_search(&o).is_ok())
             .map(|(_, c)| c)
             .collect();
         if !copies.is_empty() {
@@ -1053,7 +958,8 @@ impl<'a> TreeInference<'a> {
     }
 
     /// Public-mode and Vyper copy patterns (R5–R10, R23).
-    fn classify_copied(&mut self, o: &Rc<Expr>, copies: &[&CopyFact]) -> AbiType {
+    fn classify_copied(&mut self, o: ExprId, copies: &[&CopyFact]) -> AbiType {
+        let arena = self.arena;
         let copy = copies[0];
         let num = self.find_num_value(o);
         if num.is_some() {
@@ -1062,9 +968,9 @@ impl<'a> TreeInference<'a> {
         if copies.len() == 1 {
             self.rules.push(RuleId::R5);
         }
-        if let Some(len) = copy.len.eval().and_then(|v| v.as_u64()) {
+        if let Some(len) = arena.eval(copy.len).and_then(|v| v.as_u64()) {
             // Constant length.
-            if copy.src.const_addend() == U256::from(4u64) && num.is_none() {
+            if arena.const_addend(copy.src) == U256::from(4u64) && num.is_none() {
                 // Vyper fixed-size byte array / string (R23): the copy
                 // starts at the num field itself and spans 32 + maxLen.
                 self.rules.push(RuleId::R23);
@@ -1102,7 +1008,7 @@ impl<'a> TreeInference<'a> {
             return AbiType::DynArray(Box::new(ty));
         }
         // Symbolic length.
-        if contains_add_of(&copy.len, 31) {
+        if arena.contains_op_by(copy.len, BinOp::Add, 31) {
             // bytes/string: length rounded up to a word multiple (R8).
             self.rules.push(RuleId::R8);
             return if self.has_byte_access(o) {
@@ -1112,7 +1018,7 @@ impl<'a> TreeInference<'a> {
                 AbiType::String
             };
         }
-        if copy.len.contains_mul_by(32) {
+        if arena.contains_mul_by(copy.len, 32) {
             // num × 32: one-dimensional dynamic array (R7).
             self.rules.push(RuleId::R7);
             let element = self.refine_dynamic_element(o);
@@ -1122,7 +1028,7 @@ impl<'a> TreeInference<'a> {
     }
 
     /// External-mode on-demand reads (R1/R2/R17/R21/R22).
-    fn classify_on_demand(&mut self, o: &Rc<Expr>) -> AbiType {
+    fn classify_on_demand(&mut self, o: ExprId) -> AbiType {
         // The view buffer is recycled through the index; a nested
         // classification (R22's inner marker) sees an empty pool and
         // allocates its own, which the unwind below then retains.
@@ -1139,10 +1045,7 @@ impl<'a> TreeInference<'a> {
         if num.is_some() {
             self.rules.push(RuleId::R1);
         }
-        let num_guarded = num
-            .as_ref()
-            .map(|n| is_guard_bound(self.facts, n))
-            .unwrap_or(false);
+        let num_guarded = num.is_some_and(|n| is_guard_bound(self.facts, n));
 
         if num_guarded {
             // Two-level chain under a num bound → nested array (R22).
@@ -1150,7 +1053,7 @@ impl<'a> TreeInference<'a> {
             // look like ×32 item loads.
             if let Some(inner_marker) = self.find_inner_marker(deep) {
                 self.rules.push(RuleId::R22);
-                let inner = self.classify_offset_param(&inner_marker);
+                let inner = self.classify_offset_param(inner_marker);
                 return AbiType::DynArray(Box::new(inner));
             }
             // Word-granular item with ×32 → dynamic array (R2). Items are
@@ -1162,8 +1065,8 @@ impl<'a> TreeInference<'a> {
             {
                 let dynx = self.dyn_idx.as_ref().expect("dyn index built");
                 let inner = const_guard_bounds(self.facts, dynx.syms(item.li as usize));
-                let loc = Rc::clone(&self.facts.loads[item.load as usize].loc);
-                let element = self.refine_loc_counted(&loc);
+                let loc = self.facts.loads[item.load as usize].loc;
+                let element = self.refine_loc_counted(loc);
                 let mut ty = element;
                 for &d in inner.iter().rev() {
                     ty = AbiType::Array(Box::new(ty), d as usize);
@@ -1184,8 +1087,8 @@ impl<'a> TreeInference<'a> {
             // Distinguish by how the inner offsets are addressed: a
             // symbolic index (×32) means array items; constant member
             // slots mean a struct. The marker's producing load is one of
-            // the deep views: equal values are interned to one node, whose
-            // location transitively mentions `o`.
+            // the deep views: equal values are one node, whose location
+            // transitively mentions `o`.
             let marker = *deep
                 .iter()
                 .find(|v| self.facts.loads[v.load as usize].value == inner_marker)
@@ -1195,7 +1098,7 @@ impl<'a> TreeInference<'a> {
                 let dynx = self.dyn_idx.as_ref().expect("dyn index built");
                 let bounds = const_guard_bounds(self.facts, dynx.syms(marker.li as usize));
                 self.rules.push(RuleId::R22);
-                let inner = self.classify_offset_param(&inner_marker);
+                let inner = self.classify_offset_param(inner_marker);
                 let n = bounds.first().copied().unwrap_or(1) as usize;
                 return AbiType::Array(Box::new(inner), n);
             }
@@ -1219,24 +1122,24 @@ impl<'a> TreeInference<'a> {
             .iter()
             .filter(|v| v.one_level && !v.has_syms)
             .map(|v| {
-                let loc = &self.facts.loads[v.load as usize].loc;
-                (loc.const_addend().as_u64().unwrap_or(0), v.load)
+                let loc = self.facts.loads[v.load as usize].loc;
+                (self.arena.const_addend(loc).as_u64().unwrap_or(0), v.load)
             })
             .collect();
         slots.sort_by_key(|(k, _)| *k);
         slots.dedup_by_key(|(k, _)| *k);
         let mut members = Vec::new();
         for (_, load) in slots {
-            let value = Rc::clone(&self.facts.loads[load as usize].value);
-            if self.is_offset_marker(&value) {
-                let member = self.classify_offset_param(&value);
+            let l = &self.facts.loads[load as usize];
+            let (value, loc) = (l.value, l.loc);
+            if self.is_offset_marker(value) {
+                let member = self.classify_offset_param(value);
                 if member.is_nested_array() {
                     self.rules.push(RuleId::R19);
                 }
                 members.push(member);
             } else {
-                let loc = Rc::clone(&self.facts.loads[load as usize].loc);
-                let ty = self.refine_loc_counted(&loc);
+                let ty = self.refine_loc_counted(loc);
                 members.push(ty);
             }
         }
@@ -1247,24 +1150,18 @@ impl<'a> TreeInference<'a> {
     }
 
     /// The per-item inner offset word of a two-level chain rooted at `o`.
-    fn find_inner_marker(&self, deep: &[DeepView]) -> Option<Rc<Expr>> {
-        for v in deep {
-            if !v.one_level {
-                continue;
-            }
-            let value = &self.facts.loads[v.load as usize].value;
-            if self.is_offset_marker(value) {
-                return Some(Rc::clone(value));
-            }
-        }
-        None
+    fn find_inner_marker(&self, deep: &[DeepView]) -> Option<ExprId> {
+        deep.iter()
+            .filter(|v| v.one_level)
+            .map(|v| self.facts.loads[v.load as usize].value)
+            .find(|&value| self.is_offset_marker(value))
     }
 
     /// [`Self::find_num_value`] over already-computed deep views — the
     /// num filter is exactly the one-level, symbol-free, stride-free
     /// subset of them, in the same load order, so the on-demand path
     /// avoids a second scan over the dynamic loads.
-    fn find_num_in_views(&self, deep: &[DeepView]) -> Option<Rc<Expr>> {
+    fn find_num_in_views(&self, deep: &[DeepView]) -> Option<ExprId> {
         let is_num = |v: &DeepView| v.one_level && !v.has_syms && !v.mul32;
         let mut first: Option<u32> = None;
         let mut count = 0usize;
@@ -1278,26 +1175,24 @@ impl<'a> TreeInference<'a> {
             if let Some(v) = deep
                 .iter()
                 .filter(|v| is_num(v))
-                .find(|v| is_count_like(self.facts, &self.facts.loads[v.load as usize].value))
+                .find(|v| is_count_like(self.facts, self.facts.loads[v.load as usize].value))
             {
-                return Some(Rc::clone(&self.facts.loads[v.load as usize].value));
+                return Some(self.facts.loads[v.load as usize].value);
             }
         }
-        first.map(|ld| Rc::clone(&self.facts.loads[ld as usize].value))
+        first.map(|ld| self.facts.loads[ld as usize].value)
     }
 
     /// The num-field word of the structure rooted at `o`: a one-level,
     /// symbol-free, multiplication-free load through `o`.
-    fn find_num_value(&self, o: &Rc<Expr>) -> Option<Rc<Expr>> {
+    fn find_num_value(&self, o: ExprId) -> Option<ExprId> {
         let dynx = self.dyn_idx.as_ref().expect("dyn index built");
-        let oh = o.dag_hash();
-        let op = Rc::as_ptr(o) as usize;
         let is_cand = |li: usize, dl: &DynLoad| {
-            dl.value_ptr != op
+            dl.value != o
                 && dl.syms.0 == dl.syms.1
                 && !dl.mul32_out
-                && dynx.contains(li, oh)
-                && dynx.one_level(li, oh)
+                && dynx.contains(li, o)
+                && dynx.one_level(li, o)
         };
         // Prefer one that is actually used as a bound or length — the
         // reference's stable sort on `!is_count_like` followed by
@@ -1319,30 +1214,29 @@ impl<'a> TreeInference<'a> {
                 .enumerate()
                 .filter(|(li, dl)| is_cand(*li, dl))
                 .map(|(_, dl)| dl.load)
-                .find(|&ld| is_count_like(self.facts, &self.facts.loads[ld as usize].value))
+                .find(|&ld| is_count_like(self.facts, self.facts.loads[ld as usize].value))
             {
-                return Some(Rc::clone(&self.facts.loads[ld as usize].value));
+                return Some(self.facts.loads[ld as usize].value);
             }
         }
-        first.map(|ld| Rc::clone(&self.facts.loads[ld as usize].value))
+        first.map(|ld| self.facts.loads[ld as usize].value)
     }
 
     /// True if some byte-granular use mentions the parameter rooted at
     /// `o` (R17/R26/R31 evidence), answered from the key's summary.
-    fn has_byte_access(&self, o: &Rc<Expr>) -> bool {
-        let ExprKind::CalldataWord(loc) = o.kind() else {
+    fn has_byte_access(&self, o: ExprId) -> bool {
+        let ExprKind::CalldataWord(loc) = *self.arena.kind(o) else {
             return false;
         };
         self.summary_for_loc(loc).flags & F_BYTE != 0
     }
 
     /// Refinement of a dynamic array's element type.
-    fn refine_dynamic_element(&mut self, o: &Rc<Expr>) -> AbiType {
-        let ExprKind::CalldataWord(loc) = o.kind() else {
+    fn refine_dynamic_element(&mut self, o: ExprId) -> AbiType {
+        let ExprKind::CalldataWord(loc) = *self.arena.kind(o) else {
             return AbiType::Uint(256);
         };
-        let loc = Rc::clone(loc);
-        self.refine_loc_counted(&loc)
+        self.refine_loc_counted(loc)
     }
 
     /// Refinement of a copied static region's element: the summaries of
@@ -1372,8 +1266,8 @@ impl<'a> TreeInference<'a> {
         ty
     }
 
-    /// Refinement via a group's pre-resolved summary slot (no key
-    /// rendering or lookup at all).
+    /// Refinement via a group's pre-resolved summary slot (no lookup at
+    /// all).
     /// Untimed: the dispatch is a table lookup, cheaper than a clock
     /// read, so its callers (stages 3 and 4) time themselves wholesale.
     fn refine_slot(&self, slot: Option<u32>) -> (AbiType, &'static [RuleId]) {
@@ -1389,19 +1283,17 @@ impl<'a> TreeInference<'a> {
         ty
     }
 
-    /// The folded summary for an arbitrary location expression, looked up
-    /// by key identity ([`loc_key_mix`]) without rendering the key.
-    fn summary_for_loc(&self, loc: &Expr) -> RefineSummary {
-        self.idx
-            .entry_by_key
-            .get(&loc_key_mix(loc))
-            .map(|&si| self.idx.entries[si as usize])
-            .unwrap_or_default()
+    /// The folded summary of the uses naming `loc`.
+    fn summary_for_loc(&self, loc: ExprId) -> RefineSummary {
+        match self.idx.entry_of[loc.index()] {
+            NONE => RefineSummary::default(),
+            si => self.idx.entries[si as usize],
+        }
     }
 
     /// Refinement via an arbitrary location expression (dynamic-path
     /// items whose locations are not load groups of their own).
-    fn refine_loc_counted(&mut self, loc: &Expr) -> AbiType {
+    fn refine_loc_counted(&mut self, loc: ExprId) -> AbiType {
         let s = self.summary_for_loc(loc);
         let (ty, rules) = self.refined(&s);
         self.note_refinement(rules);
@@ -1435,9 +1327,7 @@ impl<'a> TreeInference<'a> {
 mod tests {
     use super::super::{infer_with, refine_from_usages, InferEngine};
     use super::*;
-    use crate::expr::{bin, BinOp};
-    use crate::facts::LoadFact;
-    use crate::facts::UseFact;
+    use crate::facts::{LoadFact, UseFact};
 
     fn assert_engines_agree(facts: &FunctionFacts) -> RecoveredParams {
         let tree = infer_with(facts, InferEngine::Tree);
@@ -1448,15 +1338,21 @@ mod tests {
         tree
     }
 
-    fn basic_load(facts: &mut FunctionFacts, pc: usize, pos: u64) -> Rc<Expr> {
-        let loc = Expr::c64(pos);
-        let value = Expr::calldata_word(Rc::clone(&loc));
-        facts.add_load(LoadFact {
-            pc,
-            loc,
-            value: Rc::clone(&value),
-        });
+    fn basic_load(facts: &mut FunctionFacts, pc: usize, pos: u64) -> ExprId {
+        let loc = facts.arena.c64(pos);
+        let value = facts.arena.calldata_word(loc);
+        facts.add_load(LoadFact { pc, loc, value });
         value
+    }
+
+    /// A use of `usage` keyed to the constant location `pos`.
+    fn use_at(facts: &mut FunctionFacts, pc: usize, pos: u64, usage: Usage) {
+        let key = facts.arena.c64(pos);
+        facts.add_use(UseFact {
+            pc,
+            keys: vec![key],
+            usage,
+        });
     }
 
     #[test]
@@ -1464,7 +1360,6 @@ mod tests {
         let facts = FunctionFacts::default();
         let idx = TreeIndex::build(&facts);
         assert!(idx.groups.is_empty());
-        assert!(idx.referenced.is_empty());
         assert!(idx.entries.is_empty());
         assert!(idx.uses_by_offset.is_empty());
         let result = assert_engines_agree(&facts);
@@ -1481,11 +1376,12 @@ mod tests {
         let mut facts = FunctionFacts::default();
         basic_load(&mut facts, 1, (1 << 16) + 4);
         basic_load(&mut facts, 2, (1u64 << 32) + 4);
-        facts.add_use(UseFact {
-            pc: 3,
-            keys: vec![format!("0x{:x}", (1u64 << 32) + 4)],
-            usage: Usage::MaskAnd(U256::low_mask(8)),
-        });
+        use_at(
+            &mut facts,
+            3,
+            (1u64 << 32) + 4,
+            Usage::MaskAnd(U256::low_mask(8)),
+        );
         let idx = TreeIndex::build(&facts);
         assert_eq!(
             idx.groups[1].const_pos,
@@ -1502,29 +1398,18 @@ mod tests {
         // summary keeps the minimum, exactly like the reference fold.
         let mut facts = FunctionFacts::default();
         basic_load(&mut facts, 1, 4);
-        facts.add_use(UseFact {
-            pc: 2,
-            keys: vec!["0x4".into()],
-            usage: Usage::MaskAnd(U256::low_mask(128)),
-        });
-        facts.add_use(UseFact {
-            pc: 3,
-            keys: vec!["0x4".into()],
-            usage: Usage::MaskAnd(U256::low_mask(16)),
-        });
+        use_at(&mut facts, 2, 4, Usage::MaskAnd(U256::low_mask(128)));
+        use_at(&mut facts, 3, 4, Usage::MaskAnd(U256::low_mask(16)));
         let idx = TreeIndex::build(&facts);
-        let si = idx.entry_by_key[&use_key_mix("0x4")] as usize;
+        let four = facts.loads[0].loc;
+        let si = idx.entry_of[four.index()] as usize;
         assert_eq!(idx.entries[si].mask_low, Some(2));
         let result = assert_engines_agree(&facts);
         assert_eq!(result.params, vec![AbiType::Uint(16)]);
 
         // A conflicting high mask on the same offset: high masks win the
         // dispatch (the reference checks R12 before R11).
-        facts.add_use(UseFact {
-            pc: 4,
-            keys: vec!["0x4".into()],
-            usage: Usage::MaskAnd(U256::high_mask(32)),
-        });
+        use_at(&mut facts, 4, 4, Usage::MaskAnd(U256::high_mask(32)));
         let result = assert_engines_agree(&facts);
         assert_eq!(result.params, vec![AbiType::FixedBytes(4)]);
     }
@@ -1535,11 +1420,7 @@ mod tests {
         assert!(matches!(decode_usage(&m), DecodedUsage::Inert));
         let mut facts = FunctionFacts::default();
         basic_load(&mut facts, 1, 4);
-        facts.add_use(UseFact {
-            pc: 2,
-            keys: vec!["0x4".into()],
-            usage: m,
-        });
+        use_at(&mut facts, 2, 4, m);
         let result = assert_engines_agree(&facts);
         assert_eq!(result.params, vec![AbiType::Uint(256)]);
     }
@@ -1550,11 +1431,14 @@ mod tests {
         // must carry no `const_pos` — it must never enter the
         // static-offset stages as a basic parameter.
         let mut facts = FunctionFacts::default();
-        let sym_loc = bin(BinOp::Add, Expr::c64(4), Expr::free_sym(0));
+        let a = &mut facts.arena;
+        let (c4, s0) = (a.c64(4), a.free_sym(0));
+        let sym_loc = a.bin(BinOp::Add, c4, s0);
+        let value = a.calldata_word(sym_loc);
         facts.add_load(LoadFact {
             pc: 1,
-            loc: Rc::clone(&sym_loc),
-            value: Expr::calldata_word(sym_loc),
+            loc: sym_loc,
+            value,
         });
         let idx = TreeIndex::build(&facts);
         assert_eq!(idx.groups.len(), 1);
@@ -1568,46 +1452,53 @@ mod tests {
         // for the inner load whose location embeds the offset word.
         let mut facts = FunctionFacts::default();
         let o = basic_load(&mut facts, 1, 4);
-        let inner_loc = bin(BinOp::Add, Rc::clone(&o), Expr::c64(32));
+        let c32 = facts.arena.c64(32);
+        let inner_loc = facts.arena.bin(BinOp::Add, o, c32);
+        let value = facts.arena.calldata_word(inner_loc);
         facts.add_load(LoadFact {
             pc: 2,
-            loc: Rc::clone(&inner_loc),
-            value: Expr::calldata_word(inner_loc),
+            loc: inner_loc,
+            value,
         });
         let idx = TreeIndex::build(&facts);
         assert_eq!(idx.groups[1].const_pos, None);
         // The offset word itself is a marker: addressed through by the
         // second load.
-        assert!(idx.referenced.contains(&o.dag_hash()));
+        assert!(idx.referenced.contains(o));
         assert_engines_agree(&facts);
     }
 
     #[test]
-    fn key_identity_matches_rendered_keys() {
-        // The mix-based match relation must equal the reference engine's
-        // rendered-string match: for any location, the identity computed
-        // from the expression equals the identity parsed back from its
-        // rendered key — across all three domains (constant offset,
-        // dag-hashed symbolic node, and beyond-u64 constants that only
-        // the string fallback can carry).
-        let locs = [
-            Expr::c64(4),
-            Expr::c64(u64::MAX),
-            Expr::constant(U256::ONE << 200u32),
-            bin(BinOp::Add, Expr::c64(4), Expr::free_sym(0)),
-            Expr::calldata_word(Expr::c64(36)),
-        ];
-        for loc in &locs {
-            assert_eq!(
-                loc_key_mix(loc),
-                use_key_mix(&loc.key()),
-                "identity diverges for key {}",
-                loc.key()
-            );
-        }
-        // Distinct domains stay distinct even on equal raw values: the
-        // key "0x4" (offset 4) must not collide with a dag hash of 4.
-        assert_ne!(mix(TAG_OFF, 4), mix(TAG_NODE, 4));
+    fn symbolic_locations_match_their_uses_by_id() {
+        // A use keyed to a symbolic location (an R3/R4 item read) reaches
+        // that location's group, and only it: a twin location built from
+        // another symbol stays unrefined.
+        let mut facts = FunctionFacts::default();
+        let a = &mut facts.arena;
+        let c4 = a.c64(4);
+        let (s0, s1) = (a.free_sym(0), a.free_sym(1));
+        let (l0, l1) = (a.bin(BinOp::Add, c4, s0), a.bin(BinOp::Add, c4, s1));
+        let (v0, v1) = (a.calldata_word(l0), a.calldata_word(l1));
+        facts.add_load(LoadFact {
+            pc: 1,
+            loc: l0,
+            value: v0,
+        });
+        facts.add_load(LoadFact {
+            pc: 2,
+            loc: l1,
+            value: v1,
+        });
+        facts.add_use(UseFact {
+            pc: 3,
+            keys: vec![l0],
+            usage: Usage::MaskAnd(U256::low_mask(8)),
+        });
+        let idx = TreeIndex::build(&facts);
+        assert!(idx.groups[0].summary.is_some());
+        assert!(idx.groups[1].summary.is_none());
+        let result = assert_engines_agree(&facts);
+        assert_eq!(result.params, vec![AbiType::Uint(8)]);
     }
 
     #[test]
@@ -1620,16 +1511,8 @@ mod tests {
             basic_load(&mut facts, 1, 4);
             let (a, b) = (U256::from(2u64), U256::ONE << 160u32);
             let (first, second) = if flip { (b, a) } else { (a, b) };
-            facts.add_use(UseFact {
-                pc: 2,
-                keys: vec!["0x4".into()],
-                usage: Usage::RangeUnsigned(first),
-            });
-            facts.add_use(UseFact {
-                pc: 3,
-                keys: vec!["0x4".into()],
-                usage: Usage::RangeUnsigned(second),
-            });
+            use_at(&mut facts, 2, 4, Usage::RangeUnsigned(first));
+            use_at(&mut facts, 3, 4, Usage::RangeUnsigned(second));
             let result = assert_engines_agree(&facts);
             let expect = if flip {
                 AbiType::Address

@@ -9,9 +9,8 @@
 //! machinery.
 
 use crate::cow::CowJournal;
-use crate::expr::{bin, BinOp, Expr};
+use crate::expr::{BinOp, ExprArena, ExprId};
 use sigrec_evm::U256;
-use std::rc::Rc;
 
 /// Cap on how far past its start an unbounded (symbolic-length) copy region
 /// is considered to extend when matching reads.
@@ -20,11 +19,11 @@ const UNBOUNDED_REGION_SPAN: u64 = 4096;
 #[derive(Clone, Debug)]
 enum Write {
     /// `MSTORE` of a full word at a concrete address.
-    Word { addr: u64, value: Rc<Expr> },
+    Word { addr: u64, value: ExprId },
     /// `CALLDATACOPY` to a concrete destination.
     Copy {
         dst: u64,
-        src: Rc<Expr>,
+        src: ExprId,
         len: Option<u64>,
     },
 }
@@ -73,7 +72,7 @@ impl SymMemory {
 
     /// Records `MSTORE(addr, value)`. Non-concrete addresses are dropped
     /// (their values cannot be recovered by concrete-address reads anyway).
-    pub fn store_word(&mut self, addr: Option<u64>, value: Rc<Expr>) {
+    pub fn store_word(&mut self, addr: Option<u64>, value: ExprId) {
         if let Some(addr) = addr {
             self.writes.push(Write::Word { addr, value });
         }
@@ -83,11 +82,17 @@ impl SymMemory {
     /// on the call data and evaluates to a constant is folded, so reads from
     /// the region synthesise constant-location `CalldataWord`s (static
     /// arrays match by position range).
-    pub fn record_copy(&mut self, dst: Option<u64>, src: Rc<Expr>, len: Option<U256>) {
+    pub fn record_copy(
+        &mut self,
+        arena: &mut ExprArena,
+        dst: Option<u64>,
+        src: ExprId,
+        len: Option<U256>,
+    ) {
         if let Some(dst) = dst {
             let len = len.and_then(|l| l.as_u64());
-            let src = match (src.depends_on_calldata(), src.eval()) {
-                (false, Some(c)) => Expr::constant(c),
+            let src = match (arena.depends_on_calldata(src), arena.eval(src)) {
+                (false, Some(c)) => arena.constant(c),
                 _ => src,
             };
             self.writes.push(Write::Copy { dst, src, len });
@@ -103,10 +108,10 @@ impl SymMemory {
     ///
     /// Windows and regions are compared by distance, never by `start +
     /// length`, so addresses near `u64::MAX` neither overflow nor wrap.
-    pub fn load_word(&self, addr: u64) -> Option<Rc<Expr>> {
+    pub fn load_word(&self, arena: &mut ExprArena, addr: u64) -> Option<ExprId> {
         for w in self.writes.iter_rev() {
             match w {
-                Write::Word { addr: a, value } if *a == addr => return Some(Rc::clone(value)),
+                Write::Word { addr: a, value } if *a == addr => return Some(*value),
                 Write::Word { addr: a, .. } => {
                     // Overlapping unaligned store: give up on this address
                     // if it intersects the 32-byte window.
@@ -122,11 +127,12 @@ impl SymMemory {
                     let delta = addr.checked_sub(*dst).filter(|&d| d < span);
                     if let Some(delta) = delta {
                         let loc = if delta == 0 {
-                            Rc::clone(src)
+                            *src
                         } else {
-                            bin(BinOp::Add, Rc::clone(src), Expr::c64(delta))
+                            let d = arena.c64(delta);
+                            arena.bin(BinOp::Add, *src, d)
                         };
-                        return Some(Expr::calldata_word(loc));
+                        return Some(arena.calldata_word(loc));
                     }
                 }
             }
@@ -140,147 +146,145 @@ mod tests {
     use super::*;
     use crate::expr::ExprKind;
 
+    /// The constant a read returns, if any.
+    fn read(m: &SymMemory, a: &mut ExprArena, addr: u64) -> Option<U256> {
+        m.load_word(a, addr).and_then(|v| a.as_const(v))
+    }
+
+    /// The constant location of the calldata word a read synthesises.
+    fn read_loc(m: &SymMemory, a: &mut ExprArena, addr: u64) -> Option<U256> {
+        let e = m.load_word(a, addr)?;
+        match *a.kind(e) {
+            ExprKind::CalldataWord(loc) => a.eval(loc),
+            _ => panic!("expected CalldataWord, got {}", a.show(e)),
+        }
+    }
+
     #[test]
     fn word_store_load_round_trip() {
+        let mut a = ExprArena::new();
         let mut m = SymMemory::new();
-        let v = Expr::c64(99);
-        m.store_word(Some(0x80), Rc::clone(&v));
-        assert_eq!(m.load_word(0x80), Some(v));
-        assert_eq!(m.load_word(0xa0), None);
+        let v = a.c64(99);
+        m.store_word(Some(0x80), v);
+        assert_eq!(m.load_word(&mut a, 0x80), Some(v));
+        assert_eq!(m.load_word(&mut a, 0xa0), None);
     }
 
     #[test]
     fn latest_write_wins() {
+        let mut a = ExprArena::new();
         let mut m = SymMemory::new();
-        m.store_word(Some(0x80), Expr::c64(1));
-        m.store_word(Some(0x80), Expr::c64(2));
-        assert_eq!(
-            m.load_word(0x80).unwrap().as_const(),
-            Some(U256::from(2u64))
-        );
+        m.store_word(Some(0x80), a.c64(1));
+        m.store_word(Some(0x80), a.c64(2));
+        assert_eq!(read(&m, &mut a, 0x80), Some(U256::from(2u64)));
     }
 
     #[test]
     fn copy_region_synthesises_calldata_word() {
+        let mut a = ExprArena::new();
         let mut m = SymMemory::new();
         // CALLDATACOPY(dst=0x80, src=36, len=96)
-        m.record_copy(Some(0x80), Expr::c64(36), Some(U256::from(96u64)));
+        let src = a.c64(36);
+        m.record_copy(&mut a, Some(0x80), src, Some(U256::from(96u64)));
         // Element 1 (delta 32) → cd[36 + 32] = cd[0x44] (adds fold).
-        let e = m.load_word(0xa0).unwrap();
-        match e.kind() {
-            ExprKind::CalldataWord(loc) => assert_eq!(loc.eval(), Some(U256::from(68u64))),
-            _ => panic!("expected CalldataWord, got {e}"),
-        }
+        assert_eq!(read_loc(&m, &mut a, 0xa0), Some(U256::from(68u64)));
         // Past the region: unmapped.
-        assert_eq!(m.load_word(0x80 + 96), None);
+        assert_eq!(m.load_word(&mut a, 0x80 + 96), None);
     }
 
     #[test]
     fn symbolic_source_copy_preserves_structure() {
+        let mut a = ExprArena::new();
         let mut m = SymMemory::new();
-        let src = bin(BinOp::Add, Expr::calldata_word(Expr::c64(4)), Expr::c64(36));
-        m.record_copy(Some(0x100), Rc::clone(&src), None);
-        let e = m.load_word(0x120).unwrap();
-        assert!(e.depends_on_calldata());
-        match e.kind() {
-            ExprKind::CalldataWord(loc) => {
-                assert!(loc.contains(&Expr::calldata_word(Expr::c64(4))))
-            }
-            _ => panic!("expected CalldataWord, got {e}"),
+        let c4 = a.c64(4);
+        let offset = a.calldata_word(c4);
+        let c36 = a.c64(36);
+        let src = a.bin(BinOp::Add, offset, c36);
+        m.record_copy(&mut a, Some(0x100), src, None);
+        let e = m.load_word(&mut a, 0x120).unwrap();
+        assert!(a.depends_on_calldata(e));
+        match *a.kind(e) {
+            ExprKind::CalldataWord(loc) => assert!(a.contains(loc, offset)),
+            _ => panic!("expected CalldataWord, got {}", a.show(e)),
         }
     }
 
     #[test]
     fn unbounded_region_capped() {
+        let mut a = ExprArena::new();
         let mut m = SymMemory::new();
-        m.record_copy(Some(0x80), Expr::c64(36), None);
-        assert!(m.load_word(0x80 + UNBOUNDED_REGION_SPAN).is_none());
-        assert!(m.load_word(0x80 + UNBOUNDED_REGION_SPAN - 32).is_some());
+        let src = a.c64(36);
+        m.record_copy(&mut a, Some(0x80), src, None);
+        assert!(m.load_word(&mut a, 0x80 + UNBOUNDED_REGION_SPAN).is_none());
+        assert!(m
+            .load_word(&mut a, 0x80 + UNBOUNDED_REGION_SPAN - 32)
+            .is_some());
     }
 
     #[test]
     fn fork_shares_history_but_diverges() {
+        let mut a = ExprArena::new();
         let mut m = SymMemory::new();
-        m.store_word(Some(0x80), Expr::c64(1));
+        m.store_word(Some(0x80), a.c64(1));
         let mut child = m.fork();
-        m.store_word(Some(0xa0), Expr::c64(2));
-        child.store_word(Some(0xa0), Expr::c64(3));
+        m.store_word(Some(0xa0), a.c64(2));
+        child.store_word(Some(0xa0), a.c64(3));
         // The shared prefix is visible on both sides…
-        assert_eq!(
-            m.load_word(0x80).unwrap().as_const(),
-            Some(U256::from(1u64))
-        );
-        assert_eq!(
-            child.load_word(0x80).unwrap().as_const(),
-            Some(U256::from(1u64))
-        );
+        assert_eq!(read(&m, &mut a, 0x80), Some(U256::from(1u64)));
+        assert_eq!(read(&child, &mut a, 0x80), Some(U256::from(1u64)));
         // …while post-fork writes stay private.
-        assert_eq!(
-            m.load_word(0xa0).unwrap().as_const(),
-            Some(U256::from(2u64))
-        );
-        assert_eq!(
-            child.load_word(0xa0).unwrap().as_const(),
-            Some(U256::from(3u64))
-        );
+        assert_eq!(read(&m, &mut a, 0xa0), Some(U256::from(2u64)));
+        assert_eq!(read(&child, &mut a, 0xa0), Some(U256::from(3u64)));
         // A deep clone reads identically to the CoW original.
-        assert_eq!(
-            m.deep_clone().load_word(0xa0).unwrap().as_const(),
-            Some(U256::from(2u64))
-        );
+        assert_eq!(read(&m.deep_clone(), &mut a, 0xa0), Some(U256::from(2u64)));
     }
 
     #[test]
     fn word_windows_compare_without_overflow_at_the_top() {
         let top = u64::MAX;
+        let mut a = ExprArena::new();
         let mut m = SymMemory::new();
-        m.store_word(Some(top - 31), Expr::c64(1));
-        assert_eq!(
-            m.load_word(top - 31).unwrap().as_const(),
-            Some(U256::from(1u64))
-        );
+        m.store_word(Some(top - 31), a.c64(1));
+        assert_eq!(read(&m, &mut a, top - 31), Some(U256::from(1u64)));
         // A newer store at the last address overlaps the older word's
         // final byte, so the older value is hidden.
-        m.store_word(Some(top), Expr::c64(2));
-        assert_eq!(m.load_word(top - 31), None);
-        assert_eq!(m.load_word(top).unwrap().as_const(), Some(U256::from(2u64)));
+        m.store_word(Some(top), a.c64(2));
+        assert_eq!(m.load_word(&mut a, top - 31), None);
+        assert_eq!(read(&m, &mut a, top), Some(U256::from(2u64)));
         // A window 32 bytes below the top store does not touch it.
-        m.store_word(Some(top - 32), Expr::c64(3));
-        m.store_word(Some(top), Expr::c64(4));
-        assert_eq!(
-            m.load_word(top - 32).unwrap().as_const(),
-            Some(U256::from(3u64))
-        );
+        m.store_word(Some(top - 32), a.c64(3));
+        m.store_word(Some(top), a.c64(4));
+        assert_eq!(read(&m, &mut a, top - 32), Some(U256::from(3u64)));
     }
 
     #[test]
     fn copy_regions_compare_without_overflow_at_the_top() {
+        let mut a = ExprArena::new();
+        let c4 = a.c64(4);
         // A copy of length u64::MAX covers every read above its start.
         let mut m = SymMemory::new();
-        m.record_copy(Some(0x80), Expr::c64(4), Some(U256::from(u64::MAX)));
-        let e = m.load_word(0xa0).unwrap();
-        match e.kind() {
-            ExprKind::CalldataWord(loc) => assert_eq!(loc.eval(), Some(U256::from(0x24u64))),
-            _ => panic!("expected CalldataWord, got {e}"),
-        }
-        assert!(m.load_word(u64::MAX).is_some());
-        assert_eq!(m.load_word(0x7f), None);
+        m.record_copy(&mut a, Some(0x80), c4, Some(U256::from(u64::MAX)));
+        assert_eq!(read_loc(&m, &mut a, 0xa0), Some(U256::from(0x24u64)));
+        assert!(m.load_word(&mut a, u64::MAX).is_some());
+        assert_eq!(m.load_word(&mut a, 0x7f), None);
         // Bounded and unbounded regions starting near the top.
         let mut m = SymMemory::new();
-        m.record_copy(Some(u64::MAX - 10), Expr::c64(4), Some(U256::from(64u64)));
-        assert!(m.load_word(u64::MAX).is_some());
-        assert_eq!(m.load_word(u64::MAX - 11), None);
+        m.record_copy(&mut a, Some(u64::MAX - 10), c4, Some(U256::from(64u64)));
+        assert!(m.load_word(&mut a, u64::MAX).is_some());
+        assert_eq!(m.load_word(&mut a, u64::MAX - 11), None);
         let mut m = SymMemory::new();
-        m.record_copy(Some(u64::MAX - 100), Expr::c64(4), None);
-        assert!(m.load_word(u64::MAX).is_some());
-        assert_eq!(m.load_word(u64::MAX - 101), None);
+        m.record_copy(&mut a, Some(u64::MAX - 100), c4, None);
+        assert!(m.load_word(&mut a, u64::MAX).is_some());
+        assert_eq!(m.load_word(&mut a, u64::MAX - 101), None);
     }
 
     #[test]
     fn overlapping_unaligned_store_blocks_read() {
+        let mut a = ExprArena::new();
         let mut m = SymMemory::new();
-        m.record_copy(Some(0x80), Expr::c64(36), Some(U256::from(64u64)));
-        m.store_word(Some(0x90), Expr::c64(7)); // unaligned overlap
-        assert_eq!(m.load_word(0x80), None);
+        let src = a.c64(36);
+        m.record_copy(&mut a, Some(0x80), src, Some(U256::from(64u64)));
+        m.store_word(Some(0x90), a.c64(7)); // unaligned overlap
+        assert_eq!(m.load_word(&mut a, 0x80), None);
     }
 }

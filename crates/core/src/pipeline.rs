@@ -937,22 +937,19 @@ impl SigRec {
             .into_iter()
             .map(|(function, facts)| {
                 let facts = facts.expect("WriteOnly mode always re-explores");
+                let show = |id| facts.arena.show(id).to_string();
                 Explanation {
                     function,
-                    loads: facts
-                        .loads
-                        .iter()
-                        .map(|l| (l.pc, l.loc.to_string()))
-                        .collect(),
+                    loads: facts.loads.iter().map(|l| (l.pc, show(l.loc))).collect(),
                     copies: facts
                         .copies
                         .iter()
-                        .map(|c| (c.pc, c.src.to_string(), c.len.to_string()))
+                        .map(|c| (c.pc, show(c.src), show(c.len)))
                         .collect(),
                     guards: facts
                         .guards
                         .iter()
-                        .map(|g| (g.pc, g.cond.to_string(), g.loop_exit_pc.is_some()))
+                        .map(|g| (g.pc, show(g.cond), g.loop_exit_pc.is_some()))
                         .collect(),
                     paths_explored: facts.paths_explored,
                     hit_symbolic_jump: facts.hit_symbolic_jump,

@@ -19,8 +19,8 @@ fn config(mode: ForkMode) -> TaseConfig {
 }
 
 /// Explores `code` from `entry` under `mode` and returns the facts as a
-/// deterministic Debug rendering (exprs are interned, so structurally
-/// identical facts print identically).
+/// deterministic Debug rendering (the facts print their arena's nodes and
+/// the ids into it, so structurally identical facts print identically).
 fn facts_under(code: &[u8], entry: usize, mode: ForkMode) -> String {
     let disasm = Disassembly::new(code);
     let facts = Tase::new(&disasm, config(mode)).explore(entry);

@@ -298,3 +298,33 @@ fn aliased_entries_and_empty_bodies_stay_consistent() {
     // Warm pass and cold reference agree.
     assert_same(&warm.recover(&code), &SigRec::new().recover_cold(&code));
 }
+
+/// `compile_single` of `a(uint8)`, with 8 unreachable trailing bytes.
+const COLLIDING_A: &str = "60003560e01c80632a500b7f146100135750005b341561001f5760006000fd5b60043560ff166001015000dcc4ae2745a5fe63";
+/// `compile_single` of `b(address)`, with 8 unreachable trailing bytes.
+/// Both bodies start at pc 19, and the trailing bytes were searched so
+/// that the two spans collide under the unkeyed 64-bit FNV-1a hash the
+/// function cache was once keyed by.
+const COLLIDING_B: &str = "60003560e01c8063bda02782146100135750005b341561001f5760006000fd5b60043573ffffffffffffffffffffffffffffffffffffffff165000bb749f8668cb5af5";
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit pair"))
+        .collect()
+}
+
+#[test]
+fn crafted_colliding_bodies_never_share_a_recovery() {
+    let (a, b) = (unhex(COLLIDING_A), unhex(COLLIDING_B));
+    let params = |code: &[u8]| SigRec::new().recover_cold(code)[0].params.clone();
+    assert_eq!(params(&a), vec![AbiType::Uint(8)]);
+    assert_eq!(params(&b), vec![AbiType::Address]);
+    // Whichever contract is recovered first must not decide the other's
+    // parameters through the function cache.
+    for (first, second) in [(&a, &b), (&b, &a)] {
+        let shared = SigRec::new();
+        assert_same(&shared.recover(first), &SigRec::new().recover_cold(first));
+        assert_same(&shared.recover(second), &SigRec::new().recover_cold(second));
+    }
+}

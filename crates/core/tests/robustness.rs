@@ -1,6 +1,7 @@
 //! Robustness guarantees: structured outcomes, budget diagnostics,
 //! wall-clock deadlines, batch panic isolation, the caller as batch
-//! worker 0, and symbolic memory at the top of the address space.
+//! worker 0, symbolic memory at the top of the address space, and exact
+//! expression identity for crafted constants.
 //!
 //! The hostile contract used throughout is hand-assembled (not compiled):
 //! a two-entry dispatcher whose first body is a well-behaved `uint256`
@@ -8,13 +9,42 @@
 //! concrete spin loop — under a tight step budget the second function is
 //! guaranteed to exhaust `max_total_steps` while the first stays clean.
 
+use sigrec_abi::Selector;
 use sigrec_core::exec::ForkMode;
 use sigrec_core::{
-    expr, recover_batch, BudgetKind, Diagnostic, RecoveryCache, SigRec, Tase, TaseConfig, Usage,
+    recover_batch, BudgetKind, Diagnostic, RecoveryCache, SigRec, Tase, TaseConfig, Usage,
 };
 use sigrec_evm::{Assembler, Disassembly, Opcode, U256};
 use sigrec_solc::{compile_single, CompilerConfig, FunctionSpec, Visibility};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
+
+/// The panic hook is process-global: tests that swap it take this lock,
+/// so one test's hook never sees (or silences) another test's panics.
+static HOOK_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with the default panic printer silenced and returns the
+/// thread of every panic injected on `selector` meanwhile (through
+/// `TaseConfig::panic_on_selector`), in order.
+fn injected_panic_threads(selector: Selector, f: impl FnOnce()) -> Vec<ThreadId> {
+    let _serial = HOOK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    let needle = format!("injected panic on selector {selector}");
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.to_string().contains(&needle) {
+            sink.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(std::thread::current().id());
+        }
+    }));
+    f();
+    std::panic::set_hook(hook);
+    let threads = seen.lock().unwrap_or_else(PoisonError::into_inner).clone();
+    threads
+}
 
 const GOOD_SELECTOR: u64 = 0x1111_2222;
 const SPIN_SELECTOR: u64 = 0x3333_4444;
@@ -265,16 +295,18 @@ fn worker_panic_is_isolated_to_its_contract() {
     // alongside it.
     for workers in [1, 2, 4] {
         let cache = RecoveryCache::new();
-        // Silence the default panic printer for the injected panic;
-        // restore it afterwards so genuine failures still report.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = recover_batch(
-            &SigRec::with_config(config).with_cache(cache.clone()),
-            &codes,
-            workers,
-        );
-        std::panic::set_hook(hook);
+        // The default panic printer stays silent for the injected panic,
+        // and is restored afterwards so genuine failures still report.
+        let mut result = None;
+        let threads = injected_panic_threads(victim_selector, || {
+            result = Some(recover_batch(
+                &SigRec::with_config(config).with_cache(cache.clone()),
+                &codes,
+                workers,
+            ));
+        });
+        assert_eq!(threads.len(), 1, "workers={workers}");
+        let result = result.expect("the batch returned");
         assert_eq!(result.items.len(), 3, "workers={workers}");
         for item in &result.items {
             if item.index == 1 {
@@ -314,26 +346,24 @@ fn batches_run_on_the_caller_like_a_recover_loop() {
         code,
     ];
     let config = tight(ForkMode::CopyOnWrite);
+    // The caller is worker 0: a one-worker batch recovers every contract
+    // on the calling thread. An injected panic in one contract's function
+    // names the thread that recovered it.
+    let victim = SigRec::new().recover_cold(&codes[0])[0].selector;
+    let poisoned = SigRec::with_config(TaseConfig {
+        panic_on_selector: Some(victim.as_u32()),
+        ..config
+    });
+    let threads = injected_panic_threads(victim, || {
+        recover_batch(&poisoned, &codes, 1);
+    });
+    assert_eq!(
+        threads,
+        vec![std::thread::current().id()],
+        "a one-worker batch ran off the calling thread"
+    );
     for workers in [1, 2] {
-        // Warm this thread's interner, so that an empty table after the
-        // batch shows the batch cleared it.
-        SigRec::new().recover_cold(&codes[2]);
-        assert!(expr::interner_len() > 0, "workers={workers}");
-        let before = expr::interner_stats();
         let batch = recover_batch(&SigRec::with_config(config), &codes, workers);
-        // The caller is worker 0, and its interner is cleared on return,
-        // as a spawned worker's is dropped with its thread.
-        assert_eq!(expr::interner_len(), 0, "workers={workers}");
-        if workers == 1 {
-            // Every claim ran on this thread: its interner saw the
-            // batch's lookups. A batch run on a spawned thread leaves
-            // this thread's counters where they were.
-            let after = expr::interner_stats();
-            assert!(
-                after.hits + after.misses > before.hits + before.misses,
-                "a one-worker batch ran off the calling thread"
-            );
-        }
         let serial = SigRec::with_config(config);
         assert_eq!(batch.items.len(), codes.len());
         for (item, code) in batch.items.iter().zip(&codes) {
@@ -391,5 +421,40 @@ fn memory_addresses_near_u64_max_never_overflow() {
         .iter()
         .find(|u| u.usage == Usage::MaskAnd(U256::from(0xffu64)))
         .expect("mask use on the copied word");
-    assert_eq!(mask.keys, vec!["0x24".to_string()]);
+    let keys: Vec<_> = mask.keys.iter().map(|&k| facts.arena.as_const(k)).collect();
+    assert_eq!(keys, vec![Some(U256::from(0x24u64))]);
+}
+
+/// `PUSH1 0x20; POP; PUSH32 c; CALLDATALOAD; PUSH1 0xff; AND; POP; STOP`,
+/// where `c` was crafted to collide with `0x20` under the 64-bit
+/// structural hash that once identified expressions: an exploration that
+/// has seen `0x20` must still load, and mask, the word at `c`.
+const CRAFTED_CONSTANT_LOAD: [u8; 42] = [
+    0x60, 0x20, 0x50, 0x7f, 0x7a, 0x07, 0x3c, 0x43, 0x33, 0xc7, 0x60, 0x54, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x40, 0x35, 0x60, 0xff, 0x16, 0x50, 0x00,
+];
+
+#[test]
+fn a_crafted_constant_is_loaded_where_it_points() {
+    let crafted = U256::from_be_bytes(&CRAFTED_CONSTANT_LOAD[4..36]);
+    assert_eq!(
+        crafted,
+        U256::from_hex("7a073c4333c76054000000000000000000000000000000000000000000000040").unwrap()
+    );
+    let disasm = Disassembly::new(&CRAFTED_CONSTANT_LOAD);
+    let facts = Tase::new(&disasm, TaseConfig::default()).explore(0);
+    assert_eq!(facts.loads.len(), 1);
+    let loc = facts.loads[0].loc;
+    assert_eq!(facts.arena.eval(loc), Some(crafted));
+    let mask = facts
+        .uses
+        .iter()
+        .find(|u| u.usage == Usage::MaskAnd(U256::from(0xffu64)))
+        .expect("mask use on the loaded word");
+    assert_eq!(
+        mask.keys,
+        vec![loc],
+        "the mask is keyed to the crafted location"
+    );
 }

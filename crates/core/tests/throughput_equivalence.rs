@@ -1,12 +1,11 @@
 //! Equivalence guarantees for the throughput layer: the recovery cache,
-//! the dedup-first batch scheduler and the hash-consed expression interner
-//! are pure optimisations — they must never change a recovered signature.
+//! the dedup-first batch scheduler and the recycled expression arena are
+//! pure optimisations — they must never change a recovered signature.
 
 use sigrec_abi::FunctionSignature;
-use sigrec_core::expr::{bin, BinOp, Expr};
+use sigrec_core::expr::{BinOp, ExprArena, ExprId};
 use sigrec_core::{recover_batch, recover_batch_naive, RecoveredFunction, SigRec};
 use sigrec_solc::{compile, compile_single, CompilerConfig, FunctionSpec, Visibility};
-use std::rc::Rc;
 
 fn spec(decl: &str) -> FunctionSpec {
     FunctionSpec::new(
@@ -113,26 +112,34 @@ fn explain_then_recover_is_equivalent() {
     }
 }
 
+/// `k + cd[4]`.
+fn offset_plus(arena: &mut ExprArena, k: u64) -> ExprId {
+    let c4 = arena.c64(4);
+    let word = arena.calldata_word(c4);
+    let ck = arena.c64(k);
+    arena.bin(BinOp::Add, ck, word)
+}
+
 #[test]
-fn interner_preserves_structure_and_identity() {
-    // Structurally identical expressions built independently are the same
-    // node (pointer equality), so dag_hash/equality are O(1) and honest.
-    let a = bin(BinOp::Add, Expr::c64(4), Expr::calldata_word(Expr::c64(4)));
-    let b = bin(BinOp::Add, Expr::c64(4), Expr::calldata_word(Expr::c64(4)));
-    assert!(Rc::ptr_eq(&a, &b));
-    assert_eq!(a.dag_hash(), b.dag_hash());
+fn arena_preserves_structure_and_identity() {
+    // Structurally identical expressions built independently are the
+    // same node, so equality is an id comparison, and exact.
+    let mut arena = ExprArena::new();
+    let a = offset_plus(&mut arena, 4);
+    let b = offset_plus(&mut arena, 4);
+    assert_eq!(a, b);
 
     // Distinct structure stays distinct.
-    let c = bin(BinOp::Add, Expr::c64(5), Expr::calldata_word(Expr::c64(4)));
-    assert!(!Rc::ptr_eq(&a, &c));
-    assert_ne!(a.dag_hash(), c.dag_hash());
+    let c = offset_plus(&mut arena, 5);
+    assert_ne!(a, c);
 
-    // Clearing the interner only resets future sharing; live nodes keep
-    // their structure and hashes.
-    let hash_before = a.dag_hash();
-    sigrec_core::expr::interner_clear();
-    assert_eq!(a.dag_hash(), hash_before);
-    let d = bin(BinOp::Add, Expr::c64(4), Expr::calldata_word(Expr::c64(4)));
-    assert_eq!(d.dag_hash(), a.dag_hash());
-    assert_eq!(format!("{:?}", d), format!("{:?}", a));
+    // A recycled arena starts empty; rebuilding there reproduces the
+    // same structure under the same ids.
+    let shown = arena.show(a).to_string();
+    drop(arena);
+    let mut again = ExprArena::new();
+    assert!(again.is_empty());
+    let d = offset_plus(&mut again, 4);
+    assert_eq!(d, a);
+    assert_eq!(again.show(d).to_string(), shown);
 }

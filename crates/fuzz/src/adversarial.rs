@@ -24,17 +24,26 @@
 //!    proxies are diagnosed (never a phantom function or a fabricated
 //!    target), cyclic diamond routing terminates with its indirection
 //!    diagnostic intact, and factory-child metadata tails change nothing.
+//! 6. **Exact identity** — once per campaign, two crafted inputs checked
+//!    against the truth rather than against other paths (an identity
+//!    defect makes every path wrong the same way): a constant crafted to
+//!    collide with `0x20` under a 64-bit structural hash is loaded where
+//!    it points, and two contracts whose bodies collide under an unkeyed
+//!    64-bit span hash each recover, in either order on one shared
+//!    recoverer, exactly as they do fresh.
 //!
 //! [`SigRec::recover_with_outcome`]: sigrec_core::SigRec
 
 use sigrec_conformance::{execution_paths, path_digest};
 use sigrec_core::{
-    BudgetKind, DelegateTarget, Diagnostic, InferEngine, LinkSet, MalformedKind, SigRec, TaseConfig,
+    BudgetKind, DelegateTarget, Diagnostic, InferEngine, LinkSet, MalformedKind, SigRec, Tase,
+    TaseConfig,
 };
 use sigrec_corpus::adversarial::{
     adversarial_cases, collision_is_fallback_only, cyclic_target, factory_child_parts,
     AdversarialCase, AdversarialKind,
 };
+use sigrec_evm::{Disassembly, U256};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -136,7 +145,81 @@ pub fn run_adversarial(campaign: &AdversarialCampaign) -> AdversarialReport {
         report.cases += 1;
         check_case(campaign, &case, &mut report);
     }
+    check_exact_identity(&mut report);
     report
+}
+
+/// `PUSH1 0x20; POP; PUSH32 c; CALLDATALOAD; PUSH1 0xff; AND; POP; STOP`,
+/// where `c` = `0x7a073c4333c76054…0040` collides with `0x20` under the
+/// 64-bit structural hash expressions were once identified by.
+const CRAFTED_CONSTANT_LOAD: [u8; 42] = [
+    0x60, 0x20, 0x50, 0x7f, 0x7a, 0x07, 0x3c, 0x43, 0x33, 0xc7, 0x60, 0x54, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x40, 0x35, 0x60, 0xff, 0x16, 0x50, 0x00,
+];
+
+/// `a(uint8)` and `b(address)`, each with 8 unreachable trailing bytes
+/// chosen so that both bodies (from pc 19) collide under the unkeyed
+/// FNV-1a span hash the function cache was once keyed by.
+const COLLIDING_PAIR: [&str; 2] = [
+    "60003560e01c80632a500b7f146100135750005b341561001f5760006000fd5b60043560ff166001015000dcc4ae2745a5fe63",
+    "60003560e01c8063bda02782146100135750005b341561001f5760006000fd5b60043573ffffffffffffffffffffffffffffffffffffffff165000bb749f8668cb5af5",
+];
+
+/// Guarantee 6: exact expression and function-cache identity, checked
+/// against the truth. Adds five comparisons to `paths_checked`.
+fn check_exact_identity(report: &mut AdversarialReport) {
+    let checked = catch_unwind(|| {
+        let mut misses = Vec::new();
+        let disasm = Disassembly::new(&CRAFTED_CONSTANT_LOAD);
+        let facts = Tase::new(&disasm, TaseConfig::default()).explore(0);
+        let pushed = U256::from_be_bytes(&CRAFTED_CONSTANT_LOAD[4..36]);
+        let loaded: Vec<_> = facts
+            .loads
+            .iter()
+            .map(|l| facts.arena.eval(l.loc))
+            .collect();
+        if loaded != [Some(pushed)] {
+            misses.push(format!("crafted constant {pushed:?} loaded at {loaded:?}"));
+        }
+        let [a, b] = COLLIDING_PAIR.map(unhex);
+        for (first, second) in [(&a, &b), (&b, &a)] {
+            let shared = SigRec::new();
+            for code in [first, second] {
+                let got = path_digest(&shared.recover(code));
+                let fresh = path_digest(&SigRec::new().recover_cold(code));
+                if got != fresh {
+                    misses.push(format!("shared recoverer {got:?}, fresh {fresh:?}"));
+                }
+            }
+        }
+        misses
+    });
+    let violation = |check: &str, detail: String| AdversarialViolation {
+        kind: "exact-identity",
+        seed: 0,
+        check: check.to_string(),
+        detail,
+    };
+    match checked {
+        Ok(misses) => {
+            report.paths_checked += 5;
+            for detail in misses {
+                report.violations.push(violation("exact-identity", detail));
+            }
+        }
+        Err(_) => report.violations.push(violation(
+            "no-panic",
+            "panicked checking exact identity".to_string(),
+        )),
+    }
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit pair"))
+        .collect()
 }
 
 fn check_case(
@@ -442,8 +525,9 @@ mod tests {
         // inference cross-check), plus one extra
         // linked-resolution path per cyclic-routing case and one
         // tail-less comparison per factory-child case (two of each in
-        // two full rounds of the ten kinds).
-        assert_eq!(report.paths_checked, 20 * 15 + 2 + 2);
+        // two full rounds of the ten kinds), plus the five exact-identity
+        // comparisons each campaign makes once.
+        assert_eq!(report.paths_checked, 20 * 15 + 2 + 2 + 5);
         // The corpus contains engineered truncations; at least the two
         // DeepLoop cases must have been cut by budgets.
         assert!(report.truncated_cases >= 2, "{}", report.summary());

@@ -2,7 +2,8 @@
 //!
 //! Runs `run_adversarial` with a fixed seed over ~200 hostile contracts
 //! and exits non-zero on any violated guarantee (panic, path
-//! disagreement, silent truncation, or deadline overrun). Usage:
+//! disagreement, silent truncation, identity miss, or deadline overrun).
+//! Usage:
 //!
 //! ```text
 //! fuzz_smoke [cases] [seed]
