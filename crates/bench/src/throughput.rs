@@ -9,14 +9,13 @@
 //! at worker counts {1, 2, 4, 8, 16} (best of several profiled runs per
 //! point), verifies every run recovers identical signatures, and reports
 //! contracts/s, per-point contract-latency tails (p50/p90/p99/max from the
-//! batch's log-bucketed histogram), executor fork-cost stats (CoW vs
-//! eager-clone forking), a compile/explore/infer
-//! phase breakdown (with the inference phase further split into
+//! batch's log-bucketed histogram), executor counters, a
+//! compile/explore/infer phase breakdown (with the inference phase further split into
 //! index/match/refine sub-phases and the per-rule attribution reported
 //! *exclusively* — shared index/dispatch time in its own bucket, so the
 //! per-rule figures sum to at most the phase total), a single-worker
 //! tree-vs-per-rule inference probe (a CI gate too: both engines must
-//! recover identical signatures), cache hit rates and
+//! recover identical signatures), the contract cache hit rate and
 //! latency percentiles at both function and contract granularity. The
 //! machine-readable summary is written to `BENCH_throughput.json` in the
 //! working directory.
@@ -25,7 +24,6 @@ use crate::accuracy::Scale;
 use crate::report::TextTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sigrec_core::exec::ForkMode;
 use sigrec_core::{
     recover_batch, recover_batch_naive, BatchResult, InferEngine, SigRec, TaseConfig,
 };
@@ -216,21 +214,6 @@ fn infer_probe(codes: &[Vec<u8>]) -> InferProbe {
     probe
 }
 
-/// Re-explores every distinct template cold under `mode` with profiling
-/// on, returning (forks, units copied by those forks).
-fn fork_cost_probe(distinct: &[Vec<u8>], mode: ForkMode) -> (u64, u64) {
-    let config = TaseConfig {
-        fork_mode: mode,
-        ..TaseConfig::default()
-    };
-    let rec = SigRec::with_config(config).with_exec_stats();
-    for code in distinct {
-        let _ = rec.recover_cold(code);
-    }
-    let stats = rec.exec_stats().expect("profiling enabled");
-    (stats.exec.forks, stats.exec.fork_units_copied)
-}
-
 /// The throughput experiment: naive vs dedup-aware batch recovery over a
 /// duplicated corpus, swept over worker counts. Returns the text report
 /// and writes `BENCH_throughput.json`.
@@ -313,12 +296,6 @@ pub fn throughput(scale: &Scale) -> String {
     // matcher vs per-rule reference (also an engine-agreement CI gate).
     let inf_probe = infer_probe(&codes);
 
-    // Fork-cost contrast: same distinct templates, CoW vs eager cloning.
-    let (cow_forks, cow_units) = fork_cost_probe(&distinct, ForkMode::CopyOnWrite);
-    let (eager_forks, eager_units) = fork_cost_probe(&distinct, ForkMode::EagerClone);
-    let cow_per_fork = cow_units as f64 / (cow_forks.max(1)) as f64;
-    let eager_per_fork = eager_units as f64 / (eager_forks.max(1)) as f64;
-
     // True cold per-function recovery latencies, from the naive run (the
     // dedup run only measures each distinct function once).
     let mut lat: Vec<Duration> = naive
@@ -374,14 +351,13 @@ pub fn throughput(scale: &Scale) -> String {
     json.push_str(&format!(
         "  \"dedup\": {{ \"seconds\": {:.4}, \"contracts_per_sec\": {:.2}, \
          \"functions_per_sec\": {:.2}, \"speedup\": {:.2}, \"dedup_rate\": {:.4}, \
-         \"contract_cache_hit_rate\": {:.4}, \"function_cache_hit_rate\": {:.4} }},\n",
+         \"contract_cache_hit_rate\": {:.4} }},\n",
         dedup_secs,
         codes.len() as f64 / dedup_secs.max(1e-9),
         functions as f64 / dedup_secs.max(1e-9),
         speedup,
         dedup.dedup.dedup_rate(),
         cache.contract_hit_rate(),
-        cache.function_hit_rate(),
     ));
     let machine_parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -436,13 +412,6 @@ pub fn throughput(scale: &Scale) -> String {
         profile.infer_index_time.as_secs_f64() * 1e3,
         profile.infer_match_time.as_secs_f64() * 1e3,
         profile.infer_refine_time.as_secs_f64() * 1e3,
-    ));
-    json.push_str(&format!(
-        "  \"fork_cost\": {{ \"cow_units_per_fork\": {:.2}, \
-         \"eager_units_per_fork\": {:.2}, \"reduction\": {:.2} }},\n",
-        cow_per_fork,
-        eager_per_fork,
-        eager_per_fork / cow_per_fork.max(1e-9),
     ));
     json.push_str(&format!(
         "  \"tree_vs_perrule\": {{ \"tree_seconds\": {:.4}, \
@@ -544,16 +513,6 @@ pub fn throughput(scale: &Scale) -> String {
         "dedup rate".into(),
         "—".into(),
         crate::report::pct(dedup.dedup.dedup_rate()),
-    ]);
-    t.row(&[
-        "fn-cache hit rate".into(),
-        "—".into(),
-        crate::report::pct(cache.function_hit_rate()),
-    ]);
-    t.row(&[
-        "fork units/fork".into(),
-        format!("{eager_per_fork:.1} (eager)"),
-        format!("{cow_per_fork:.1} (CoW)"),
     ]);
     t.row(&[
         "infer TASE+infer speedup".into(),

@@ -6,8 +6,8 @@
 //!
 //! 1. **Differential**: for one bytecode, every execution path through the
 //!    pipeline — [`SigRec::recover`] cold and warm, `recover_cold`,
-//!    [`recover_batch`] and [`recover_batch_naive`], under both
-//!    [`ForkMode`]s, plus a persistent-store round trip with
+//!    [`recover_batch`] and [`recover_batch_naive`], plus a
+//!    persistent-store round trip with
 //!    [`SigRec::explain`] on the restarted handle, plus a cold recovery
 //!    under the *other* [`InferEngine`] (tree vs per-rule matcher), plus
 //!    a cache shared across variants and a whole-corpus batch — must
@@ -29,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-use sigrec_core::exec::ForkMode;
 use sigrec_core::{
     recover_batch, recover_batch_naive, Diagnostic, InferEngine, PersistentStore,
     RecoveredFunction, RecoveryCache, RuleId, RuleStats, SigRec, TaseConfig,
@@ -69,7 +68,7 @@ pub struct Minimized {
 /// The outcome of checking one `(source, transform)` case.
 #[derive(Clone, Debug)]
 pub struct CaseOutcome {
-    /// Reference recovery of the transformed bytecode (cold, CoW).
+    /// Reference recovery of the transformed bytecode (cold).
     pub functions: Vec<RecoveredFunction>,
     /// Execution paths compared.
     pub paths: usize,
@@ -328,7 +327,7 @@ pub fn set_digest(functions: &[RecoveredFunction]) -> Vec<String> {
 }
 
 /// The reference recovery all paths are diffed against: a cold run with
-/// the default (copy-on-write) configuration and no cache.
+/// the default configuration and no cache.
 pub fn recover_reference(code: &[u8]) -> Vec<RecoveredFunction> {
     recover_reference_with(code, InferEngine::default())
 }
@@ -372,43 +371,31 @@ fn persist_scratch() -> std::path::PathBuf {
 
 /// Every per-bytecode execution path, as `(name, recovery)` pairs: the
 /// five pipeline paths (cold, first/warm recover, dedup and naive batch)
-/// under both fork modes, plus the persistent-store trio (recover through
-/// a store-backed cache, again across a simulated process restart over
-/// the warm store, and `explain` on that restarted handle) — thirteen in
-/// total, with every budget knob other than `fork_mode` taken from
-/// `base`. Public so the adversarial fuzz
-/// campaign can re-run the exact same paths under tightened budgets.
+/// plus the persistent-store trio (recover through a store-backed cache,
+/// again across a simulated process restart over the warm store, and
+/// `explain` on that restarted handle) — eight in total, each under
+/// `base`. Public so the adversarial fuzz campaign can re-run the exact
+/// same paths under tightened budgets.
 pub fn execution_paths(base: &TaseConfig, code: &[u8]) -> Vec<(String, Vec<RecoveredFunction>)> {
-    let mut out = Vec::new();
-    for (mode, tag) in [
-        (ForkMode::CopyOnWrite, "cow"),
-        (ForkMode::EagerClone, "eager"),
-    ] {
-        let cfg = TaseConfig {
-            fork_mode: mode,
-            ..*base
-        };
-        out.push((
-            format!("recover-cold[{tag}]"),
-            SigRec::with_config(cfg).recover_cold(code),
-        ));
-        let warm = SigRec::with_config(cfg);
-        out.push((format!("recover-first[{tag}]"), warm.recover(code)));
-        out.push((format!("recover-warm[{tag}]"), warm.recover(code)));
-        let batch = recover_batch(&SigRec::with_config(cfg), &[code.to_vec()], 2);
-        out.push((
-            format!("batch-dedup[{tag}]"),
-            batch.items[0].functions.as_ref().clone(),
-        ));
-        let naive = recover_batch_naive(&SigRec::with_config(cfg), &[code.to_vec()], 2);
-        out.push((
-            format!("batch-naive[{tag}]"),
-            naive.items[0].functions.as_ref().clone(),
-        ));
-    }
-    // Persistent-store trio: the disk tier sits beneath the fork-mode
-    // sweep, so one round trip under `base`'s own knobs suffices. The
-    // warm-restart path proves a record written by the cold path decodes
+    let mut out = vec![(
+        "recover-cold".to_string(),
+        SigRec::with_config(*base).recover_cold(code),
+    )];
+    let warm = SigRec::with_config(*base);
+    out.push(("recover-first".to_string(), warm.recover(code)));
+    out.push(("recover-warm".to_string(), warm.recover(code)));
+    let batch = recover_batch(&SigRec::with_config(*base), &[code.to_vec()], 2);
+    out.push((
+        "batch-dedup".to_string(),
+        batch.items[0].functions.as_ref().clone(),
+    ));
+    let naive = recover_batch_naive(&SigRec::with_config(*base), &[code.to_vec()], 2);
+    out.push((
+        "batch-naive".to_string(),
+        naive.items[0].functions.as_ref().clone(),
+    ));
+    // Persistent-store trio. The warm-restart path proves a record
+    // written by the cold path decodes
     // to the byte-identical structural digest in a fresh "process"
     // (fresh in-memory cache over the reopened store).
     let dir = persist_scratch();
@@ -435,12 +422,11 @@ pub fn execution_paths(base: &TaseConfig, code: &[u8]) -> Vec<(String, Vec<Recov
     out
 }
 
-/// Number of comparisons [`find_mismatch`] performs per case: five paths
-/// under two fork modes, plus the persistent-store cold/warm-restart
-/// pair and `explain` on the restarted handle, plus one cold recovery
-/// under the *other* inference engine, plus the cross-variant
-/// metamorphic relation.
-pub const PATHS_PER_CASE: usize = 15;
+/// Number of comparisons [`find_mismatch`] performs per case: the five
+/// pipeline paths, plus the persistent-store cold/warm-restart pair and
+/// `explain` on the restarted handle, plus one cold recovery under the
+/// *other* inference engine, plus the cross-variant metamorphic relation.
+pub const PATHS_PER_CASE: usize = 10;
 
 /// The other inference engine — the one a case's cross-engine path runs.
 fn other_engine(engine: InferEngine) -> InferEngine {
@@ -466,7 +452,7 @@ pub fn find_mismatch(
 
 /// Like [`find_mismatch`] but under an explicit base configuration: every
 /// checked path inherits all of `base`'s budget and feature knobs, with
-/// only `fork_mode`/`infer_engine` swept. This is what the
+/// only `infer_engine` swept. This is what the
 /// oracle meta-tests use to prove the harness *would* catch a divergence
 /// (e.g. the hidden `disagree_on_selector` fault-injection knob).
 pub fn find_mismatch_with(
@@ -716,10 +702,9 @@ fn run_scenarios(report: &mut ConformanceReport, base: &TaseConfig) {
 }
 
 /// Runs the full harness over `sources`: every applicable transform per
-/// source, every execution path per variant, a recovery cache shared
-/// across each source's variants (exercising the function-cache soundness
-/// gate on perturbed extents), and one whole-corpus batch over all
-/// variant bytecodes.
+/// source, every execution path per variant, one recoverer shared across
+/// each source's variants, and one whole-corpus batch over all variant
+/// bytecodes.
 pub fn run(sources: &[SourceContract], opts: &RunOptions) -> ConformanceReport {
     let mut report = ConformanceReport {
         contracts: sources.len(),
@@ -733,10 +718,9 @@ pub fn run(sources: &[SourceContract], opts: &RunOptions) -> ConformanceReport {
     let mut corpus_refs: Vec<Vec<String>> = Vec::new();
     for source in sources {
         // One recoverer whose cache lives across all variants of this
-        // source: junk padding and reordering perturb extents and entry
-        // pcs while leaving body spans byte-identical, so this drives the
-        // function-cache hit path under exactly the conditions its
-        // soundness gate exists for.
+        // source: junk padding and reordering move bodies and entry pcs
+        // while leaving body bytes identical, so any result one variant
+        // leaked into another would show here.
         let shared = SigRec::with_config(base);
         for transform in standard_transforms(source, opts.seed) {
             let outcome = check_case(source, &transform, opts.infer_engine);
@@ -931,11 +915,12 @@ mod tests {
     }
 
     /// Oracle meta-test: plant the hidden fault-injection knob
-    /// (`TaseConfig::disagree_on_selector` appends a phantom parameter
-    /// under `ForkMode::EagerClone` only) and prove the 11-path
-    /// differential oracle actually catches an engine disagreement and
-    /// ddmin shrinks it to a tiny reproducer. Guards against the harness
-    /// degenerating into comparing a path with itself.
+    /// (`TaseConfig::disagree_on_selector` appends a phantom parameter on
+    /// the cache-using paths only, never under `recover_cold`) and prove
+    /// the differential oracle actually catches the disagreement with its
+    /// cold reference and ddmin shrinks it to a tiny reproducer. Guards
+    /// against the harness degenerating into comparing a path with
+    /// itself.
     #[test]
     fn planted_disagreement_is_caught_and_shrunk() {
         let source = &conformance_corpus()[0];
@@ -948,10 +933,9 @@ mod tests {
         let m = outcome
             .mismatch
             .expect("the oracle must catch the planted disagreement");
-        assert!(
-            m.path.contains("eager"),
-            "disagreement fires only under EagerClone, caught on {}",
-            m.path
+        assert_eq!(
+            m.path, "recover-first",
+            "the first cache-using path must catch the disagreement"
         );
         assert!(m.detail.contains("bool"), "{}", m.detail);
         let min = m.minimized.expect("ddmin must produce a reproducer");

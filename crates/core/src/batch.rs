@@ -420,9 +420,7 @@ fn recover_contract(
     let mut functions = Vec::with_capacity(plan.table.len());
     let mut panics = Vec::new();
     for (idx, entry) in plan.table.iter().enumerate() {
-        match catch_unwind(AssertUnwindSafe(|| {
-            sigrec.run_entry(code, &plan, idx, mode).0
-        })) {
+        match catch_unwind(AssertUnwindSafe(|| sigrec.run_entry(&plan, idx, mode).0)) {
             Ok(f) => functions.push(f),
             Err(payload) => panics.push(panic_diagnostic(
                 &format!("recovery of {} panicked", entry.selector),

@@ -2,23 +2,12 @@
 //!
 //! Deployed EVM bytecode is massively duplicated — factory clones, proxy
 //! templates and copy-pasted token contracts mean the same runtime code
-//! appears thousands of times on chain. The cache makes repeated recovery
-//! free at two granularities:
-//!
-//! - **contract level**, keyed by `keccak256(runtime code)`: a byte-identical
-//!   contract is recovered once and every later [`SigRec::recover`] call
-//!   returns the memoised result;
-//! - **function level**, keyed by `(body-extent hash, entry pc)` under a
-//!   per-process secret key ([`body_span_hash`]): two contracts that
-//!   differ anywhere *outside* one function's body still share that
-//!   function's recovery. The extent hash covers
-//!   `code[entry..end)` where `end` is the next dispatch entry (or the end
-//!   of code) — so a shared leading function hits even when the trailing
-//!   functions differ. Soundness is enforced dynamically: a function is
-//!   memoised at this level only when TASE stayed inside the hashed extent
-//!   on every path (`FunctionFacts::visited_below_entry` is false and
-//!   `FunctionFacts::max_pc_end` does not pass `end`), because only then
-//!   does its behaviour depend solely on the hashed bytes.
+//! appears thousands of times on chain. The cache memoises whole
+//! contracts, keyed by `keccak256(runtime code)`: a byte-identical
+//! contract is recovered once and every later [`SigRec::recover`] call
+//! returns the memoised result. Every dispatch entry of a contract that
+//! misses is explored and inferred; functions are not memoised on their
+//! own (see INTERNALS.md for why the function level went).
 //!
 //! The cache is shared: cloning a [`SigRec`] clones an `Arc` handle, so all
 //! batch workers populate and profit from one table.
@@ -38,15 +27,13 @@ use crate::rules::RuleId;
 use crate::store::{PersistentStore, StoreStats};
 use sigrec_abi::AbiType;
 use sigrec_evm::{Disassembly, Program};
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-/// The contract-independent part of one function's recovery. The selector
-/// and entry pc are *not* cached — they come from the dispatcher of
-/// whichever contract is being recovered.
+/// One function's recovery without its selector and entry pc. Nothing
+/// stores it any more; kept only for `perfbench/src/trace.rs`, whose
+/// traced driver builds one to pass to [`RecoveryCache::store_function`].
 #[derive(Clone, Debug)]
 pub struct CachedFunction {
     /// Recovered parameter types in order.
@@ -55,17 +42,9 @@ pub struct CachedFunction {
     pub language: Language,
     /// Rules applied during recovery.
     pub rules: Vec<RuleId>,
-    /// Budgets the original exploration ran into. Deterministic budgets
-    /// are memoised with the result; deadline-truncated recoveries are
-    /// never stored (the caller gates that), so `Deadline` never appears
-    /// here.
+    /// Budgets the exploration ran into.
     pub budgets: Vec<BudgetKind>,
-    /// The delegatecall target when the body is a router, so warm
-    /// lookups replay the same `UnresolvedIndirection` diagnostic the
-    /// cold path reported. The *resolution* of the target (via
-    /// [`SigRec::recover_linked`](crate::SigRec::recover_linked)) is
-    /// never memoised here: it depends on the caller's link set, not on
-    /// this contract's bytes.
+    /// The delegatecall target when the body is a router.
     pub delegate: Option<DelegateTarget>,
 }
 
@@ -83,16 +62,20 @@ pub struct CachedContract {
     pub extraction_diags: Vec<Diagnostic>,
 }
 
-/// Hit/miss counters for both cache levels.
+/// Hit/miss counters of the contract level and its persistent tier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Contract-level lookups that found a memoised result.
     pub contract_hits: u64,
     /// Contract-level lookups that missed.
     pub contract_misses: u64,
-    /// Function-level lookups that found a memoised result.
+    /// Always 0: functions are not memoised. Kept only for
+    /// `perfbench/src/{run,main}.rs`, which sums and compares it.
     pub function_hits: u64,
-    /// Function-level lookups that missed.
+    /// Dispatch entries that a cache-reading recovery (`recover`, the
+    /// deduplicating batch) ran, one per entry. Kept only for
+    /// `perfbench/src/{run,main}.rs`, which checks it against its traced
+    /// run's count of explored functions.
     pub function_misses: u64,
     /// Always 0: programs are never cached. Kept only for
     /// `perfbench/src/run.rs`, which sums it.
@@ -115,7 +98,9 @@ impl CacheStats {
         rate(self.contract_hits, self.contract_misses)
     }
 
-    /// Fraction of function lookups served from the cache (0 when idle).
+    /// Always 0, since [`CacheStats::function_hits`] is. Kept only for
+    /// `perfbench/src/main.rs`, which reports it as
+    /// `cache.function_hit_rate`.
     pub fn function_hit_rate(&self) -> f64 {
         rate(self.function_hits, self.function_misses)
     }
@@ -155,14 +140,11 @@ pub enum ProgramSource {
 #[derive(Debug, Default)]
 struct CacheInner {
     /// The optional persistent tier: read-through on contract misses,
-    /// write-behind on contract seals. Function-level extent entries stay
-    /// memory-only — they are an intra-process sharing optimisation.
+    /// write-behind on contract seals.
     store: Option<PersistentStore>,
     contracts: Mutex<HashMap<[u8; 32], Arc<CachedContract>>>,
-    functions: Mutex<HashMap<(u64, usize), CachedFunction>>,
     contract_hits: AtomicU64,
     contract_misses: AtomicU64,
-    function_hits: AtomicU64,
     function_misses: AtomicU64,
     program_misses: AtomicU64,
 }
@@ -287,30 +269,24 @@ impl RecoveryCache {
         self.store_contract(key, functions, extraction_diags);
     }
 
-    /// Looks up one function by `(body-span hash, entry pc)`.
-    pub fn lookup_function(&self, span_hash: u64, entry: usize) -> Option<CachedFunction> {
-        let hit = self
-            .inner
-            .functions
-            .lock()
-            .expect("cache poisoned")
-            .get(&(span_hash, entry))
-            .cloned();
-        match &hit {
-            Some(_) => self.inner.function_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.inner.function_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
+    /// Counts one dispatch entry run by a cache-reading recovery in
+    /// [`CacheStats::function_misses`].
+    pub(crate) fn count_function_run(&self) {
+        self.inner.function_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Memoises one function's recovery.
-    pub fn store_function(&self, span_hash: u64, entry: usize, cached: CachedFunction) {
-        self.inner
-            .functions
-            .lock()
-            .expect("cache poisoned")
-            .insert((span_hash, entry), cached);
+    /// Counts one entry in [`CacheStats::function_misses`] and returns
+    /// `None`: functions are not memoised. Kept only for
+    /// `perfbench/src/trace.rs`, whose traced driver probes it once per
+    /// entry where the pipeline counts one.
+    pub fn lookup_function(&self, _span_hash: u64, _entry: usize) -> Option<CachedFunction> {
+        self.count_function_run();
+        None
     }
+
+    /// Does nothing: functions are not memoised. Kept only for
+    /// `perfbench/src/trace.rs`.
+    pub fn store_function(&self, _span_hash: u64, _entry: usize, _cached: CachedFunction) {}
 
     /// Builds the [`Program`] (the loop-head guards every function
     /// explore of the contract shares) and counts the call in
@@ -341,7 +317,7 @@ impl RecoveryCache {
         CacheStats {
             contract_hits: self.inner.contract_hits.load(Ordering::Relaxed),
             contract_misses: self.inner.contract_misses.load(Ordering::Relaxed),
-            function_hits: self.inner.function_hits.load(Ordering::Relaxed),
+            function_hits: 0,
             function_misses: self.inner.function_misses.load(Ordering::Relaxed),
             program_hits: 0,
             program_misses: self.inner.program_misses.load(Ordering::Relaxed),
@@ -354,31 +330,13 @@ impl RecoveryCache {
     pub fn contract_count(&self) -> usize {
         self.inner.contracts.lock().expect("cache poisoned").len()
     }
-
-    /// Number of memoised functions.
-    pub fn function_count(&self) -> usize {
-        self.inner.functions.lock().expect("cache poisoned").len()
-    }
 }
 
-/// Hashes the function body extent `code[entry..end)` with SipHash under
-/// a per-process random key.
-///
-/// `end` is clamped to the code length; callers pass the next dispatch
-/// entry pc (or `code.len()` for the last body), so the hash covers
-/// exactly one function's bytes instead of the whole tail of the
-/// contract. The `(hash, entry)` pair keys the function-level cache,
-/// which trusts a hit without comparing bytes, so the key must not be
-/// predictable: with an unkeyed hash, bytecode could be crafted to
-/// collide with another function's body and decide its parameters. Under
-/// a secret key two distinct spans collide with odds of about 2⁻⁶⁴ per
-/// pair, which nobody can steer. The cache lives in memory, so the key
-/// never has to outlive the process.
-pub fn body_span_hash(code: &[u8], entry: usize, end: usize) -> u64 {
-    static KEY: OnceLock<RandomState> = OnceLock::new();
-    let end = end.min(code.len());
-    let span = code.get(entry..end).unwrap_or(&[]);
-    KEY.get_or_init(RandomState::new).hash_one(span)
+/// Always 0: nothing is keyed by a function's bytes any more. Kept only
+/// for `perfbench/src/trace.rs`, which passes the result to
+/// [`RecoveryCache::lookup_function`].
+pub fn body_span_hash(_code: &[u8], _entry: usize, _end: usize) -> u64 {
+    0
 }
 
 #[cfg(test)]
@@ -399,11 +357,12 @@ mod tests {
     }
 
     #[test]
-    fn function_level_round_trip() {
+    fn function_shims_count_one_miss_and_store_nothing() {
         let cache = RecoveryCache::new();
-        assert!(cache.lookup_function(42, 7).is_none());
+        let hash = body_span_hash(&[0x60, 0x01], 0, 2);
+        assert!(cache.lookup_function(hash, 7).is_none());
         cache.store_function(
-            42,
+            hash,
             7,
             CachedFunction {
                 params: Vec::new(),
@@ -413,9 +372,10 @@ mod tests {
                 delegate: None,
             },
         );
-        assert!(cache.lookup_function(42, 7).is_some());
-        assert!(cache.lookup_function(42, 8).is_none());
-        assert_eq!(cache.function_count(), 1);
+        assert!(cache.lookup_function(hash, 7).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.function_hits, stats.function_misses), (0, 2));
+        assert_eq!(stats.function_hit_rate(), 0.0);
     }
 
     #[test]
@@ -434,22 +394,6 @@ mod tests {
         cache.store_contract([2u8; 32], Vec::new(), vec![diag.clone()]);
         let hit = cache.lookup_contract(&[2u8; 32]).unwrap();
         assert_eq!(hit.extraction_diags, vec![diag]);
-    }
-
-    #[test]
-    fn body_span_hash_depends_on_extent_and_bytes() {
-        let code = [0x60, 0x01, 0x60, 0x02, 0x01];
-        let n = code.len();
-        assert_eq!(body_span_hash(&code, 1, n), body_span_hash(&code, 1, n));
-        assert_ne!(body_span_hash(&code, 0, n), body_span_hash(&code, 1, n));
-        assert_ne!(body_span_hash(&code, 1, 3), body_span_hash(&code, 1, n));
-        let mutated = [0x60, 0x01, 0x60, 0x03, 0x01];
-        assert_ne!(body_span_hash(&code, 1, n), body_span_hash(&mutated, 1, n));
-        // Bytes past the extent don't matter — the point of extent keying.
-        assert_eq!(body_span_hash(&code, 1, 3), body_span_hash(&mutated, 1, 3));
-        // Out-of-range entries hash the empty span; ends clamp to the code.
-        assert_eq!(body_span_hash(&code, 99, 120), body_span_hash(&[], 0, 0));
-        assert_eq!(body_span_hash(&code, 1, 99), body_span_hash(&code, 1, n));
     }
 
     #[test]

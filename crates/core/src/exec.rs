@@ -14,14 +14,13 @@
 //! lets the inference engine scope loop bounds to the facts inside the loop
 //! body by pc range.
 
-use crate::cow::CowStack;
 use crate::expr::{BinOp, ExprArena, ExprId, ExprKind, UnOp};
 use crate::facts::{CopyFact, FunctionFacts, GuardFact, LoadFact, Usage, UseFact};
 use crate::infer::InferEngine;
 use crate::memory::SymMemory;
 use crate::outcome::{BudgetKind, DelegateTarget};
-use sigrec_evm::{Disassembly, Instruction, Opcode, Program, U256};
-use std::collections::HashMap;
+use sigrec_evm::{Disassembly, Instruction, Opcode, Program, STACK_LIMIT, U256};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,19 +45,6 @@ impl std::hash::Hasher for PcHasher {
 /// A pc-keyed hash map with the cheap [`PcHasher`].
 type PcMap<V> = HashMap<usize, V, std::hash::BuildHasherDefault<PcHasher>>;
 
-/// How a symbolic branch duplicates the path state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ForkMode {
-    /// Freeze the mutable tails and share the frozen prefix: O(tail)
-    /// per fork, independent of total stack depth / journal length.
-    #[default]
-    CopyOnWrite,
-    /// Flat deep copy of stack and journal (the pre-CoW behaviour),
-    /// O(stack + writes) per fork. Kept as the reference implementation
-    /// the equivalence tests compare against.
-    EagerClone,
-}
-
 /// Exploration budgets.
 #[derive(Clone, Copy, Debug)]
 pub struct TaseConfig {
@@ -72,8 +58,6 @@ pub struct TaseConfig {
     pub fork_limit_per_block: u32,
     /// How many times one block may be entered per path (concrete loops).
     pub block_visit_limit: u32,
-    /// How forks duplicate path state.
-    pub fork_mode: ForkMode,
     /// Which matcher runs the R1–R31 rules over the gathered facts.
     pub infer_engine: InferEngine,
     /// Collect per-fork [`ExecStats`] counters (off by default: the
@@ -93,10 +77,11 @@ pub struct TaseConfig {
     #[doc(hidden)]
     pub panic_on_selector: Option<u32>,
     /// Test-only fault injection: the pipeline appends a phantom `bool`
-    /// parameter to the function whose selector matches, but only under
-    /// [`ForkMode::EagerClone`] — a deliberate engine disagreement for
-    /// proving the differential oracle actually catches one. `None` (the
-    /// default) injects nothing.
+    /// parameter to the function whose selector matches, but only on the
+    /// cache-using paths (`recover`, `explain`, the deduplicating batch),
+    /// never on `recover_cold` — a deliberate disagreement for proving
+    /// the differential oracle, whose reference is `recover_cold`,
+    /// actually catches one. `None` (the default) injects nothing.
     #[doc(hidden)]
     pub disagree_on_selector: Option<u32>,
 }
@@ -114,7 +99,6 @@ impl Default for TaseConfig {
             max_total_steps: 400_000,
             fork_limit_per_block: 3,
             block_visit_limit: 600,
-            fork_mode: ForkMode::CopyOnWrite,
             infer_engine: InferEngine::Tree,
             collect_stats: false,
             max_wall_time: None,
@@ -137,9 +121,8 @@ pub struct ExecStats {
     pub paths: u64,
     /// Symbolic-branch forks taken.
     pub forks: u64,
-    /// Units (stack elements, journal entries, segment handles) actually
-    /// copied by forks — under CoW this stays near `forks × tail`, under
-    /// eager cloning it grows with total path-state size.
+    /// Units copied by forks: a fork clones the path state, so each adds
+    /// its stack length plus its memory-journal length.
     pub fork_units_copied: u64,
     /// High-water mark of the pending-path worklist.
     pub worklist_peak: u64,
@@ -156,29 +139,58 @@ impl ExecStats {
     }
 }
 
+#[derive(Clone)]
 struct PathState {
     pc: usize,
-    stack: CowStack<ExprId>,
+    stack: Vec<ExprId>,
     memory: SymMemory,
     visits: PcMap<u32>,
     steps: usize,
 }
 
-impl PathState {
-    /// Duplicates the state for the not-taken branch. CoW shares the
-    /// frozen prefix with `self`; eager cloning flattens both structures.
-    fn fork(&mut self, mode: ForkMode) -> PathState {
-        let (stack, memory) = match mode {
-            ForkMode::CopyOnWrite => (self.stack.fork(), self.memory.fork()),
-            ForkMode::EagerClone => (self.stack.deep_clone(), self.memory.deep_clone()),
-        };
-        PathState {
-            pc: self.pc,
-            stack,
-            memory,
-            visits: self.visits.clone(),
-            steps: self.steps,
+/// The paths waiting to run, newest last.
+///
+/// The explore loop pops the newest state first and runs at most
+/// `max_paths` paths, so at most `room` more states (`max_paths` minus
+/// the paths started) can ever be popped. A state below the newest
+/// `room` could never run: once that many are pending, a push drops the
+/// oldest instead of keeping it. The paths that run, and therefore the
+/// facts, are those of an unbounded worklist; only the memory differs.
+struct Worklist {
+    pending: VecDeque<PathState>,
+    room: usize,
+    /// Whether a state was dropped for want of room.
+    dropped: bool,
+}
+
+impl Worklist {
+    fn new(max_paths: usize) -> Self {
+        Worklist {
+            pending: VecDeque::new(),
+            room: max_paths,
+            dropped: false,
         }
+    }
+
+    fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn push(&mut self, state: PathState) {
+        if self.pending.len() == self.room {
+            self.dropped = true;
+            if self.pending.pop_front().is_none() {
+                return;
+            }
+        }
+        self.pending.push_back(state);
+    }
+
+    /// The newest state; popping it uses up one unit of room.
+    fn pop(&mut self) -> Option<PathState> {
+        let state = self.pending.pop_back()?;
+        self.room -= 1;
+        Some(state)
     }
 }
 
@@ -210,8 +222,6 @@ pub struct Tase<'a> {
     syms: HashMap<SymKey, u32>,
     facts: FunctionFacts,
     total_steps: usize,
-    min_pc: usize,
-    max_pc_end: usize,
     stats: ExecStats,
     deadline: Option<Instant>,
     /// The contract's loop-head guards, shared across its entries; built
@@ -230,8 +240,6 @@ impl<'a> Tase<'a> {
             syms: HashMap::new(),
             facts: FunctionFacts::default(),
             total_steps: 0,
-            min_pc: usize::MAX,
-            max_pc_end: 0,
             stats: ExecStats::default(),
             deadline,
             program: None,
@@ -274,22 +282,16 @@ impl<'a> Tase<'a> {
             self.program = Some(Arc::new(Program::new(self.disasm)));
         }
         let residue = self.sym(SymKey::Residue);
-        let init = PathState {
+        let mut worklist = Worklist::new(self.config.max_paths);
+        worklist.push(PathState {
             pc: entry,
-            stack: CowStack::from_vec(vec![residue]),
+            stack: vec![residue],
             memory: SymMemory::new(),
             visits: PcMap::default(),
             steps: 0,
-        };
-        let mut worklist = vec![init];
+        });
         let mut paths = 0usize;
         while let Some(state) = worklist.pop() {
-            // A state was pending, so stopping here genuinely drops work —
-            // record which budget cut it.
-            if paths >= self.config.max_paths {
-                self.facts.add_budget(BudgetKind::Paths);
-                break;
-            }
             if self.total_steps >= self.config.max_total_steps {
                 self.facts.add_budget(BudgetKind::TotalSteps);
                 break;
@@ -304,9 +306,13 @@ impl<'a> Tase<'a> {
                 self.stats.worklist_peak = self.stats.worklist_peak.max(worklist.len() as u64);
             }
         }
+        // A state that could never run was dropped, so the path budget
+        // genuinely cut work. A pop happens only while `paths <
+        // max_paths`, so a steps or deadline break never lands here.
+        if worklist.dropped && paths == self.config.max_paths {
+            self.facts.add_budget(BudgetKind::Paths);
+        }
         self.facts.paths_explored = paths;
-        self.facts.visited_below_entry = self.min_pc < entry;
-        self.facts.max_pc_end = self.max_pc_end;
         self.stats.steps = self.total_steps as u64;
         self.stats.paths = paths as u64;
         let mut facts = self.facts;
@@ -340,7 +346,7 @@ impl<'a> Tase<'a> {
         true
     }
 
-    fn run_path(&mut self, mut st: PathState, worklist: &mut Vec<PathState>) {
+    fn run_path(&mut self, mut st: PathState, worklist: &mut Worklist) {
         let disasm = self.disasm;
         loop {
             if !self.budget_ok(&st) {
@@ -349,9 +355,6 @@ impl<'a> Tase<'a> {
             let Some(ins) = disasm.at(st.pc) else {
                 return; // ran off the end: implicit STOP
             };
-            // Function-extent tracking plus the step counters.
-            self.min_pc = self.min_pc.min(st.pc);
-            self.max_pc_end = self.max_pc_end.max(ins.next_pc());
             st.steps += 1;
             self.total_steps += 1;
             match self.step(&mut st, ins, worklist) {
@@ -361,12 +364,7 @@ impl<'a> Tase<'a> {
         }
     }
 
-    fn step(
-        &mut self,
-        st: &mut PathState,
-        ins: &Instruction,
-        worklist: &mut Vec<PathState>,
-    ) -> Flow {
+    fn step(&mut self, st: &mut PathState, ins: &Instruction, worklist: &mut Worklist) -> Flow {
         use Opcode::*;
         let pc = st.pc;
         let op = ins.opcode;
@@ -379,25 +377,38 @@ impl<'a> Tase<'a> {
                 }
             };
         }
+        // A push past the EVM's 1 024 entries overflows the stack and
+        // halts the frame, so it ends the path; a fork therefore copies
+        // at most that many stack entries.
+        macro_rules! push {
+            ($v:expr) => {{
+                if st.stack.len() >= STACK_LIMIT {
+                    return Flow::End;
+                }
+                st.stack.push($v);
+            }};
+        }
         match op {
             Stop | Return | Revert | SelfDestruct | Invalid(_) => return Flow::End,
             Push(_) => {
                 let v = self.arena.constant(ins.push_value().unwrap_or(U256::ZERO));
-                st.stack.push(v);
+                push!(v);
             }
             Pop => {
                 pop!();
             }
             Dup(n) => {
-                let Some(v) = st.stack.peek(n as usize).copied() else {
+                let Some(i) = st.stack.len().checked_sub(n as usize) else {
                     return Flow::End;
                 };
-                st.stack.push(v);
+                push!(st.stack[i]);
             }
             Swap(n) => {
-                if !st.stack.swap_top(n as usize) {
+                let len = st.stack.len();
+                if len <= n as usize {
                     return Flow::End;
                 }
+                st.stack.swap(len - 1, len - 1 - n as usize);
             }
             JumpDest => {}
             Add | Sub | Mul | Div | SDiv | Mod | SMod | Exp | And | Or | Xor | Lt | Gt | SLt
@@ -407,7 +418,7 @@ impl<'a> Tase<'a> {
                 let bop = binop_of(op);
                 self.record_binop_uses(pc, bop, a, b);
                 let v = self.arena.bin(bop, a, b);
-                st.stack.push(v);
+                push!(v);
             }
             Shl | Shr | Sar => {
                 let amount = pop!();
@@ -451,7 +462,7 @@ impl<'a> Tase<'a> {
                     self.record_signed_use(pc, value);
                 }
                 let v = self.arena.bin(bop, value, amount);
-                st.stack.push(v);
+                push!(v);
             }
             Byte => {
                 let idx = pop!();
@@ -460,7 +471,7 @@ impl<'a> Tase<'a> {
                     self.add_use(pc, value, Usage::ByteExtract);
                 }
                 let v = self.arena.bin(BinOp::Byte, value, idx);
-                st.stack.push(v);
+                push!(v);
             }
             SignExtend => {
                 let idx = pop!();
@@ -472,7 +483,7 @@ impl<'a> Tase<'a> {
                     self.add_use(pc, value, Usage::SignExtendFrom(b));
                 }
                 let v = self.arena.bin(BinOp::SignExtend, value, idx);
-                st.stack.push(v);
+                push!(v);
             }
             IsZero => {
                 let a = pop!();
@@ -494,35 +505,35 @@ impl<'a> Tase<'a> {
                     }
                 }
                 let v = self.arena.un(UnOp::IsZero, a);
-                st.stack.push(v);
+                push!(v);
             }
             Not => {
                 let a = pop!();
                 let v = self.arena.un(UnOp::Not, a);
-                st.stack.push(v);
+                push!(v);
             }
             AddMod | MulMod => {
                 pop!();
                 pop!();
                 pop!();
                 let s = self.sym(SymKey::At(pc));
-                st.stack.push(s);
+                push!(s);
             }
             Keccak256 => {
                 pop!();
                 pop!();
                 let s = self.sym(SymKey::At(pc));
-                st.stack.push(s);
+                push!(s);
             }
             CallDataLoad => {
                 let loc = pop!();
                 let value = self.arena.calldata_word(loc);
                 self.facts.add_load(LoadFact { pc, loc, value });
-                st.stack.push(value);
+                push!(value);
             }
             CallDataSize => {
                 let v = self.arena.calldata_size();
-                st.stack.push(v);
+                push!(v);
             }
             CallDataCopy => {
                 let dst = pop!();
@@ -542,7 +553,7 @@ impl<'a> Tase<'a> {
                     },
                     None => self.sym(SymKey::MemAt(addr)),
                 };
-                st.stack.push(value);
+                push!(value);
             }
             MStore => {
                 let addr = pop!();
@@ -557,7 +568,7 @@ impl<'a> Tase<'a> {
             SLoad => {
                 let key = pop!();
                 let s = self.sym(SymKey::Slot(key));
-                st.stack.push(s);
+                push!(s);
             }
             SStore => {
                 pop!();
@@ -566,20 +577,20 @@ impl<'a> Tase<'a> {
             Address | Origin | Caller | CallValue | GasPrice | Coinbase | Timestamp | Number
             | Difficulty | GasLimit | ChainId | SelfBalance | BaseFee | ReturnDataSize => {
                 let s = self.sym(SymKey::Env(op));
-                st.stack.push(s);
+                push!(s);
             }
             MSize | Gas | Pc => {
                 let s = self.sym(SymKey::At(pc));
-                st.stack.push(s);
+                push!(s);
             }
             Balance | ExtCodeSize | ExtCodeHash | BlockHash => {
                 pop!();
                 let s = self.sym(SymKey::At(pc));
-                st.stack.push(s);
+                push!(s);
             }
             CodeSize => {
                 let v = self.arena.zero();
-                st.stack.push(v);
+                push!(v);
             }
             CodeCopy | ReturnDataCopy | ExtCodeCopy => {
                 for _ in 0..op.stack_in() {
@@ -611,7 +622,7 @@ impl<'a> Tase<'a> {
                     }
                 }
                 let s = self.sym(SymKey::At(pc));
-                st.stack.push(s);
+                push!(s);
             }
             Jump => {
                 let target = pop!();
@@ -645,7 +656,7 @@ impl<'a> Tase<'a> {
         t: usize,
         next_pc: usize,
         cond: ExprId,
-        worklist: &mut Vec<PathState>,
+        worklist: &mut Worklist,
     ) -> Flow {
         match self.arena.eval(cond) {
             Some(c) if !c.is_zero() => self.enter_block(st, t),
@@ -656,16 +667,13 @@ impl<'a> Tase<'a> {
                     *forks += 1;
                     if self.config.collect_stats {
                         self.stats.forks += 1;
-                        let units = match self.config.fork_mode {
-                            ForkMode::CopyOnWrite => st.stack.fork_cost() + st.memory.fork_cost(),
-                            ForkMode::EagerClone => st.stack.len() + st.memory.write_count(),
-                        };
+                        let units = st.stack.len() + st.memory.write_count();
                         self.stats.fork_units_copied += units as u64;
                         self.stats.worklist_peak =
                             self.stats.worklist_peak.max(worklist.len() as u64 + 2);
                     }
                     // Fork: queue the fallthrough, continue with the jump.
-                    let mut other = st.fork(self.config.fork_mode);
+                    let mut other = st.clone();
                     other.pc = next_pc;
                     worklist.push(other);
                     return self.enter_block(st, t);

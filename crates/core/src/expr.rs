@@ -437,6 +437,16 @@ impl ExprArena {
     /// pre-order (a node, then its first operand's subtree, then the
     /// second's).
     pub fn walk(&self, root: ExprId, mut f: impl FnMut(ExprId, &ExprKind)) {
+        self.walk_pruned(root, |id, kind| {
+            f(id, kind);
+            true
+        });
+    }
+
+    /// [`ExprArena::walk`] that descends below a node only when `f`
+    /// returns true for it. A node shared by many parents is still
+    /// visited once, so the walk is linear in the DAG, not the tree.
+    pub(crate) fn walk_pruned(&self, root: ExprId, mut f: impl FnMut(ExprId, &ExprKind) -> bool) {
         let mut visit = self.s.visit.borrow_mut();
         let Visit { seen, stack } = &mut *visit;
         seen.reset(self.len());
@@ -447,7 +457,9 @@ impl ExprArena {
                 continue;
             }
             let kind = self.kind(id);
-            f(id, kind);
+            if !f(id, kind) {
+                continue;
+            }
             match *kind {
                 ExprKind::CalldataWord(a) | ExprKind::Unary(_, a) => stack.push(a),
                 ExprKind::Binary(_, a, b) => {
@@ -457,6 +469,20 @@ impl ExprArena {
                 _ => {}
             }
         }
+    }
+
+    /// Visits each distinct node outside every nested `CalldataWord`
+    /// once: a load's location belongs to *another* value's addressing,
+    /// so only the structure outside every load says how this location
+    /// itself is indexed.
+    pub(crate) fn walk_outside_loads(&self, root: ExprId, mut f: impl FnMut(&ExprKind)) {
+        self.walk_pruned(root, |_, kind| {
+            if matches!(kind, ExprKind::CalldataWord(_)) {
+                return false;
+            }
+            f(kind);
+            true
+        });
     }
 
     /// The location of every `CALLDATALOAD` node, outermost first (an
@@ -553,13 +579,35 @@ impl ExprArena {
 
     /// The sum of all constant addends reachable through `Add` nodes from
     /// the root — e.g. `(CDW(4) + 36) + i*32` yields 36. Used to strip the
-    /// selector/num skip from item locations.
+    /// selector/num skip from item locations. An addend shared by several
+    /// `Add`s counts once per path to it, as a tree would count it
+    /// (`(x + 4) + (x + 4)` yields 8), but each node is summed once, by
+    /// id, so a deeply shared DAG costs its size, not its tree size.
     pub fn const_addend(&self, id: ExprId) -> U256 {
         match *self.kind(id) {
-            ExprKind::Const(v) => v,
-            ExprKind::Binary(BinOp::Add, a, b) => self.const_addend(a) + self.const_addend(b),
-            _ => U256::ZERO,
+            ExprKind::Const(v) => return v,
+            ExprKind::Binary(BinOp::Add, ..) => {}
+            _ => return U256::ZERO,
         }
+        let mut order = Vec::new();
+        self.walk_pruned(id, |n, kind| {
+            order.push(n);
+            matches!(kind, ExprKind::Binary(BinOp::Add, ..))
+        });
+        // Children have smaller ids, so ascending id order sums each
+        // node after its operands; the root has the largest id.
+        order.sort_unstable();
+        let mut sums: Vec<U256> = Vec::with_capacity(order.len());
+        for &n in &order {
+            let sum_of = |x: ExprId| sums[order.binary_search(&x).expect("operand was walked")];
+            let sum = match *self.kind(n) {
+                ExprKind::Const(v) => v,
+                ExprKind::Binary(BinOp::Add, a, b) => sum_of(a) + sum_of(b),
+                _ => U256::ZERO,
+            };
+            sums.push(sum);
+        }
+        sums.pop().expect("the root was walked")
     }
 
     /// Renders the expression (depth-limited: deep shared DAGs expand
@@ -837,6 +885,21 @@ mod tests {
         let m = a.bin(BinOp::Mul, s, c32);
         let e = a.bin(BinOp::Add, head, m);
         assert_eq!(a.const_addend(e), U256::from(36u64));
+        // A shared addend counts once per path to it, as in the tree.
+        let x4 = a.bin(BinOp::Add, w, c4);
+        let twice = a.bin(BinOp::Add, x4, x4);
+        assert_eq!(a.const_addend(twice), U256::from(8u64));
+        // Doubled 40 times over one shared node: 4 · 2⁴⁰, in linear time.
+        let mut d = x4;
+        for _ in 0..40 {
+            d = a.bin(BinOp::Add, d, d);
+        }
+        assert_eq!(a.const_addend(d), U256::from(4u64 << 40));
+        // Sums wrap like the EVM's ADD.
+        let max = a.constant(U256::MAX);
+        let wrapped = a.bin(BinOp::Add, max, c4);
+        let top = a.bin(BinOp::Add, wrapped, w);
+        assert_eq!(a.const_addend(top), U256::from(3u64));
     }
 
     #[test]

@@ -334,21 +334,25 @@ fn selector_comparison(
 }
 
 /// The selector idiom: `SHR(cd[0], 224)` or `DIV(cd[0], 2²²⁴)`, possibly
-/// wrapped in an `AND` mask.
+/// wrapped in `AND` masks. Each node under the masks is visited once, so
+/// a mask chain whose operands are shared costs its size, not its tree
+/// size.
 fn is_selector_shaped(arena: &ExprArena, e: ExprId) -> bool {
     let loads_word_zero = |e: ExprId| matches!(*arena.kind(e), ExprKind::CalldataWord(loc) if arena.as_const(loc) == Some(U256::ZERO));
-    match *arena.kind(e) {
+    let mut found = false;
+    arena.walk_pruned(e, |_, kind| match *kind {
         ExprKind::Binary(BinOp::Shr, v, amount) => {
-            loads_word_zero(v) && arena.as_const(amount) == Some(U256::from(224u64))
+            found |= loads_word_zero(v) && arena.as_const(amount) == Some(U256::from(224u64));
+            false
         }
         ExprKind::Binary(BinOp::Div, v, d) => {
-            loads_word_zero(v) && arena.as_const(d) == Some(U256::ONE << 224u32)
+            found |= loads_word_zero(v) && arena.as_const(d) == Some(U256::ONE << 224u32);
+            false
         }
-        ExprKind::Binary(BinOp::And, a, b) => {
-            is_selector_shaped(arena, a) || is_selector_shaped(arena, b)
-        }
+        ExprKind::Binary(BinOp::And, ..) => !found,
         _ => false,
-    }
+    });
+    found
 }
 
 #[cfg(test)]

@@ -109,15 +109,11 @@ pub struct FunctionFacts {
     /// True if some path was cut short at an input-dependent jump target
     /// (the paper notes only 5 deployed contracts do this).
     pub hit_symbolic_jump: bool,
-    /// True if some explored path executed an instruction below the entry
-    /// pc (shared helper code emitted before the body). Such functions are
-    /// not memoisable by body-span hash: their behaviour depends on bytes
-    /// outside `code[entry..]`.
+    /// Always `false`. Kept only for `perfbench/src/trace.rs`, whose
+    /// traced driver still reads it.
     pub visited_below_entry: bool,
-    /// One past the highest byte offset executed (`max` over executed
-    /// instructions of `pc + size`). Together with `visited_below_entry`
-    /// this brackets the code the function actually depends on, which is
-    /// what makes the extent-keyed function cache sound.
+    /// Always 0. Kept only for `perfbench/src/trace.rs`, whose traced
+    /// driver still reads it.
     pub max_pc_end: usize,
     /// Paths fully explored.
     pub paths_explored: usize,

@@ -872,32 +872,12 @@ fn is_one_level(arena: &ExprArena, loc: ExprId, o: ExprId) -> bool {
     !arena.has_load_between(loc, o)
 }
 
-/// Pre-order walk that does not descend into any `CalldataWord` subtree.
-/// The location of a nested load belongs to *another* value's addressing;
-/// only structure outside every load reflects how this location itself is
-/// indexed.
-fn walk_outside_loads(arena: &ExprArena, e: ExprId, f: &mut impl FnMut(&ExprKind)) {
-    let kind = arena.kind(e);
-    if matches!(kind, ExprKind::CalldataWord(_)) {
-        return;
-    }
-    f(kind);
-    match *kind {
-        ExprKind::Unary(_, a) => walk_outside_loads(arena, a, f),
-        ExprKind::Binary(_, a, b) => {
-            walk_outside_loads(arena, a, f);
-            walk_outside_loads(arena, b, f);
-        }
-        _ => {}
-    }
-}
-
 /// Free symbols occurring outside every nested `CalldataWord` — the index
 /// symbols that scale *this* location (ancestor markers carry their own
 /// index symbols inside their load subtrees and must not leak here).
 fn syms_outside(arena: &ExprArena, loc: ExprId) -> Vec<u32> {
     let mut out = Vec::new();
-    walk_outside_loads(arena, loc, &mut |k| {
+    arena.walk_outside_loads(loc, |k| {
         if let ExprKind::FreeSym(id) = *k {
             out.push(id);
         }
@@ -910,7 +890,7 @@ fn syms_outside(arena: &ExprArena, loc: ExprId) -> Vec<u32> {
 /// Like [`ExprArena::contains_mul_by`]`(32)` but only outside nested loads.
 fn mul32_outside(arena: &ExprArena, loc: ExprId) -> bool {
     let mut found = false;
-    walk_outside_loads(arena, loc, &mut |k| found |= is_mul32(arena, k));
+    arena.walk_outside_loads(loc, |k| found |= is_mul32(arena, k));
     found
 }
 

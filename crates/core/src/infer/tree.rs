@@ -25,8 +25,9 @@
 //! emitted in exactly the same sequence. The rare dynamic-shape paths
 //! (R1/R2/R5–R10/R17/R19/R21–R23) intentionally share the reference
 //! engine's predicate helpers (`const_guard_bounds`, `loop_bounds_for`,
-//! `walk_outside_loads`, …): they run a handful of times per contract,
-//! and sharing the code makes divergence structurally impossible there.
+//! `ExprArena::walk_outside_loads`, …): they run a handful of times per
+//! contract, and sharing the code makes divergence structurally
+//! impossible there.
 //! What the tree engine compiles away is the hot path — group
 //! construction, marker detection and refinement, which the profile shows
 //! dominate (R4/R11/R12/R13 on basic parameters).
@@ -61,8 +62,7 @@
 
 use super::{
     const_guard_bounds, const_offset, is_count_like, is_guard_bound, is_mul32, loop_bounds_for,
-    signed_bound_matches, vyperise, walk_outside_loads, Bound, Candidate, Language,
-    RecoveredParams,
+    signed_bound_matches, vyperise, Bound, Candidate, Language, RecoveredParams,
 };
 use crate::expr::{BinOp, ExprArena, ExprId, ExprKind, Marks, MAX_POOLED_NODES};
 use crate::facts::{CopyFact, FunctionFacts, Usage};
@@ -648,7 +648,7 @@ impl DynIndex {
             }
             let s0 = sym_arena.len();
             let mut mul32_out = false;
-            walk_outside_loads(arena, l.loc, &mut |k| {
+            arena.walk_outside_loads(l.loc, |k| {
                 if let ExprKind::FreeSym(s) = *k {
                     sym_arena.push(s);
                 }

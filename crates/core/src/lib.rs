@@ -22,7 +22,6 @@
 
 pub mod batch;
 pub mod cache;
-pub mod cow;
 pub mod exec;
 pub mod expr;
 pub mod extract;
@@ -44,8 +43,7 @@ pub use batch::{
 pub use cache::{
     body_span_hash, CacheStats, CachedContract, CachedFunction, ProgramSource, RecoveryCache,
 };
-pub use cow::{CowJournal, CowStack};
-pub use exec::{ExecStats, ForkMode, Tase, TaseConfig};
+pub use exec::{ExecStats, Tase, TaseConfig};
 pub use extract::{extract_dispatch, extract_dispatch_diag, DispatchEntry, DispatchExtraction};
 pub use facts::{CopyFact, FunctionFacts, GuardFact, LoadFact, Usage, UseFact};
 pub use indirect::{detect_forwarder, match_eip1167};

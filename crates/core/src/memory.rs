@@ -8,7 +8,6 @@
 //! elements attribute to exact calldata positions with no separate taint
 //! machinery.
 
-use crate::cow::CowJournal;
 use crate::expr::{BinOp, ExprArena, ExprId};
 use sigrec_evm::U256;
 
@@ -29,40 +28,16 @@ enum Write {
 }
 
 /// Symbolic memory: a journal of writes, scanned newest-first on read.
-///
-/// The journal is copy-on-write: a path fork shares the frozen write
-/// history and copies nothing but segment handles, so fork cost does not
-/// grow with how much the path has written.
-#[derive(Debug, Default)]
+/// A path fork clones it.
+#[derive(Clone, Debug, Default)]
 pub struct SymMemory {
-    writes: CowJournal<Write>,
+    writes: Vec<Write>,
 }
 
 impl SymMemory {
     /// Creates empty memory.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Splits off an independent copy in O(tail), sharing the frozen
-    /// write history with `self`.
-    pub fn fork(&mut self) -> Self {
-        SymMemory {
-            writes: self.writes.fork(),
-        }
-    }
-
-    /// The reference fork: a flat deep copy of the journal (the pre-CoW
-    /// clone), O(total writes).
-    pub fn deep_clone(&self) -> Self {
-        SymMemory {
-            writes: self.writes.deep_clone(),
-        }
-    }
-
-    /// Units a [`SymMemory::fork`] call would copy right now.
-    pub fn fork_cost(&self) -> usize {
-        self.writes.fork_cost()
     }
 
     /// Total writes recorded on this path.
@@ -109,7 +84,7 @@ impl SymMemory {
     /// Windows and regions are compared by distance, never by `start +
     /// length`, so addresses near `u64::MAX` neither overflow nor wrap.
     pub fn load_word(&self, arena: &mut ExprArena, addr: u64) -> Option<ExprId> {
-        for w in self.writes.iter_rev() {
+        for w in self.writes.iter().rev() {
             match w {
                 Write::Word { addr: a, value } if *a == addr => return Some(*value),
                 Write::Word { addr: a, .. } => {
@@ -222,21 +197,20 @@ mod tests {
     }
 
     #[test]
-    fn fork_shares_history_but_diverges() {
+    fn clone_keeps_history_but_diverges() {
         let mut a = ExprArena::new();
         let mut m = SymMemory::new();
         m.store_word(Some(0x80), a.c64(1));
-        let mut child = m.fork();
+        let mut child = m.clone();
         m.store_word(Some(0xa0), a.c64(2));
         child.store_word(Some(0xa0), a.c64(3));
-        // The shared prefix is visible on both sides…
+        // The history before the clone is visible on both sides…
         assert_eq!(read(&m, &mut a, 0x80), Some(U256::from(1u64)));
         assert_eq!(read(&child, &mut a, 0x80), Some(U256::from(1u64)));
-        // …while post-fork writes stay private.
+        // …while later writes stay private.
         assert_eq!(read(&m, &mut a, 0xa0), Some(U256::from(2u64)));
         assert_eq!(read(&child, &mut a, 0xa0), Some(U256::from(3u64)));
-        // A deep clone reads identically to the CoW original.
-        assert_eq!(read(&m.deep_clone(), &mut a, 0xa0), Some(U256::from(2u64)));
+        assert_eq!((m.write_count(), child.write_count()), (2, 2));
     }
 
     #[test]

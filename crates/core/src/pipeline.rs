@@ -4,19 +4,17 @@
 //! rule-based inference → recovered [`FunctionSignature`]s.
 //!
 //! Every entry point funnels through one internal body: [`SigRec::plan`]
-//! turns bytecode into a [`ContractPlan`] (disassembly + dispatch table +
-//! per-function body extents), [`SigRec::run_entry`] recovers one
-//! dispatch-table entry, and [`SigRec::seal`] memoises the assembled
-//! contract. `recover`/`recover_cold`/`explain` are thin drivers over
-//! those three steps, and `recover_batch` calls them directly so it can
-//! isolate a panic to the entry that raised it.
-//! Results are memoised in a shared content-addressed [`RecoveryCache`]:
-//! whole contracts by `keccak256(code)`, individual functions by
-//! `(body-extent hash, entry pc)`.
+//! turns bytecode into a [`ContractPlan`] (disassembly + dispatch table),
+//! [`SigRec::run_entry`] explores and infers one dispatch-table entry,
+//! and [`SigRec::seal`] memoises the assembled contract.
+//! `recover`/`recover_cold`/`explain` are thin drivers over those three
+//! steps, and `recover_batch` calls them directly so it can isolate a
+//! panic to the entry that raised it. Whole contracts are memoised in a
+//! shared content-addressed [`RecoveryCache`] by `keccak256(code)`; a
+//! contract that misses has every entry explored.
 
 use crate::batch::LatencyHistogram;
-use crate::cache::{body_span_hash, CacheStats, CachedContract, CachedFunction, RecoveryCache};
-use crate::exec::ForkMode;
+use crate::cache::{CacheStats, CachedContract, RecoveryCache};
 use crate::exec::{ExecStats, Tase, TaseConfig};
 use crate::extract::{extract_dispatch_diag, DispatchEntry};
 use crate::facts::FunctionFacts;
@@ -50,8 +48,8 @@ pub struct RecoveredFunction {
     /// function; [`BudgetKind::ForkCap`]/[`BudgetKind::VisitCap`] are the
     /// expected loop abstraction, the rest mean the recovery is partial).
     pub budgets: Vec<BudgetKind>,
-    /// Wall-clock time spent on this function (TASE + inference). For a
-    /// cache hit this is the lookup time, not a re-measurement.
+    /// Wall-clock time spent exploring and inferring this function. A
+    /// contract-level cache hit returns the time memoised with it.
     pub elapsed: Duration,
     /// Set when the body forwards execution via `DELEGATECALL` (diamond
     /// facet routing, per-entry proxies): `params`/`rules` are empty —
@@ -142,7 +140,7 @@ pub struct SigRec {
 /// How one pipeline invocation interacts with the cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum CacheMode {
-    /// Read and write both cache levels.
+    /// Read and write the contract cache.
     ReadWrite,
     /// Recompute everything; populate the cache on the way out.
     WriteOnly,
@@ -151,15 +149,14 @@ pub(crate) enum CacheMode {
 }
 
 /// Everything needed to recover one contract's functions independently:
-/// the disassembly, the dispatch table, and each body's extent (the byte
-/// range its extent-keyed cache entry covers). Built once per contract by
+/// the disassembly and the dispatch table. Built once per contract by
 /// [`SigRec::plan`]; [`SigRec::run_entry`] then recovers its entries.
 #[derive(Debug)]
 pub(crate) struct ContractPlan {
     /// `keccak256(code)` when the contract level participates in caching.
     key: Option<[u8; 32]>,
     /// The memoised result, when the contract-level cache already has one
-    /// (the table and extents are empty in that case).
+    /// (the table is empty in that case).
     pub(crate) cached: Option<Arc<CachedContract>>,
     disasm: Disassembly,
     /// The loop-head guards every entry of the plan shares, built once
@@ -168,9 +165,6 @@ pub(crate) struct ContractPlan {
     program: Option<Arc<Program>>,
     /// Dispatch table, in dispatcher order.
     pub(crate) table: Vec<DispatchEntry>,
-    /// Per-entry exclusive end of the function body: the next-larger
-    /// dispatch entry pc, or the code length for the last body.
-    extents: Vec<usize>,
     /// Extraction-level diagnostics (dispatcher truncation, malformed
     /// code) observed while planning.
     pub(crate) extraction_diags: Vec<Diagnostic>,
@@ -179,23 +173,6 @@ pub(crate) struct ContractPlan {
     /// plan — one pathological function cannot grant the others a fresh
     /// clock.
     pub(crate) deadline: Option<Instant>,
-}
-
-/// For each table entry, one past the last byte of its body: the smallest
-/// dispatch entry pc above it, or the code length. Sorting the entry pcs
-/// once keeps a giant dispatcher at O(n log n) instead of rescanning the
-/// table per entry.
-fn body_extents(code_len: usize, table: &[DispatchEntry]) -> Vec<usize> {
-    let mut pcs: Vec<usize> = table.iter().map(|e| e.entry).collect();
-    pcs.sort_unstable();
-    pcs.dedup();
-    table
-        .iter()
-        .map(|e| {
-            let above = pcs.partition_point(|&pc| pc <= e.entry);
-            pcs.get(above).copied().unwrap_or(code_len)
-        })
-        .collect()
 }
 
 impl SigRec {
@@ -298,7 +275,7 @@ impl SigRec {
             };
         }
         let functions: Vec<RecoveredFunction> = (0..plan.table.len())
-            .map(|i| self.run_entry(code, &plan, i, CacheMode::ReadWrite).0)
+            .map(|i| self.run_entry(&plan, i, CacheMode::ReadWrite).0)
             .collect();
         self.seal(&plan, &functions);
         RecoveryOutcome {
@@ -318,7 +295,7 @@ impl SigRec {
     pub fn recover_cold_with_outcome(&self, code: &[u8]) -> RecoveryOutcome {
         let plan = self.plan(code, CacheMode::Bypass);
         let functions: Vec<RecoveredFunction> = (0..plan.table.len())
-            .map(|i| self.run_entry(code, &plan, i, CacheMode::Bypass).0)
+            .map(|i| self.run_entry(&plan, i, CacheMode::Bypass).0)
             .collect();
         RecoveryOutcome {
             diagnostics: assemble_diagnostics(&plan.extraction_diags, &functions),
@@ -432,9 +409,8 @@ impl SigRec {
     }
 
     /// Stage 1 of the pipeline: contract-level cache probe (ReadWrite
-    /// only), disassembly, dispatch extraction, body extents. On a
-    /// contract-level hit the plan carries the memoised result and an
-    /// empty table.
+    /// only), disassembly and dispatch extraction. On a contract-level
+    /// hit the plan carries the memoised result and an empty table.
     pub(crate) fn plan(&self, code: &[u8], mode: CacheMode) -> ContractPlan {
         let deadline = self.config.max_wall_time.map(|d| Instant::now() + d);
         let key = match mode {
@@ -450,7 +426,6 @@ impl SigRec {
                     disasm: Disassembly::new(&[]),
                     program: None,
                     table: Vec::new(),
-                    extents: Vec::new(),
                     extraction_diags: Vec::new(),
                     deadline,
                 };
@@ -475,7 +450,6 @@ impl SigRec {
                     });
             }
         }
-        let extents = body_extents(code.len(), &extraction.table);
         let build_start = self.stats.as_ref().map(|_| Instant::now());
         let program = match &key {
             // Keyed plans go through the cache, which counts the build.
@@ -492,88 +466,26 @@ impl SigRec {
             disasm,
             program: Some(program),
             table: extraction.table,
-            extents,
             extraction_diags: extraction.diagnostics,
             deadline,
         }
     }
 
-    /// Stage 2: recovers the `idx`-th dispatch-table entry of a plan.
-    /// Safe to call for different entries concurrently. Facts are `None`
-    /// exactly when the function was served from the cache.
+    /// Stage 2: explores and infers the `idx`-th dispatch-table entry of
+    /// a plan. Safe to call for different entries concurrently. `mode`
+    /// only decides whether the entry counts in
+    /// [`CacheStats::function_misses`] and whether the
+    /// `disagree_on_selector` fault fires.
     pub(crate) fn run_entry(
         &self,
-        code: &[u8],
         plan: &ContractPlan,
         idx: usize,
         mode: CacheMode,
-    ) -> (RecoveredFunction, Option<FunctionFacts>) {
-        self.run_function(
-            code,
-            &plan.disasm,
-            plan.program.as_ref(),
-            plan.table[idx],
-            plan.extents[idx],
-            plan.deadline,
-            mode,
-        )
-    }
-
-    /// Stage 3: memoises the assembled contract once every entry is done.
-    /// A no-op in [`CacheMode::Bypass`] plans (no contract key), and for
-    /// deadline-truncated results — those are nondeterministic, and a
-    /// memoised one would replay an arbitrary cut on every warm lookup.
-    /// The same gate protects the persistent tier: a result skipped here
-    /// never reaches `store_contract`, hence never reaches a segment
-    /// (and the store re-checks on its own — see
-    /// [`PersistentStore::append`](crate::PersistentStore::append)).
-    pub(crate) fn seal(&self, plan: &ContractPlan, functions: &[RecoveredFunction]) {
-        let deadline_hit = functions
-            .iter()
-            .any(|f| f.budgets.contains(&BudgetKind::Deadline));
-        if deadline_hit {
-            return;
-        }
-        if let Some(key) = plan.key {
-            self.cache
-                .store_contract(key, functions.to_vec(), plan.extraction_diags.clone());
-        }
-    }
-
-    /// Recovers one dispatch-table entry, honouring `mode`. `extent` is
-    /// the exclusive end of the body's byte range (next dispatch entry or
-    /// code length) — the span the function-level cache key hashes.
-    #[allow(clippy::too_many_arguments)]
-    fn run_function(
-        &self,
-        code: &[u8],
-        disasm: &Disassembly,
-        program: Option<&Arc<Program>>,
-        entry: DispatchEntry,
-        extent: usize,
-        deadline: Option<Instant>,
-        mode: CacheMode,
-    ) -> (RecoveredFunction, Option<FunctionFacts>) {
+    ) -> (RecoveredFunction, FunctionFacts) {
+        let entry = plan.table[idx];
         let start = Instant::now();
-        let span_hash = match mode {
-            CacheMode::Bypass => None,
-            _ => Some(body_span_hash(code, entry.entry, extent)),
-        };
         if mode == CacheMode::ReadWrite {
-            let hash = span_hash.expect("span hash computed for cached modes");
-            if let Some(hit) = self.cache.lookup_function(hash, entry.entry) {
-                let function = RecoveredFunction {
-                    selector: entry.selector,
-                    entry: entry.entry,
-                    params: hit.params,
-                    language: hit.language,
-                    rules: hit.rules,
-                    budgets: hit.budgets,
-                    elapsed: start.elapsed(),
-                    delegate: hit.delegate,
-                };
-                return (function, None);
-            }
+            self.cache.count_function_run();
         }
         if self.config.panic_on_selector == Some(entry.selector.as_u32()) {
             panic!("injected panic on selector {}", entry.selector);
@@ -582,7 +494,7 @@ impl SigRec {
         // analysis setup entirely — each remaining entry returns in
         // microseconds with empty facts and the `Deadline` budget, so a
         // wide dispatcher cannot stretch the overrun.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+        if plan.deadline.is_some_and(|d| Instant::now() >= d) {
             let mut facts = FunctionFacts::default();
             facts.add_budget(BudgetKind::Deadline);
             let result = infer_with(&facts, self.config.infer_engine);
@@ -596,10 +508,10 @@ impl SigRec {
                 elapsed: start.elapsed(),
                 delegate: None,
             };
-            return (function, Some(facts));
+            return (function, facts);
         }
-        let mut tase = Tase::new(disasm, self.config).with_deadline(deadline);
-        if let Some(p) = program {
+        let mut tase = Tase::new(&plan.disasm, self.config).with_deadline(plan.deadline);
+        if let Some(p) = &plan.program {
             tase = tase.with_program(Arc::clone(p));
         }
         let (facts, exec) = tase.explore_stats(entry.entry);
@@ -628,34 +540,12 @@ impl SigRec {
             result.rules.clear();
         }
         if self.config.disagree_on_selector == Some(entry.selector.as_u32())
-            && self.config.fork_mode == ForkMode::EagerClone
+            && mode != CacheMode::Bypass
         {
-            // Injected engine disagreement (see `TaseConfig::
+            // Injected disagreement (see `TaseConfig::
             // disagree_on_selector`): a phantom trailing parameter that
-            // only one fork mode reports.
+            // `recover_cold`, the oracle's reference, never reports.
             result.params.push(AbiType::Bool);
-        }
-        // Memoising by body-extent hash is only sound when exploration
-        // stayed inside `code[entry..extent)`: a body that reaches shared
-        // helper code before its entry, or falls through past the next
-        // entry, depends on bytes the extent key does not cover. A
-        // deadline cut is additionally nondeterministic, so those results
-        // are never memoised at either level.
-        let deadline_hit = facts.budgets.contains(&BudgetKind::Deadline);
-        if let Some(hash) = span_hash
-            .filter(|_| !deadline_hit && !facts.visited_below_entry && facts.max_pc_end <= extent)
-        {
-            self.cache.store_function(
-                hash,
-                entry.entry,
-                CachedFunction {
-                    params: result.params.clone(),
-                    language: result.language,
-                    rules: result.rules.clone(),
-                    budgets: facts.budgets.clone(),
-                    delegate: facts.delegate,
-                },
-            );
         }
         let function = RecoveredFunction {
             selector: entry.selector,
@@ -667,7 +557,28 @@ impl SigRec {
             elapsed: start.elapsed(),
             delegate: facts.delegate,
         };
-        (function, Some(facts))
+        (function, facts)
+    }
+
+    /// Stage 3: memoises the assembled contract once every entry is done.
+    /// A no-op in [`CacheMode::Bypass`] plans (no contract key), and for
+    /// deadline-truncated results — those are nondeterministic, and a
+    /// memoised one would replay an arbitrary cut on every warm lookup.
+    /// The same gate protects the persistent tier: a result skipped here
+    /// never reaches `store_contract`, hence never reaches a segment
+    /// (and the store re-checks on its own — see
+    /// [`PersistentStore::append`](crate::PersistentStore::append)).
+    pub(crate) fn seal(&self, plan: &ContractPlan, functions: &[RecoveredFunction]) {
+        let deadline_hit = functions
+            .iter()
+            .any(|f| f.budgets.contains(&BudgetKind::Deadline));
+        if deadline_hit {
+            return;
+        }
+        if let Some(key) = plan.key {
+            self.cache
+                .store_contract(key, functions.to_vec(), plan.extraction_diags.clone());
+        }
     }
 }
 
@@ -849,8 +760,8 @@ impl StatsAccum {
 }
 
 /// The executor profile accumulated by a [`SigRec::with_exec_stats`]
-/// instance: summed [`ExecStats`] over every function explored (cache
-/// hits don't run the executor and contribute nothing), wall-clock split
+/// instance: summed [`ExecStats`] over every function explored
+/// (contract-level cache hits explore nothing), wall-clock split
 /// between TASE and inference, and per-rule attributed inference time.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineStats {
@@ -860,7 +771,7 @@ pub struct PipelineStats {
     /// this instance drove (plan to seal; distinct contracts only).
     /// Empty for non-batch usage.
     pub contract_latency: LatencyHistogram,
-    /// Functions actually explored (= function-cache misses that ran).
+    /// Dispatch entries explored and inferred.
     pub functions_explored: u64,
     /// Wall-clock spent inside TASE exploration.
     pub tase_time: Duration,
@@ -928,15 +839,14 @@ impl SigRec {
     /// `explain` warms later `recover` calls on the same code.
     pub fn explain(&self, code: &[u8]) -> Vec<Explanation> {
         let plan = self.plan(code, CacheMode::WriteOnly);
-        let analysed: Vec<(RecoveredFunction, Option<FunctionFacts>)> = (0..plan.table.len())
-            .map(|i| self.run_entry(code, &plan, i, CacheMode::WriteOnly))
+        let analysed: Vec<(RecoveredFunction, FunctionFacts)> = (0..plan.table.len())
+            .map(|i| self.run_entry(&plan, i, CacheMode::WriteOnly))
             .collect();
         let functions: Vec<RecoveredFunction> = analysed.iter().map(|(f, _)| f.clone()).collect();
         self.seal(&plan, &functions);
         analysed
             .into_iter()
             .map(|(function, facts)| {
-                let facts = facts.expect("WriteOnly mode always re-explores");
                 let show = |id| facts.arena.show(id).to_string();
                 Explanation {
                     function,
@@ -1176,46 +1086,6 @@ mod tests {
         a.recover(&contract.code);
         b.recover(&contract.code);
         assert_eq!(b.cache_stats().contract_hits, 1);
-    }
-
-    /// The table-rescanning definition `body_extents` replaced.
-    fn body_extents_by_rescan(code_len: usize, table: &[DispatchEntry]) -> Vec<usize> {
-        table
-            .iter()
-            .map(|e| {
-                table
-                    .iter()
-                    .map(|o| o.entry)
-                    .filter(|&o| o > e.entry)
-                    .min()
-                    .unwrap_or(code_len)
-            })
-            .collect()
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
-
-        #[test]
-        fn body_extents_match_the_rescan(
-            pcs in proptest::collection::vec(0usize..48, 0..40),
-            code_len in 0usize..64,
-        ) {
-            // Unsorted dispatcher order with aliased entry pcs (several
-            // selectors routed to one body), some at or past the code end.
-            let table: Vec<DispatchEntry> = pcs
-                .iter()
-                .enumerate()
-                .map(|(i, &entry)| DispatchEntry {
-                    selector: Selector::from_u32(i as u32),
-                    entry,
-                })
-                .collect();
-            proptest::prop_assert_eq!(
-                body_extents(code_len, &table),
-                body_extents_by_rescan(code_len, &table)
-            );
-        }
     }
 
     #[test]

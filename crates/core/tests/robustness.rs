@@ -1,7 +1,9 @@
 //! Robustness guarantees: structured outcomes, budget diagnostics,
 //! wall-clock deadlines, batch panic isolation, the caller as batch
-//! worker 0, symbolic memory at the top of the address space, and exact
-//! expression identity for crafted constants.
+//! worker 0, symbolic memory at the top of the address space, exact
+//! expression identity for crafted constants, and bounded work on
+//! crafted bodies (deeply shared expressions, fork storms, stack
+//! overflow).
 //!
 //! The hostile contract used throughout is hand-assembled (not compiled):
 //! a two-entry dispatcher whose first body is a well-behaved `uint256`
@@ -9,10 +11,10 @@
 //! concrete spin loop — under a tight step budget the second function is
 //! guaranteed to exhaust `max_total_steps` while the first stays clean.
 
-use sigrec_abi::Selector;
-use sigrec_core::exec::ForkMode;
+use sigrec_abi::{AbiType, Selector};
 use sigrec_core::{
-    recover_batch, BudgetKind, Diagnostic, RecoveryCache, SigRec, Tase, TaseConfig, Usage,
+    extract_dispatch, infer_with, recover_batch, BudgetKind, Diagnostic, InferEngine,
+    RecoveryCache, SigRec, Tase, TaseConfig, Usage,
 };
 use sigrec_evm::{Assembler, Disassembly, Opcode, U256};
 use sigrec_solc::{compile_single, CompilerConfig, FunctionSpec, Visibility};
@@ -93,12 +95,11 @@ fn spin_contract() -> Vec<u8> {
     asm.assemble()
 }
 
-fn tight(mode: ForkMode) -> TaseConfig {
+fn tight() -> TaseConfig {
     TaseConfig {
         max_paths: 512,
         max_steps_per_path: 2_000,
         max_total_steps: 8_000,
-        fork_mode: mode,
         ..TaseConfig::default()
     }
 }
@@ -112,83 +113,78 @@ fn contract(decl: &str) -> Vec<u8> {
 }
 
 #[test]
-fn total_step_exhaustion_is_partial_and_diagnosed_under_both_fork_modes() {
+fn total_step_exhaustion_is_partial_and_diagnosed() {
     let code = spin_contract();
-    for mode in [ForkMode::CopyOnWrite, ForkMode::EagerClone] {
-        let outcome = SigRec::with_config(tight(mode)).recover_cold_with_outcome(&code);
-        // Both dispatcher entries are present — truncation is partial,
-        // not fatal.
-        assert_eq!(outcome.functions.len(), 2, "{mode:?}");
-        assert!(!outcome.is_complete(), "{mode:?}");
-        let spin = outcome
-            .functions
-            .iter()
-            .find(|f| f.selector.as_u32() as u64 == SPIN_SELECTOR)
-            .expect("spin entry recovered");
-        assert!(
-            spin.budgets.contains(&BudgetKind::TotalSteps),
-            "{mode:?}: budgets were {:?}",
-            spin.budgets
-        );
-        // The diagnostic names the same selector.
-        assert!(
-            outcome.diagnostics.iter().any(|d| matches!(
-                d,
-                Diagnostic::BudgetExhausted { selector, kind: BudgetKind::TotalSteps, .. }
-                    if selector.as_u32() as u64 == SPIN_SELECTOR
-            )),
-            "{mode:?}: diagnostics were {:?}",
-            outcome.diagnostics
-        );
-        // The well-behaved sibling carries no lossy budget.
-        let good = outcome
-            .functions
-            .iter()
-            .find(|f| f.selector.as_u32() as u64 == GOOD_SELECTOR)
-            .expect("good entry recovered");
-        assert!(
-            good.budgets.iter().all(|b| !b.is_lossy()),
-            "{mode:?}: good budgets were {:?}",
-            good.budgets
-        );
-    }
+    let outcome = SigRec::with_config(tight()).recover_cold_with_outcome(&code);
+    // Both dispatcher entries are present — truncation is partial, not
+    // fatal.
+    assert_eq!(outcome.functions.len(), 2);
+    assert!(!outcome.is_complete());
+    let spin = outcome
+        .functions
+        .iter()
+        .find(|f| f.selector.as_u32() as u64 == SPIN_SELECTOR)
+        .expect("spin entry recovered");
+    assert!(
+        spin.budgets.contains(&BudgetKind::TotalSteps),
+        "budgets were {:?}",
+        spin.budgets
+    );
+    // The diagnostic names the same selector.
+    assert!(
+        outcome.diagnostics.iter().any(|d| matches!(
+            d,
+            Diagnostic::BudgetExhausted { selector, kind: BudgetKind::TotalSteps, .. }
+                if selector.as_u32() as u64 == SPIN_SELECTOR
+        )),
+        "diagnostics were {:?}",
+        outcome.diagnostics
+    );
+    // The well-behaved sibling carries no lossy budget.
+    let good = outcome
+        .functions
+        .iter()
+        .find(|f| f.selector.as_u32() as u64 == GOOD_SELECTOR)
+        .expect("good entry recovered");
+    assert!(
+        good.budgets.iter().all(|b| !b.is_lossy()),
+        "good budgets were {:?}",
+        good.budgets
+    );
 }
 
 #[test]
-fn deadline_cuts_exploration_and_is_diagnosed_under_both_fork_modes() {
+fn deadline_cuts_exploration_and_is_diagnosed() {
     let code = spin_contract();
-    for mode in [ForkMode::CopyOnWrite, ForkMode::EagerClone] {
-        // Effectively unlimited step budgets: the infinite concrete spin
-        // loop means only the wall clock can end this exploration, so a
-        // `Deadline` cut is guaranteed rather than racing the step caps.
-        let config = TaseConfig {
-            fork_mode: mode,
-            max_steps_per_path: usize::MAX,
-            max_total_steps: usize::MAX,
-            max_wall_time: Some(Duration::from_millis(30)),
-            ..TaseConfig::default()
-        };
-        let started = Instant::now();
-        let outcome = SigRec::with_config(config).recover_cold_with_outcome(&code);
-        let elapsed = started.elapsed();
-        assert!(
-            elapsed < Duration::from_secs(2),
-            "{mode:?}: deadline ignored, ran {elapsed:?}"
-        );
-        assert_eq!(outcome.functions.len(), 2, "{mode:?}");
-        assert!(
-            outcome.diagnostics.iter().any(|d| matches!(
-                d,
-                Diagnostic::BudgetExhausted {
-                    kind: BudgetKind::Deadline,
-                    ..
-                }
-            )),
-            "{mode:?}: diagnostics were {:?}",
-            outcome.diagnostics
-        );
-        assert!(!outcome.is_complete(), "{mode:?}");
-    }
+    // Effectively unlimited step budgets: the infinite concrete spin loop
+    // means only the wall clock can end this exploration, so a
+    // `Deadline` cut is guaranteed rather than racing the step caps.
+    let config = TaseConfig {
+        max_steps_per_path: usize::MAX,
+        max_total_steps: usize::MAX,
+        max_wall_time: Some(Duration::from_millis(30)),
+        ..TaseConfig::default()
+    };
+    let started = Instant::now();
+    let outcome = SigRec::with_config(config).recover_cold_with_outcome(&code);
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "deadline ignored, ran {elapsed:?}"
+    );
+    assert_eq!(outcome.functions.len(), 2);
+    assert!(
+        outcome.diagnostics.iter().any(|d| matches!(
+            d,
+            Diagnostic::BudgetExhausted {
+                kind: BudgetKind::Deadline,
+                ..
+            }
+        )),
+        "diagnostics were {:?}",
+        outcome.diagnostics
+    );
+    assert!(!outcome.is_complete());
 }
 
 #[test]
@@ -227,7 +223,7 @@ fn deadline_truncated_results_are_never_memoised() {
 #[test]
 fn warm_outcome_replays_cold_outcome_including_budgets() {
     let code = spin_contract();
-    let sigrec = SigRec::with_config(tight(ForkMode::CopyOnWrite));
+    let sigrec = SigRec::with_config(tight());
     let cold = sigrec.recover_with_outcome(&code);
     let warm = sigrec.recover_with_outcome(&code);
     assert!(sigrec.cache_stats().contract_hits >= 1);
@@ -253,11 +249,7 @@ fn pathological_contract_does_not_poison_a_64_contract_batch() {
     ];
     let mut codes: Vec<Vec<u8>> = (0..63).map(|i| contract(decls[i % decls.len()])).collect();
     codes.insert(31, spin_contract());
-    let result = recover_batch(
-        &SigRec::with_config(tight(ForkMode::CopyOnWrite)),
-        &codes,
-        4,
-    );
+    let result = recover_batch(&SigRec::with_config(tight()), &codes, 4);
     assert_eq!(result.items.len(), 64);
     for item in &result.items {
         if item.index == 31 {
@@ -345,7 +337,7 @@ fn batches_run_on_the_caller_like_a_recover_loop() {
         vec![0x00],
         code,
     ];
-    let config = tight(ForkMode::CopyOnWrite);
+    let config = tight();
     // The caller is worker 0: a one-worker batch recovers every contract
     // on the calling thread. An injected panic in one contract's function
     // names the thread that recovered it.
@@ -457,4 +449,178 @@ fn a_crafted_constant_is_loaded_where_it_points() {
         vec![loc],
         "the mask is keyed to the crafted location"
     );
+}
+
+/// `PUSH1 4; CALLDATALOAD; (DUP1; ADD) × k; CALLDATALOAD; PUSH1 0xff;
+/// AND; POP; STOP`: the second load's location doubles `cd[4]` k times,
+/// a DAG of k + 3 nodes whose tree has 2^k leaves.
+fn doubling_load(k: usize) -> Vec<u8> {
+    let mut code = vec![0x60, 0x04, 0x35];
+    for _ in 0..k {
+        code.extend([0x80, 0x01]);
+    }
+    code.extend([0x35, 0x60, 0xff, 0x16, 0x50, 0x00]);
+    code
+}
+
+/// `PUSH1 0; CALLDATALOAD; prefix; (DUP1; AND) × k; PUSH4 0x12345678;
+/// EQ; PUSH1 t; JUMPI; STOP; JUMPDEST; STOP`: a dispatcher compare on a
+/// word masked by itself k times.
+fn self_masked_compare(prefix: &[u8], k: usize) -> Vec<u8> {
+    let mut code = vec![0x60, 0x00, 0x35];
+    code.extend(prefix);
+    for _ in 0..k {
+        code.extend([0x80, 0x16]);
+    }
+    let target = u8::try_from(code.len() + 10).expect("a one-byte jump target");
+    code.extend([0x63, 0x12, 0x34, 0x56, 0x78, 0x14, 0x60, target, 0x57, 0x00]);
+    code.extend([0x5b, 0x00]);
+    code
+}
+
+/// The ceiling a linear walk over a 60-byte body stays far under, and a
+/// walk over the 2^28-leaf tree (seconds, even optimised) exceeds.
+const LINEAR_WORK: Duration = Duration::from_secs(1);
+
+#[test]
+fn inference_walks_each_shared_node_once() {
+    let code = doubling_load(28);
+    let facts = Tase::new(&Disassembly::new(&code), TaseConfig::default()).explore(0);
+    assert_eq!(facts.loads.len(), 2);
+    for engine in [InferEngine::Tree, InferEngine::PerRule] {
+        let started = Instant::now();
+        let params = infer_with(&facts, engine).params;
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < LINEAR_WORK,
+            "{engine:?} inference took {elapsed:?}"
+        );
+        assert_eq!(
+            params,
+            vec![AbiType::Tuple(vec![AbiType::Uint(8)])],
+            "{engine:?}"
+        );
+    }
+}
+
+#[test]
+fn the_dispatcher_walk_visits_each_mask_once() {
+    // `cd[0]` masked by itself is no selector: nothing is extracted.
+    let started = Instant::now();
+    let table = extract_dispatch(&Disassembly::new(&self_masked_compare(&[], 28)));
+    let elapsed = started.elapsed();
+    assert!(elapsed < LINEAR_WORK, "extraction took {elapsed:?}");
+    assert!(table.is_empty(), "{table:?}");
+    // `cd[0] >> 224` masked by itself still is one.
+    let shifted = self_masked_compare(&[0x60, 0xe0, 0x1c], 28);
+    let table = extract_dispatch(&Disassembly::new(&shifted));
+    assert_eq!(table.len(), 1);
+    assert_eq!(table[0].selector.as_u32(), 0x1234_5678);
+}
+
+/// `writes` × `PUSH1 1; PUSH1 0x80; MSTORE`, then `forks` × `PUSH1 4;
+/// CALLDATALOAD; PUSH2 t; JUMPI; JUMPDEST` where each `t` is the
+/// `JUMPDEST` right after its `JUMPI`, then `STOP`. Every `JUMPI` forks,
+/// so the first path alone leaves `forks` states pending.
+fn fork_storm(writes: usize, forks: usize) -> Vec<u8> {
+    let mut code = Vec::new();
+    for _ in 0..writes {
+        code.extend([0x60, 0x01, 0x60, 0x80, 0x52]);
+    }
+    for _ in 0..forks {
+        let [hi, lo] = u16::try_from(code.len() + 7)
+            .expect("a two-byte jump target")
+            .to_be_bytes();
+        code.extend([0x60, 0x04, 0x35, 0x61, hi, lo, 0x57, 0x5b]);
+    }
+    code.push(0x00);
+    code
+}
+
+#[test]
+fn fork_storms_keep_only_the_states_that_can_run() {
+    let config = TaseConfig {
+        collect_stats: true,
+        ..TaseConfig::default()
+    };
+    // Steps and forks as an unbounded worklist explores them.
+    for (writes, forks, steps, forks_taken) in
+        [(500, 2_700, 18_533, 3_202), (2_000, 1_700, 18_033, 2_202)]
+    {
+        let code = fork_storm(writes, forks);
+        let (facts, stats) = Tase::new(&Disassembly::new(&code), config).explore_stats(0);
+        assert_eq!(
+            (stats.paths, stats.steps, stats.forks),
+            (512, steps, forks_taken),
+            "{writes} writes, {forks} forks"
+        );
+        assert_eq!(facts.paths_explored, 512);
+        assert_eq!(facts.budgets, vec![BudgetKind::Paths]);
+        // The running state, at most `max_paths − 1` pending ones, and
+        // the one being forked.
+        assert!(
+            stats.worklist_peak <= config.max_paths as u64 + 1,
+            "{} states pending",
+            stats.worklist_peak
+        );
+    }
+}
+
+#[test]
+fn a_path_budget_that_runs_out_after_a_drop_is_recorded() {
+    // A path cap the storm's pending states outgrow: the dropped states
+    // are reported as a `Paths` cut, exactly as leaving them pending was.
+    for max_paths in [0, 1, 2, 7] {
+        let config = TaseConfig {
+            max_paths,
+            ..TaseConfig::default()
+        };
+        let facts = Tase::new(&Disassembly::new(&fork_storm(0, 8)), config).explore(0);
+        assert_eq!(facts.paths_explored, max_paths);
+        assert_eq!(
+            facts.budgets,
+            vec![BudgetKind::Paths],
+            "max_paths {max_paths}"
+        );
+    }
+    // A storm that fits the cap explores every path and cuts nothing.
+    let facts = Tase::new(&Disassembly::new(&fork_storm(0, 3)), TaseConfig::default()).explore(0);
+    assert_eq!(facts.paths_explored, 8);
+    assert!(facts.budgets.is_empty(), "{:?}", facts.budgets);
+}
+
+/// A one-entry contract whose body pushes `depth` constants onto the
+/// residue the dispatcher leaves, then masks `calldataload(4)`: its
+/// stack peaks at `depth + 3` entries.
+fn deep_stack_contract(depth: usize) -> Vec<u8> {
+    let mut asm = Assembler::new();
+    let body = asm.fresh_label();
+    asm.push_u64(0).op(Opcode::CallDataLoad);
+    asm.push_u64(0xe0).op(Opcode::Shr);
+    asm.op(Opcode::Dup(1));
+    asm.push_sized(U256::from(0x0bad_5eedu64), 4);
+    asm.op(Opcode::Eq);
+    asm.push_label(body).op(Opcode::JumpI);
+    asm.op(Opcode::Pop).op(Opcode::Stop);
+    asm.jumpdest(body);
+    for _ in 0..depth {
+        asm.push_u64(1);
+    }
+    asm.push_u64(0xff);
+    asm.push_u64(4).op(Opcode::CallDataLoad);
+    asm.op(Opcode::And).op(Opcode::Pop).op(Opcode::Stop);
+    asm.assemble()
+}
+
+#[test]
+fn a_push_past_1024_entries_ends_the_path() {
+    // A stack of exactly 1 024 entries is legal and recovers.
+    let full = SigRec::new().recover_cold(&deep_stack_contract(1_021));
+    assert_eq!(full[0].params, vec![AbiType::Uint(8)]);
+    // One more entry overflows before the load: the path ends there,
+    // without a panic and without a budget cut.
+    let outcome = SigRec::new().recover_cold_with_outcome(&deep_stack_contract(1_022));
+    assert_eq!(outcome.functions.len(), 1);
+    assert!(outcome.functions[0].params.is_empty());
+    assert!(outcome.is_complete(), "{:?}", outcome.diagnostics);
 }

@@ -7,10 +7,10 @@
 //! 1. **No panic** — every path on every case completes or is caught as a
 //!    violation, never unwinds.
 //! 2. **Path agreement** — under purely deterministic budgets all
-//!    thirteen pipeline paths (cold/warm/batch × fork modes, plus the
-//!    persistent-store cold/warm-restart pair and `explain` on the
-//!    restarted handle) produce the same structural digest, truncated or
-//!    not, plus a
+//!    eight pipeline paths (cold, first and warm recover, dedup and naive
+//!    batch, plus the persistent-store cold/warm-restart pair and
+//!    `explain` on the restarted handle) produce the same structural
+//!    digest, truncated or not, plus a
 //!    further check that a warm [`SigRec::recover_with_outcome`]
 //!    replays the cold outcome's diagnostics exactly, plus a final
 //!    check that the per-rule inference reference recovers the same
@@ -31,6 +31,14 @@
 //!    it points, and two contracts whose bodies collide under an unkeyed
 //!    64-bit span hash each recover, in either order on one shared
 //!    recoverer, exactly as they do fresh.
+//! 7. **Bounded work** — once per campaign, four bodies crafted to blow
+//!    up a walk or the path worklist recover within the deadline plus
+//!    its slack, and the worklist never holds more than `max_paths + 1`
+//!    states: a load whose location doubles `cd[4]` 40 times and a
+//!    dispatcher compare on `cd[0]` masked by itself 40 times (each a
+//!    DAG of about 40 nodes but a tree of 2⁴⁰ leaves), and two fork
+//!    storms (500 stores then 2 700 forks, 2 000 stores then 1 700
+//!    forks) whose first path alone forks thousands of times.
 //!
 //! [`SigRec::recover_with_outcome`]: sigrec_core::SigRec
 
@@ -146,6 +154,7 @@ pub fn run_adversarial(campaign: &AdversarialCampaign) -> AdversarialReport {
         check_case(campaign, &case, &mut report);
     }
     check_exact_identity(&mut report);
+    check_bounded_work(campaign, &mut report);
     report
 }
 
@@ -166,8 +175,9 @@ const COLLIDING_PAIR: [&str; 2] = [
     "60003560e01c8063bda02782146100135750005b341561001f5760006000fd5b60043573ffffffffffffffffffffffffffffffffffffffff165000bb749f8668cb5af5",
 ];
 
-/// Guarantee 6: exact expression and function-cache identity, checked
-/// against the truth. Adds five comparisons to `paths_checked`.
+/// Guarantee 6: exact expression identity, and no result carried from
+/// one contract to another, checked against the truth. Adds five
+/// comparisons to `paths_checked`.
 fn check_exact_identity(report: &mut AdversarialReport) {
     let checked = catch_unwind(|| {
         let mut misses = Vec::new();
@@ -220,6 +230,133 @@ fn unhex(s: &str) -> Vec<u8> {
         .step_by(2)
         .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit pair"))
         .collect()
+}
+
+/// A one-entry dispatcher (selector `0x0bad5eed`) whose body starts
+/// with a `JUMPDEST` at pc 19; `body` gets the pc where it begins.
+fn behind_dispatcher(body: impl FnOnce(usize) -> Vec<u8>) -> Vec<u8> {
+    let mut code = unhex("60003560e01c80630bad5eed146100135750005b");
+    code.extend(body(code.len()));
+    code
+}
+
+/// `PUSH1 4; CALLDATALOAD; (DUP1; ADD) × k; CALLDATALOAD; PUSH1 0xff;
+/// AND; POP; STOP`.
+fn doubling_load(k: usize) -> Vec<u8> {
+    let mut code = vec![0x60, 0x04, 0x35];
+    for _ in 0..k {
+        code.extend([0x80, 0x01]);
+    }
+    code.extend([0x35, 0x60, 0xff, 0x16, 0x50, 0x00]);
+    code
+}
+
+/// `PUSH1 0; CALLDATALOAD; (DUP1; AND) × k; PUSH4 0x12345678; EQ;
+/// PUSH1 t; JUMPI; STOP; JUMPDEST; STOP`.
+fn self_masked_compare(k: usize) -> Vec<u8> {
+    let mut code = vec![0x60, 0x00, 0x35];
+    for _ in 0..k {
+        code.extend([0x80, 0x16]);
+    }
+    let target = u8::try_from(code.len() + 10).expect("a one-byte jump target");
+    code.extend([0x63, 0x12, 0x34, 0x56, 0x78, 0x14, 0x60, target, 0x57, 0x00]);
+    code.extend([0x5b, 0x00]);
+    code
+}
+
+/// Starting at pc `base`: `writes` × `PUSH1 1; PUSH1 0x80; MSTORE`, then
+/// `forks` × `PUSH1 4; CALLDATALOAD; PUSH2 t; JUMPI; JUMPDEST` with each
+/// `t` the `JUMPDEST` right after its `JUMPI`, then `STOP`.
+fn fork_storm(base: usize, writes: usize, forks: usize) -> Vec<u8> {
+    let mut code = Vec::new();
+    for _ in 0..writes {
+        code.extend([0x60, 0x01, 0x60, 0x80, 0x52]);
+    }
+    for _ in 0..forks {
+        let [hi, lo] = u16::try_from(base + code.len() + 7)
+            .expect("a two-byte jump target")
+            .to_be_bytes();
+        code.extend([0x60, 0x04, 0x35, 0x61, hi, lo, 0x57, 0x5b]);
+    }
+    code.push(0x00);
+    code
+}
+
+/// Guarantee 7: bounded work on bodies crafted to blow up a walk or the
+/// path worklist, under the campaign's deadline (which cuts exploration
+/// only, never a walk). Adds four comparisons to `paths_checked`.
+fn check_bounded_work(campaign: &AdversarialCampaign, report: &mut AdversarialReport) {
+    let config = TaseConfig {
+        max_wall_time: Some(campaign.deadline),
+        ..TaseConfig::default()
+    };
+    let limit = campaign.deadline + campaign.deadline_slack;
+    let bodies = [
+        (
+            "doubled-load-location",
+            behind_dispatcher(|_| doubling_load(40)),
+            1,
+        ),
+        ("self-masked-selector", self_masked_compare(40), 0),
+        (
+            "fork-storm-2700",
+            behind_dispatcher(|at| fork_storm(at, 500, 2_700)),
+            1,
+        ),
+        (
+            "fork-storm-1700",
+            behind_dispatcher(|at| fork_storm(at, 2_000, 1_700)),
+            1,
+        ),
+    ];
+    for (kind, code, functions) in bodies {
+        let violation = |check: &str, detail: String| AdversarialViolation {
+            kind,
+            seed: 0,
+            check: check.to_string(),
+            detail,
+        };
+        let started = Instant::now();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let sigrec = SigRec::with_config(config).with_exec_stats();
+            let outcome = sigrec.recover_cold_with_outcome(&code);
+            (outcome, sigrec.exec_stats().expect("profiling enabled"))
+        }));
+        let elapsed = started.elapsed();
+        let Ok((outcome, stats)) = run else {
+            report.violations.push(violation(
+                "no-panic",
+                "panicked under bounded-work run".to_string(),
+            ));
+            continue;
+        };
+        report.paths_checked += 1;
+        if elapsed > limit {
+            report.violations.push(violation(
+                "bounded-work",
+                format!("recovery took {elapsed:?}, limit {limit:?}"),
+            ));
+        }
+        let cap = config.max_paths as u64 + 1;
+        if stats.exec.worklist_peak > cap {
+            report.violations.push(violation(
+                "bounded-work",
+                format!(
+                    "{} path states pending, cap {cap}",
+                    stats.exec.worklist_peak
+                ),
+            ));
+        }
+        if outcome.functions.len() != functions {
+            report.violations.push(violation(
+                "bounded-work",
+                format!(
+                    "{} function(s) recovered, expected {functions}",
+                    outcome.functions.len()
+                ),
+            ));
+        }
+    }
 }
 
 fn check_case(
@@ -519,15 +656,16 @@ mod tests {
         });
         assert_eq!(report.cases, 20);
         assert!(report.is_green(), "{}", report.summary());
-        // 15 paths per case (fork modes × pipeline paths, the
+        // 10 paths per case (the five pipeline paths, the
         // persistent-store cold/warm-restart pair and `explain` on the
         // restarted handle, plus the warm-outcome replay and the per-rule
         // inference cross-check), plus one extra
         // linked-resolution path per cyclic-routing case and one
         // tail-less comparison per factory-child case (two of each in
         // two full rounds of the ten kinds), plus the five exact-identity
-        // comparisons each campaign makes once.
-        assert_eq!(report.paths_checked, 20 * 15 + 2 + 2 + 5);
+        // comparisons and the four bounded-work runs each campaign makes
+        // once.
+        assert_eq!(report.paths_checked, 20 * 10 + 2 + 2 + 5 + 4);
         // The corpus contains engineered truncations; at least the two
         // DeepLoop cases must have been cut by budgets.
         assert!(report.truncated_cases >= 2, "{}", report.summary());
