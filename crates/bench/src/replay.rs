@@ -21,8 +21,10 @@
 //! Every epoch's per-contract signature digests (and the linked
 //! proxy-burst digests) must be byte-for-byte identical — the bench
 //! doubles as a CI gate on store round-trip fidelity and crash
-//! recovery, and a second gate requires warm-restart throughput to be
-//! at least 5× cold. The machine-readable summary is written to
+//! recovery. The warm restart must also read each record at most once
+//! and spend at most [`MAX_WARM_US_PER_CONTRACT`] per stream contract:
+//! a gate on the warm read path alone, which a faster cold epoch does
+//! not move. The machine-readable summary is written to
 //! `BENCH_replay.json` in the working directory.
 
 use crate::accuracy::Scale;
@@ -53,6 +55,15 @@ const WORKERS: usize = 4;
 /// duplication of a real chain is exactly what the restart models —
 /// every template in the warm epoch is a duplicate of chain history.
 const DUPLICATION: usize = 4;
+
+/// Most wall-clock microseconds the warm restart may spend per stream
+/// contract. Twenty-four runs at `--contracts 2560` on a 2-vCPU VM read
+/// 1.94–3.32 µs (median 2.6), three at `--contracts 600` 1.71–2.29 µs,
+/// and three at `--contracts 60`, where the fixed per-chunk costs weigh
+/// most, 3.33–4.17 µs. The bound is 1.8× the slowest run at the CI
+/// scale: scheduling noise stays under it, and a read path about three
+/// times slower goes over.
+const MAX_WARM_US_PER_CONTRACT: f64 = 6.0;
 
 /// One replay epoch's outcome: wall time, the per-contract signature
 /// digests (stream order), the linked-burst digests, and the store's
@@ -180,6 +191,11 @@ impl ReplayReport {
         self.cold.secs / self.warm.secs.max(1e-9)
     }
 
+    /// Warm-restart wall time per stream contract, in microseconds.
+    fn warm_us_per_contract(&self) -> f64 {
+        self.warm.secs * 1e6 / self.stream_len.max(1) as f64
+    }
+
     fn crash_speedup(&self) -> f64 {
         self.cold.secs / self.crash.secs.max(1e-9)
     }
@@ -249,6 +265,14 @@ fn run_replay(scale: &Scale) -> ReplayReport {
         warm.stats.disk_hits > 0 && warm.stats.disk_misses == 0,
         "warm restart must serve every template from disk"
     );
+    // A hit is promoted into memory, so the warm restart reads each
+    // record the cold epoch wrote at most once.
+    assert!(
+        warm.stats.bytes_read <= cold.stats.bytes_appended,
+        "warm restart read {} bytes of a store the cold epoch wrote {} bytes to",
+        warm.stats.bytes_read,
+        cold.stats.bytes_appended
+    );
     // The read-path gate: a graceful restart reads only contract
     // records — nothing is planned, so no program is built, and nothing
     // is written.
@@ -275,6 +299,7 @@ fn run_replay(scale: &Scale) -> ReplayReport {
 pub fn replay(scale: &Scale) -> String {
     let r = run_replay(scale);
     let speedup = r.warm_speedup();
+    let warm_us = r.warm_us_per_contract();
     let cps = |secs: f64| r.stream_len as f64 / secs.max(1e-9);
     let mut json = String::new();
     json.push_str("{\n");
@@ -301,11 +326,14 @@ pub fn replay(scale: &Scale) -> String {
     ));
     json.push_str(&format!(
         "  \"warm_restart\": {{ \"seconds\": {:.4}, \"contracts_per_sec\": {:.2}, \
+         \"us_per_contract\": {:.3}, \"max_us_per_contract\": {:.1}, \
          \"speedup_vs_cold\": {:.2}, \"disk_hits\": {}, \"disk_misses\": {}, \
          \"disk_hit_rate\": {:.4}, \"records_appended\": {}, \"bytes_read\": {}, \
          \"compile\": {{ \"compile_ms\": {:.2} }} }},\n",
         r.warm.secs,
         cps(r.warm.secs),
+        warm_us,
+        MAX_WARM_US_PER_CONTRACT,
         speedup,
         r.warm.stats.disk_hits,
         r.warm.stats.disk_misses,
@@ -344,8 +372,8 @@ pub fn replay(scale: &Scale) -> String {
     // The artifact is written first so a gate failure still leaves the
     // numbers on disk for diagnosis.
     assert!(
-        speedup >= 5.0,
-        "warm-restart throughput gate: {speedup:.1}× < 5× cold"
+        warm_us <= MAX_WARM_US_PER_CONTRACT,
+        "warm-restart cost gate: {warm_us:.2} µs per contract > {MAX_WARM_US_PER_CONTRACT} µs"
     );
 
     let mut t = TextTable::new(&["metric", "cold", "warm restart", "crash restart"]);
@@ -360,6 +388,12 @@ pub fn replay(scale: &Scale) -> String {
         format!("{:.1}", cps(r.cold.secs)),
         format!("{:.1}", cps(r.warm.secs)),
         format!("{:.1}", cps(r.crash.secs)),
+    ]);
+    t.row(&[
+        "µs per contract".into(),
+        format!("{:.2}", r.cold.secs * 1e6 / r.stream_len.max(1) as f64),
+        format!("{warm_us:.2}"),
+        format!("{:.2}", r.crash.secs * 1e6 / r.stream_len.max(1) as f64),
     ]);
     t.row(&[
         "speedup vs cold".into(),
@@ -432,9 +466,13 @@ mod tests {
         assert!(report.warm.stats.disk_hits >= report.distinct as u64);
         assert_eq!(report.warm.stats.disk_misses, 0);
         assert!(report.contracts_on_disk >= report.distinct);
-        // At any scale the warm epoch must beat cold — the strict 5×
-        // gate is enforced by `replay` at benchmark scale.
+        // At any scale the warm epoch must beat cold; the cost bound
+        // is enforced by `replay`.
         assert!(report.warm_speedup() > 1.0);
+        assert_eq!(
+            report.warm.stats.bytes_read, report.cold.stats.bytes_appended,
+            "the warm restart reads each record once"
+        );
         assert_eq!(report.crash.stats.torn_tails, 1);
         assert!(report.crash.stats.index_rebuilds >= 1);
     }

@@ -420,20 +420,24 @@ fn recover_contract(
     let mut functions = Vec::with_capacity(plan.table.len());
     let mut panics = Vec::new();
     for (idx, entry) in plan.table.iter().enumerate() {
-        match catch_unwind(AssertUnwindSafe(|| sigrec.run_entry(&plan, idx, mode).0)) {
-            Ok(f) => functions.push(f),
+        match catch_unwind(AssertUnwindSafe(|| sigrec.run_entry(&plan, idx, mode))) {
+            Ok((f, facts)) => {
+                facts.recycle();
+                functions.push(f);
+            }
             Err(payload) => panics.push(panic_diagnostic(
                 &format!("recovery of {} panicked", entry.selector),
                 &*payload,
             )),
         }
     }
+    let functions = Arc::new(functions);
     if panics.is_empty() {
         sigrec.seal(&plan, &functions);
     }
     let mut diags = assemble_diagnostics(&plan.extraction_diags, &functions);
     diags.extend(panics);
-    (Arc::new(functions), diags)
+    (functions, diags)
 }
 
 #[cfg(test)]

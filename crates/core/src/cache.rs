@@ -245,13 +245,24 @@ impl RecoveryCache {
         functions: Vec<RecoveredFunction>,
         extraction_diags: Vec<Diagnostic>,
     ) {
+        self.store_shared(key, Arc::new(functions), extraction_diags);
+    }
+
+    /// [`RecoveryCache::store_contract`] keeping the caller's `Arc`: the
+    /// memory tier shares the result the pipeline returns.
+    pub(crate) fn store_shared(
+        &self,
+        key: [u8; 32],
+        functions: Arc<Vec<RecoveredFunction>>,
+        extraction_diags: Vec<Diagnostic>,
+    ) {
         if let Some(store) = &self.inner.store {
             let _ = store.append(key, &functions, &extraction_diags);
         }
         self.inner.contracts.lock().expect("cache poisoned").insert(
             key,
             Arc::new(CachedContract {
-                functions: Arc::new(functions),
+                functions,
                 extraction_diags,
             }),
         );

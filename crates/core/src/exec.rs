@@ -14,12 +14,13 @@
 //! lets the inference engine scope loop bounds to the facts inside the loop
 //! body by pc range.
 
-use crate::expr::{BinOp, ExprArena, ExprId, ExprKind, UnOp};
-use crate::facts::{CopyFact, FunctionFacts, GuardFact, LoadFact, Usage, UseFact};
+use crate::expr::{BinOp, ExprArena, ExprId, ExprKind, UnOp, MAX_POOLED_NODES};
+use crate::facts::{self, CopyFact, FunctionFacts, GuardFact, LoadFact, Usage, UseFact};
 use crate::infer::InferEngine;
 use crate::memory::SymMemory;
 use crate::outcome::{BudgetKind, DelegateTarget};
 use sigrec_evm::{Disassembly, Instruction, Opcode, Program, STACK_LIMIT, U256};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -139,7 +140,7 @@ impl ExecStats {
     }
 }
 
-#[derive(Clone)]
+#[derive(Default)]
 struct PathState {
     pc: usize,
     stack: Vec<ExprId>,
@@ -148,7 +149,31 @@ struct PathState {
     steps: usize,
 }
 
-/// The paths waiting to run, newest last.
+impl PathState {
+    /// Makes this state a copy of `src` on its own buffers, so a fork
+    /// into a spare state allocates nothing once the spare is as large.
+    fn copy_from(&mut self, src: &PathState) {
+        self.pc = src.pc;
+        self.stack.clone_from(&src.stack);
+        self.memory.clone_from(&src.memory);
+        // The map is only looked up, never iterated, so a rebuilt copy
+        // is as good as a clone, and keeps this map's storage where
+        // `clone_from` reallocates unless the bucket counts match.
+        self.visits.clear();
+        self.visits
+            .extend(src.visits.iter().map(|(&pc, &n)| (pc, n)));
+        self.steps = src.steps;
+    }
+
+    /// What a spare state holds room for: its buffers' capacities, plus
+    /// one for the state itself.
+    fn units(&self) -> usize {
+        1 + self.stack.capacity() + self.memory.capacity() + self.visits.capacity()
+    }
+}
+
+/// The paths waiting to run, newest last, and the spare states that
+/// ended paths leave for later forks.
 ///
 /// The explore loop pops the newest state first and runs at most
 /// `max_paths` paths, so at most `room` more states (`max_paths` minus
@@ -156,20 +181,26 @@ struct PathState {
 /// `room` could never run: once that many are pending, a push drops the
 /// oldest instead of keeping it. The paths that run, and therefore the
 /// facts, are those of an unbounded worklist; only the memory differs.
+#[derive(Default)]
 struct Worklist {
     pending: VecDeque<PathState>,
     room: usize,
     /// Whether a state was dropped for want of room.
     dropped: bool,
+    /// States whose paths ended, for forks to copy into. They hold at
+    /// most [`MAX_POOLED_NODES`] units in total (see
+    /// [`PathState::units`]); a state past that is freed.
+    spare: Vec<PathState>,
+    spare_units: usize,
 }
 
 impl Worklist {
-    fn new(max_paths: usize) -> Self {
-        Worklist {
-            pending: VecDeque::new(),
-            room: max_paths,
-            dropped: false,
-        }
+    /// Readies a recycled worklist for an exploration of at most
+    /// `max_paths` paths.
+    fn start(&mut self, max_paths: usize) {
+        debug_assert!(self.pending.is_empty(), "a kept worklist is drained");
+        self.room = max_paths;
+        self.dropped = false;
     }
 
     fn len(&self) -> usize {
@@ -179,8 +210,9 @@ impl Worklist {
     fn push(&mut self, state: PathState) {
         if self.pending.len() == self.room {
             self.dropped = true;
-            if self.pending.pop_front().is_none() {
-                return;
+            match self.pending.pop_front() {
+                Some(oldest) => self.retire(oldest),
+                None => return self.retire(state),
             }
         }
         self.pending.push_back(state);
@@ -192,6 +224,69 @@ impl Worklist {
         self.room -= 1;
         Some(state)
     }
+
+    /// A spare state, or a new one; its contents are stale.
+    fn spare(&mut self) -> PathState {
+        match self.spare.pop() {
+            Some(state) => {
+                self.spare_units -= state.units();
+                state
+            }
+            None => PathState::default(),
+        }
+    }
+
+    /// The state a path starts from at `pc`, with `top` on the stack.
+    fn fresh(&mut self, pc: usize, top: ExprId) -> PathState {
+        let mut state = self.spare();
+        state.pc = pc;
+        state.stack.clear();
+        state.stack.push(top);
+        state.memory.clear();
+        state.visits.clear();
+        state.steps = 0;
+        state
+    }
+
+    /// A copy of `st` for the other side of a fork.
+    fn fork(&mut self, st: &PathState) -> PathState {
+        let mut other = self.spare();
+        other.copy_from(st);
+        other
+    }
+
+    /// Keeps the state of a path that ended (or never ran) for a later
+    /// fork, within the spare budget.
+    fn retire(&mut self, state: PathState) {
+        let units = state.units();
+        if self.spare_units + units <= MAX_POOLED_NODES {
+            self.spare_units += units;
+            self.spare.push(state);
+        }
+    }
+
+    /// Retires every pending state, leaving the worklist ready to keep.
+    fn drain(&mut self) {
+        while let Some(state) = self.pending.pop_back() {
+            self.retire(state);
+        }
+        if self.pending.capacity() > MAX_POOLED_NODES {
+            self.pending = VecDeque::new();
+        }
+    }
+}
+
+/// The scratch one exploration uses and the next one on the thread
+/// reuses: the symbol map and the worklist with its spare states.
+#[derive(Default)]
+struct Scratch {
+    syms: HashMap<SymKey, u32>,
+    worklist: Worklist,
+}
+
+thread_local! {
+    /// The scratch of the last exploration that finished on this thread.
+    static SCRATCH: Cell<Option<Scratch>> = const { Cell::new(None) };
 }
 
 /// What a free symbol stands for. Reads of one source share one symbol;
@@ -219,8 +314,12 @@ pub struct Tase<'a> {
     config: TaseConfig,
     /// The exploration's expressions; handed to the facts at the end.
     arena: ExprArena,
+    /// The symbol map, keyed per process: `SymKey::Mem` carries
+    /// addresses that the bytecode chooses.
     syms: HashMap<SymKey, u32>,
     facts: FunctionFacts,
+    /// Cleared key lists for the uses the exploration records.
+    spare_keys: Vec<Vec<ExprId>>,
     total_steps: usize,
     stats: ExecStats,
     deadline: Option<Instant>,
@@ -239,6 +338,7 @@ impl<'a> Tase<'a> {
             arena: ExprArena::new(),
             syms: HashMap::new(),
             facts: FunctionFacts::default(),
+            spare_keys: Vec::new(),
             total_steps: 0,
             stats: ExecStats::default(),
             deadline,
@@ -277,27 +377,32 @@ impl<'a> Tase<'a> {
 
     /// Like [`Tase::explore`], also returning the executor counters
     /// (fork-cost fields require [`TaseConfig::collect_stats`]).
+    ///
+    /// The symbol map, the worklist and its spare states come from the
+    /// thread's scratch and go back to it at the end, as do the spare
+    /// key lists; the facts' vectors come from the buffers the pipeline
+    /// recycled from earlier facts on this thread.
     pub fn explore_stats(mut self, entry: usize) -> (FunctionFacts, ExecStats) {
         if self.program.is_none() {
             self.program = Some(Arc::new(Program::new(self.disasm)));
         }
+        let Scratch { syms, mut worklist } = SCRATCH.with(Cell::take).unwrap_or_default();
+        self.syms = syms;
+        self.spare_keys = self.facts.take_buffers();
         let residue = self.sym(SymKey::Residue);
-        let mut worklist = Worklist::new(self.config.max_paths);
-        worklist.push(PathState {
-            pc: entry,
-            stack: vec![residue],
-            memory: SymMemory::new(),
-            visits: PcMap::default(),
-            steps: 0,
-        });
+        worklist.start(self.config.max_paths);
+        let first = worklist.fresh(entry, residue);
+        worklist.push(first);
         let mut paths = 0usize;
         while let Some(state) = worklist.pop() {
             if self.total_steps >= self.config.max_total_steps {
                 self.facts.add_budget(BudgetKind::TotalSteps);
+                worklist.retire(state);
                 break;
             }
             if self.past_deadline() {
                 self.facts.add_budget(BudgetKind::Deadline);
+                worklist.retire(state);
                 break;
             }
             paths += 1;
@@ -315,6 +420,15 @@ impl<'a> Tase<'a> {
         self.facts.paths_explored = paths;
         self.stats.steps = self.total_steps as u64;
         self.stats.paths = paths as u64;
+        worklist.drain();
+        let mut syms = std::mem::take(&mut self.syms);
+        if syms.capacity() > MAX_POOLED_NODES {
+            syms = HashMap::new();
+        }
+        syms.clear();
+        // Thread teardown may already have destroyed the scratch.
+        let _ = SCRATCH.try_with(|s| s.set(Some(Scratch { syms, worklist })));
+        facts::keep_spare_keys(std::mem::take(&mut self.spare_keys));
         let mut facts = self.facts;
         facts.arena = self.arena;
         (facts, self.stats)
@@ -346,10 +460,16 @@ impl<'a> Tase<'a> {
         true
     }
 
+    /// Runs one path to its end and retires its state.
     fn run_path(&mut self, mut st: PathState, worklist: &mut Worklist) {
+        self.run_steps(&mut st, worklist);
+        worklist.retire(st);
+    }
+
+    fn run_steps(&mut self, st: &mut PathState, worklist: &mut Worklist) {
         let disasm = self.disasm;
         loop {
-            if !self.budget_ok(&st) {
+            if !self.budget_ok(st) {
                 return;
             }
             let Some(ins) = disasm.at(st.pc) else {
@@ -357,7 +477,7 @@ impl<'a> Tase<'a> {
             };
             st.steps += 1;
             self.total_steps += 1;
-            match self.step(&mut st, ins, worklist) {
+            match self.step(st, ins, worklist) {
                 Flow::Continue(pc) => st.pc = pc,
                 Flow::End => return,
             }
@@ -673,7 +793,7 @@ impl<'a> Tase<'a> {
                             self.stats.worklist_peak.max(worklist.len() as u64 + 2);
                     }
                     // Fork: queue the fallthrough, continue with the jump.
-                    let mut other = st.clone();
+                    let mut other = worklist.fork(st);
                     other.pc = next_pc;
                     worklist.push(other);
                     return self.enter_block(st, t);
@@ -732,11 +852,14 @@ impl<'a> Tase<'a> {
     }
 
     fn add_use(&mut self, pc: usize, expr: ExprId, usage: Usage) {
-        let keys = self.arena.calldata_locs(expr);
-        if keys.is_empty() {
+        let mut keys = self.spare_keys.pop().unwrap_or_default();
+        self.arena.calldata_locs_into(expr, &mut keys);
+        if keys.is_empty() || self.facts.has_use(pc, &usage, &keys) {
+            keys.clear();
+            self.spare_keys.push(keys);
             return;
         }
-        self.facts.add_use(UseFact { pc, keys, usage });
+        self.facts.uses.push(UseFact { pc, keys, usage });
     }
 
     fn record_signed_use(&mut self, pc: usize, value: ExprId) {
@@ -852,6 +975,118 @@ mod tests {
     fn explore(code: &[u8], entry: usize) -> FunctionFacts {
         let d = Disassembly::new(code);
         Tase::new(&d, TaseConfig::default()).explore(entry)
+    }
+
+    /// The exploration scratch this thread kept, taken out of its pool.
+    fn kept_scratch() -> Scratch {
+        SCRATCH
+            .with(Cell::take)
+            .expect("an exploration kept its scratch")
+    }
+
+    #[test]
+    fn a_fork_storm_fills_the_spare_states_to_their_cap() {
+        // 500 stores, then 200 symbolic forks: every retired state
+        // carries the 500-write journal, more than the pool keeps.
+        let mut a = Assembler::new();
+        for _ in 0..500 {
+            a.push_u64(1).push_u64(0x80).op(Op::MStore);
+        }
+        for _ in 0..200 {
+            let next = a.fresh_label();
+            a.push_u64(4)
+                .op(Op::CallDataLoad)
+                .push_label(next)
+                .op(Op::JumpI);
+            a.jumpdest(next);
+        }
+        a.op(Op::Stop);
+        let d = Disassembly::new(&a.assemble());
+        let config = TaseConfig {
+            max_paths: 64,
+            ..TaseConfig::default()
+        };
+        let facts = Tase::new(&d, config).explore(0);
+        assert_eq!(facts.paths_explored, 64);
+        let kept = kept_scratch();
+        assert!(kept.worklist.pending.is_empty());
+        let held: usize = kept.worklist.spare.iter().map(PathState::units).sum();
+        assert_eq!(held, kept.worklist.spare_units);
+        assert!(held <= MAX_POOLED_NODES, "{held} units kept");
+        assert!(
+            held > MAX_POOLED_NODES / 2,
+            "the storm fills the pool: {held}"
+        );
+    }
+
+    #[test]
+    fn oversized_scratch_is_not_kept() {
+        // One path of MAX_POOLED_NODES + 1 `GAS` reads, each stored: a
+        // symbol map and a memory journal past the cap.
+        let mut code = [0x5a, 0x60, 0x80, 0x52].repeat(MAX_POOLED_NODES + 1);
+        code.push(0x00);
+        let facts = explore(&code, 0);
+        assert!(facts.budgets.is_empty(), "{:?}", facts.budgets);
+        let kept = kept_scratch();
+        assert!(kept.syms.is_empty());
+        assert!(kept.syms.capacity() <= MAX_POOLED_NODES);
+        assert!(kept
+            .worklist
+            .spare
+            .iter()
+            .all(|s| s.units() <= MAX_POOLED_NODES));
+        assert!(kept.worklist.spare_units <= MAX_POOLED_NODES);
+    }
+
+    #[test]
+    fn a_recycled_exploration_equals_a_fresh_one() {
+        // A forking body that masks unwritten memory, explored right
+        // after one that stored a calldata word there, gathers the same
+        // facts as on a new thread: no path starts from a stale journal.
+        let mut a = Assembler::new();
+        let skip = a.fresh_label();
+        a.push_u64(0x40)
+            .op(Op::MLoad)
+            .push_u64(0xff)
+            .op(Op::And)
+            .op(Op::Pop);
+        a.push_u64(4)
+            .op(Op::CallDataLoad)
+            .push_u64(0xff)
+            .op(Op::And);
+        a.push_label(skip).op(Op::JumpI);
+        a.push_u64(36)
+            .op(Op::CallDataLoad)
+            .op(Op::SignExtend)
+            .op(Op::Pop);
+        a.jumpdest(skip).op(Op::Stop);
+        let code = a.assemble();
+        let shown = |f: &FunctionFacts| {
+            let loads: Vec<_> = f
+                .loads
+                .iter()
+                .map(|l| (l.pc, f.arena.eval(l.loc)))
+                .collect();
+            let uses: Vec<_> = f
+                .uses
+                .iter()
+                .map(|u| (u.pc, u.keys.len(), u.usage.clone()))
+                .collect();
+            format!("{loads:?} {uses:?} {} {:?}", f.paths_explored, f.budgets)
+        };
+        let fresh = {
+            let code = code.clone();
+            std::thread::spawn(move || shown(&explore(&code, 0)))
+                .join()
+                .expect("fresh exploration")
+        };
+        // `(PUSH1 k; POP) × 8; PUSH1 4; CALLDATALOAD; PUSH1 0x40;
+        // MSTORE; STOP`: the stored word's id is past any node the body
+        // above builds.
+        let mut store: Vec<u8> = (1..=8).flat_map(|k| [0x60, 0x10 + k, 0x50]).collect();
+        store.extend([0x60, 0x04, 0x35, 0x60, 0x40, 0x52, 0x00]);
+        explore(&store, 0).recycle();
+        assert_eq!(shown(&explore(&code, 0)), fresh);
     }
 
     #[test]

@@ -147,11 +147,12 @@ const DEP_SYMBOLIC: u8 = DEP_CALLDATA | DEP_CDSIZE | DEP_FREESYM;
 /// DAG walk.
 const DEP_MASKED: u8 = 8;
 
-/// Largest node map a dropped arena hands back to its thread for reuse.
+/// Largest node map a dropped arena hands back to its thread for reuse,
+/// and the cap of every other per-thread pool (see [`sigrec_evm::pool`]).
 /// Clearing the map costs O(capacity), so one giant (possibly hostile)
 /// function must not tax every later exploration on the thread, nor pin
 /// its memory for the thread's life.
-pub(crate) const MAX_POOLED_NODES: usize = 1 << 14;
+pub(crate) use sigrec_evm::pool::{recycle, MAX_POOLED_NODES};
 
 thread_local! {
     /// The cleared storage of the last arena dropped on this thread.
@@ -489,12 +490,17 @@ impl ExprArena {
     /// inner load inside another load's location is also reported).
     pub fn calldata_locs(&self, root: ExprId) -> Vec<ExprId> {
         let mut out = Vec::new();
+        self.calldata_locs_into(root, &mut out);
+        out
+    }
+
+    /// [`ExprArena::calldata_locs`], appended to `out`.
+    pub(crate) fn calldata_locs_into(&self, root: ExprId, out: &mut Vec<ExprId>) {
         self.walk(root, |_, k| {
             if let ExprKind::CalldataWord(loc) = *k {
                 out.push(loc);
             }
         });
-        out
     }
 
     /// Every free-symbol id in the expression, sorted and deduplicated.
@@ -622,10 +628,10 @@ impl Drop for ExprArena {
     /// unless it never grew (an unused default arena must not displace a
     /// warm one) or outgrew the cap.
     fn drop(&mut self) {
-        let mut s = std::mem::take(&mut self.s);
-        if s.ids.capacity() == 0 || s.ids.capacity() > MAX_POOLED_NODES {
+        if self.s.ids.capacity() == 0 || self.s.ids.capacity() > MAX_POOLED_NODES {
             return;
         }
+        let mut s = std::mem::take(&mut self.s);
         s.nodes.clear();
         s.values.clear();
         s.ids.clear();

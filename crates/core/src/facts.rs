@@ -8,10 +8,16 @@
 //!
 //! Every expression in the facts is an [`ExprId`] into
 //! [`FunctionFacts::arena`], the exploration's own [`ExprArena`].
+//!
+//! The facts' vectors, and each use's key list, are recycled per thread:
+//! the pipeline's `FunctionFacts::recycle` clears them and keeps them for
+//! the thread's next exploration. It is an explicit call, not a `Drop`,
+//! so callers may still move fields out of the facts they keep.
 
-use crate::expr::{ExprArena, ExprId};
+use crate::expr::{recycle, ExprArena, ExprId, MAX_POOLED_NODES};
 use crate::outcome::{BudgetKind, DelegateTarget};
 use sigrec_evm::U256;
+use std::cell::Cell;
 
 /// One `CALLDATALOAD` observed during execution.
 #[derive(Clone, Debug)]
@@ -153,13 +159,16 @@ impl FunctionFacts {
 
     /// Records a usage unless an identical (pc, usage, keys) entry exists.
     pub fn add_use(&mut self, fact: UseFact) {
-        if !self
-            .uses
-            .iter()
-            .any(|f| f.pc == fact.pc && f.usage == fact.usage && f.keys == fact.keys)
-        {
+        if !self.has_use(fact.pc, &fact.usage, &fact.keys) {
             self.uses.push(fact);
         }
+    }
+
+    /// True if a (pc, usage, keys) entry is already recorded.
+    pub(crate) fn has_use(&self, pc: usize, usage: &Usage, keys: &[ExprId]) -> bool {
+        self.uses
+            .iter()
+            .any(|f| f.pc == pc && f.usage == *usage && f.keys == keys)
     }
 
     /// Records a delegatecall target; the first hit wins so the fact is
@@ -176,6 +185,103 @@ impl FunctionFacts {
             self.budgets.push(kind);
         }
     }
+
+    /// Gives the facts' buffers back to the thread for its next
+    /// exploration: the arena's storage (as dropping it does), the
+    /// vectors, and the uses' key lists, all cleared. The pipeline calls
+    /// it wherever it discards facts; dropping them instead frees the
+    /// buffers.
+    pub(crate) fn recycle(self) {
+        let FunctionFacts {
+            arena,
+            loads,
+            copies,
+            guards,
+            mut uses,
+            budgets,
+            ..
+        } = self;
+        drop(arena);
+        let mut pool = POOL.with(Cell::take).unwrap_or_default();
+        keep_keys(&mut pool.keys, uses.drain(..).map(|u| u.keys));
+        keep(&mut pool.loads, loads);
+        keep(&mut pool.copies, copies);
+        keep(&mut pool.guards, guards);
+        keep(&mut pool.uses, uses);
+        keep(&mut pool.budgets, budgets);
+        // Thread teardown may already have destroyed the pool.
+        let _ = POOL.try_with(|p| p.set(Some(pool)));
+    }
+
+    /// Moves the thread's recycled vectors into these facts, whose own
+    /// must be empty, and returns its spare key lists (each empty). The
+    /// exploration hands the key lists it did not use back through
+    /// [`keep_spare_keys`].
+    pub(crate) fn take_buffers(&mut self) -> Vec<Vec<ExprId>> {
+        let pool = POOL.with(Cell::take).unwrap_or_default();
+        self.loads = pool.loads;
+        self.copies = pool.copies;
+        self.guards = pool.guards;
+        self.uses = pool.uses;
+        self.budgets = pool.budgets;
+        pool.keys
+    }
+}
+
+/// Keeps the larger of a pooled buffer and a recycled one.
+fn keep<T>(kept: &mut Vec<T>, mut buffer: Vec<T>) {
+    recycle(&mut buffer);
+    if buffer.capacity() > kept.capacity() {
+        *kept = buffer;
+    }
+}
+
+thread_local! {
+    /// The cleared buffers of the last facts recycled on this thread.
+    static POOL: Cell<Option<FactBuffers>> = const { Cell::new(None) };
+}
+
+/// Recycled fact buffers: the cleared vectors of earlier facts, and
+/// cleared key lists for the next exploration's uses.
+#[derive(Default)]
+struct FactBuffers {
+    loads: Vec<LoadFact>,
+    copies: Vec<CopyFact>,
+    guards: Vec<GuardFact>,
+    uses: Vec<UseFact>,
+    budgets: Vec<BudgetKind>,
+    keys: Vec<Vec<ExprId>>,
+}
+
+/// Returns spare key lists to the thread's pool.
+pub(crate) fn keep_spare_keys(mut keys: Vec<Vec<ExprId>>) {
+    let mut pool = POOL.with(Cell::take).unwrap_or_default();
+    // Keep the larger list of lists and move the other's into it.
+    if keys.capacity() > pool.keys.capacity() {
+        std::mem::swap(&mut keys, &mut pool.keys);
+    }
+    keep_keys(&mut pool.keys, keys.into_iter());
+    let _ = POOL.try_with(|p| p.set(Some(pool)));
+}
+
+/// Adds cleared key lists to `spare` while their capacities, counting
+/// one slot per list, stay within [`MAX_POOLED_NODES`] in total; the
+/// rest are freed.
+fn keep_keys(spare: &mut Vec<Vec<ExprId>>, keys: impl Iterator<Item = Vec<ExprId>>) {
+    let mut held: usize = spare.iter().map(|k| k.capacity() + 1).sum();
+    if held > MAX_POOLED_NODES || spare.capacity() > MAX_POOLED_NODES {
+        *spare = Vec::new();
+        held = 0;
+    }
+    for mut k in keys {
+        let units = k.capacity() + 1;
+        if held + units > MAX_POOLED_NODES {
+            continue;
+        }
+        held += units;
+        k.clear();
+        spare.push(k);
+    }
 }
 
 #[cfg(test)]
@@ -190,6 +296,52 @@ mod tests {
         f.add_load(LoadFact { pc: 10, loc, value });
         f.add_load(LoadFact { pc: 10, loc, value });
         assert_eq!(f.loads.len(), 1);
+    }
+
+    #[test]
+    fn recycled_facts_come_back_empty_on_kept_buffers() {
+        let mut f = FunctionFacts::default();
+        let loc = f.arena.c64(4);
+        let value = f.arena.calldata_word(loc);
+        for pc in 0..8 {
+            f.add_load(LoadFact { pc, loc, value });
+            f.add_use(UseFact {
+                pc,
+                keys: vec![loc],
+                usage: Usage::ByteExtract,
+            });
+        }
+        f.add_budget(BudgetKind::Paths);
+        f.recycle();
+        let mut kept = FunctionFacts::default();
+        let keys = kept.take_buffers();
+        assert!(kept.loads.is_empty() && kept.uses.is_empty() && kept.budgets.is_empty());
+        assert!(kept.loads.capacity() >= 8 && kept.uses.capacity() >= 8);
+        assert_eq!(keys.len(), 8);
+        assert!(keys.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn oversized_fact_buffers_are_not_kept() {
+        let mut f = FunctionFacts::default();
+        let loc = f.arena.c64(4);
+        let value = f.arena.calldata_word(loc);
+        for pc in 0..=MAX_POOLED_NODES {
+            f.loads.push(LoadFact { pc, loc, value });
+            f.uses.push(UseFact {
+                pc,
+                keys: vec![loc; 3],
+                usage: Usage::ByteExtract,
+            });
+        }
+        f.recycle();
+        let mut kept = FunctionFacts::default();
+        let keys = kept.take_buffers();
+        assert!(kept.loads.capacity() <= MAX_POOLED_NODES);
+        assert!(kept.uses.capacity() <= MAX_POOLED_NODES);
+        let held: usize = keys.iter().map(|k| k.capacity() + 1).sum();
+        assert!(held <= MAX_POOLED_NODES, "{held} key slots kept");
+        assert!(keys.capacity() <= MAX_POOLED_NODES);
     }
 
     #[test]

@@ -64,7 +64,7 @@ use super::{
     const_guard_bounds, const_offset, is_count_like, is_guard_bound, is_mul32, loop_bounds_for,
     signed_bound_matches, vyperise, Bound, Candidate, Language, RecoveredParams,
 };
-use crate::expr::{BinOp, ExprArena, ExprId, ExprKind, Marks, MAX_POOLED_NODES};
+use crate::expr::{recycle, BinOp, ExprArena, ExprId, ExprKind, Marks};
 use crate::facts::{CopyFact, FunctionFacts, Usage};
 use crate::rules::RuleId;
 use sigrec_abi::AbiType;
@@ -75,17 +75,6 @@ use std::time::Instant;
 
 /// An empty slot of an id-indexed table.
 const NONE: u32 = u32::MAX;
-
-/// Empties a recycled table, dropping its allocation when one giant
-/// (possibly hostile) function grew it past what the arena itself keeps:
-/// that memory must not stay pinned in thread-local storage.
-fn recycle<T>(v: &mut Vec<T>) {
-    if v.capacity() > MAX_POOLED_NODES {
-        *v = Vec::new();
-    } else {
-        v.clear();
-    }
-}
 
 thread_local! {
     /// Recycled index containers. A batch worker runs inference for
@@ -420,7 +409,6 @@ struct TreeIndex {
 impl TreeIndex {
     fn build(facts: &FunctionFacts) -> Self {
         let mut idx = IDX_POOL.with(|p| p.take()).unwrap_or_default();
-        idx.clear();
         idx.fill(facts);
         idx
     }
@@ -436,9 +424,9 @@ impl TreeIndex {
         recycle(&mut self.decoded);
         self.uses_by_offset.clear();
         self.scratch.recycle();
-        self.cand_pool.clear();
-        self.marker_pool.clear();
-        self.deep_pool.clear();
+        recycle(&mut self.cand_pool);
+        recycle(&mut self.marker_pool);
+        recycle(&mut self.deep_pool);
     }
 
     /// The sorted dependent-node ids of copy `i`'s source.
@@ -584,7 +572,6 @@ struct DynIndex {
 impl DynIndex {
     fn build(facts: &FunctionFacts) -> Self {
         let mut idx = DYN_POOL.with(|p| p.take()).unwrap_or_default();
-        idx.clear();
         idx.fill(facts);
         idx
     }
@@ -738,12 +725,17 @@ pub(super) struct TreeInference<'a> {
 }
 
 impl Drop for TreeInference<'_> {
-    /// Returns the compiled indexes to the thread-local pools so the next
-    /// function inferred on this worker rebuilds allocation-free.
+    /// Clears the compiled indexes and returns them to the thread-local
+    /// pools, so the next function inferred on this worker rebuilds
+    /// allocation-free and a giant function's tables are freed at once.
     fn drop(&mut self) {
-        IDX_POOL.with(|p| p.set(Some(std::mem::take(&mut self.idx))));
-        if let Some(d) = self.dyn_idx.take() {
-            DYN_POOL.with(|p| p.set(Some(d)));
+        let mut idx = std::mem::take(&mut self.idx);
+        idx.clear();
+        // Thread teardown may already have destroyed the pools.
+        let _ = IDX_POOL.try_with(|p| p.set(Some(idx)));
+        if let Some(mut d) = self.dyn_idx.take() {
+            d.clear();
+            let _ = DYN_POOL.try_with(|p| p.set(Some(d)));
         }
     }
 }

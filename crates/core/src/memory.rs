@@ -28,10 +28,22 @@ enum Write {
 }
 
 /// Symbolic memory: a journal of writes, scanned newest-first on read.
-/// A path fork clones it.
-#[derive(Clone, Debug, Default)]
+/// A path fork clones it (`clone_from` reuses the target's journal).
+#[derive(Debug, Default)]
 pub struct SymMemory {
     writes: Vec<Write>,
+}
+
+impl Clone for SymMemory {
+    fn clone(&self) -> Self {
+        SymMemory {
+            writes: self.writes.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.writes.clone_from(&source.writes);
+    }
 }
 
 impl SymMemory {
@@ -43,6 +55,16 @@ impl SymMemory {
     /// Total writes recorded on this path.
     pub fn write_count(&self) -> usize {
         self.writes.len()
+    }
+
+    /// Writes the journal has room for.
+    pub(crate) fn capacity(&self) -> usize {
+        self.writes.capacity()
+    }
+
+    /// Forgets every write, keeping the journal's storage.
+    pub(crate) fn clear(&mut self) {
+        self.writes.clear();
     }
 
     /// Records `MSTORE(addr, value)`. Non-concrete addresses are dropped

@@ -274,13 +274,11 @@ impl SigRec {
                 functions: hit.functions.as_ref().clone(),
             };
         }
-        let functions: Vec<RecoveredFunction> = (0..plan.table.len())
-            .map(|i| self.run_entry(&plan, i, CacheMode::ReadWrite).0)
-            .collect();
+        let functions = Arc::new(self.run_entries(&plan, CacheMode::ReadWrite));
         self.seal(&plan, &functions);
         RecoveryOutcome {
             diagnostics: assemble_diagnostics(&plan.extraction_diags, &functions),
-            functions,
+            functions: Arc::unwrap_or_clone(functions),
         }
     }
 
@@ -294,9 +292,7 @@ impl SigRec {
     /// Cache-bypassing variant of [`SigRec::recover_with_outcome`].
     pub fn recover_cold_with_outcome(&self, code: &[u8]) -> RecoveryOutcome {
         let plan = self.plan(code, CacheMode::Bypass);
-        let functions: Vec<RecoveredFunction> = (0..plan.table.len())
-            .map(|i| self.run_entry(&plan, i, CacheMode::Bypass).0)
-            .collect();
+        let functions = self.run_entries(&plan, CacheMode::Bypass);
         RecoveryOutcome {
             diagnostics: assemble_diagnostics(&plan.extraction_diags, &functions),
             functions,
@@ -471,6 +467,18 @@ impl SigRec {
         }
     }
 
+    /// Stage 2 over every entry of a plan, in dispatcher order, recycling
+    /// each entry's facts.
+    fn run_entries(&self, plan: &ContractPlan, mode: CacheMode) -> Vec<RecoveredFunction> {
+        (0..plan.table.len())
+            .map(|i| {
+                let (function, facts) = self.run_entry(plan, i, mode);
+                facts.recycle();
+                function
+            })
+            .collect()
+    }
+
     /// Stage 2: explores and infers the `idx`-th dispatch-table entry of
     /// a plan. Safe to call for different entries concurrently. `mode`
     /// only decides whether the entry counts in
@@ -560,7 +568,9 @@ impl SigRec {
         (function, facts)
     }
 
-    /// Stage 3: memoises the assembled contract once every entry is done.
+    /// Stage 3: memoises the assembled contract once every entry is done,
+    /// sharing the caller's `Arc` with the memory tier instead of
+    /// copying the functions.
     /// A no-op in [`CacheMode::Bypass`] plans (no contract key), and for
     /// deadline-truncated results — those are nondeterministic, and a
     /// memoised one would replay an arbitrary cut on every warm lookup.
@@ -568,7 +578,7 @@ impl SigRec {
     /// never reaches `store_contract`, hence never reaches a segment
     /// (and the store re-checks on its own — see
     /// [`PersistentStore::append`](crate::PersistentStore::append)).
-    pub(crate) fn seal(&self, plan: &ContractPlan, functions: &[RecoveredFunction]) {
+    pub(crate) fn seal(&self, plan: &ContractPlan, functions: &Arc<Vec<RecoveredFunction>>) {
         let deadline_hit = functions
             .iter()
             .any(|f| f.budgets.contains(&BudgetKind::Deadline));
@@ -577,7 +587,7 @@ impl SigRec {
         }
         if let Some(key) = plan.key {
             self.cache
-                .store_contract(key, functions.to_vec(), plan.extraction_diags.clone());
+                .store_shared(key, Arc::clone(functions), plan.extraction_diags.clone());
         }
     }
 }
@@ -842,7 +852,7 @@ impl SigRec {
         let analysed: Vec<(RecoveredFunction, FunctionFacts)> = (0..plan.table.len())
             .map(|i| self.run_entry(&plan, i, CacheMode::WriteOnly))
             .collect();
-        let functions: Vec<RecoveredFunction> = analysed.iter().map(|(f, _)| f.clone()).collect();
+        let functions = Arc::new(analysed.iter().map(|(f, _)| f.clone()).collect());
         self.seal(&plan, &functions);
         analysed
             .into_iter()

@@ -271,6 +271,65 @@ fn pathological_contract_does_not_poison_a_64_contract_batch() {
     }
 }
 
+/// Everything a recovery returns but its timings, for comparing runs.
+fn outcome_view(functions: &[sigrec_core::RecoveredFunction], diags: &[Diagnostic]) -> String {
+    let functions: Vec<String> = functions
+        .iter()
+        .map(|f| {
+            format!(
+                "{} {} {:?} {:?} {:?} {:?} {:?}",
+                f.selector, f.entry, f.params, f.language, f.rules, f.budgets, f.delegate
+            )
+        })
+        .collect();
+    format!("{functions:?} {diags:?}")
+}
+
+#[test]
+fn a_panicked_entry_leaves_no_state_for_the_next_contract() {
+    // The victim's first entry recovers (its facts go back to the
+    // thread's pools) and its second panics mid-contract; the contracts
+    // after it on the same thread start from whatever that left.
+    let specs = ["first(uint8[],bytes)", "victim(int16,address)"]
+        .map(|d| FunctionSpec::parse(d, Visibility::External).expect("valid declaration"));
+    let victim = sigrec_solc::compile(&specs, &CompilerConfig::default()).code;
+    let victim_selector = specs[1].signature.selector;
+    let next = vec![
+        contract("next(uint256[2],bool)"),
+        contract("then(bytes32,int8[])"),
+        contract("last(string,uint64)"),
+    ];
+    let config = TaseConfig {
+        panic_on_selector: Some(victim_selector.as_u32()),
+        ..TaseConfig::default()
+    };
+    let mut codes = vec![victim];
+    codes.extend(next.iter().cloned());
+    let mut result = None;
+    injected_panic_threads(victim_selector, || {
+        result = Some(recover_batch(&SigRec::with_config(config), &codes, 1));
+    });
+    let result = result.expect("the batch returned");
+    assert!(result.items[0]
+        .diagnostics
+        .iter()
+        .any(|d| matches!(d, Diagnostic::InternalError { .. })));
+    for (item, code) in result.items[1..].iter().zip(next) {
+        let fresh = std::thread::spawn(move || {
+            let o = SigRec::new().recover_cold_with_outcome(&code);
+            outcome_view(&o.functions, &o.diagnostics)
+        })
+        .join()
+        .expect("fresh recovery");
+        assert_eq!(
+            outcome_view(&item.functions, &item.diagnostics),
+            fresh,
+            "contract #{}",
+            item.index
+        );
+    }
+}
+
 #[test]
 fn worker_panic_is_isolated_to_its_contract() {
     let victim = contract("victim(uint8,bool)");

@@ -8,9 +8,15 @@
 //! a dense `pc → instruction index` table, so [`Disassembly::at`],
 //! [`Disassembly::index_of`] and [`Disassembly::is_jumpdest`] are O(1)
 //! for every caller: the symbolic executor looks one up per step.
+//!
+//! Both tables are recycled per thread: dropping a disassembly clears
+//! them and keeps them for the thread's next [`Disassembly::new`], unless
+//! one grew past [`MAX_POOLED_NODES`](crate::pool::MAX_POOLED_NODES).
 
 use crate::opcode::Opcode;
+use crate::pool::recycle;
 use crate::u256::U256;
+use std::cell::Cell;
 use std::fmt;
 
 /// One disassembled instruction.
@@ -72,6 +78,11 @@ impl fmt::Display for Instruction {
 /// instruction (push immediates).
 const NO_INSTRUCTION: u32 = u32::MAX;
 
+thread_local! {
+    /// The cleared tables of the last disassembly dropped on this thread.
+    static POOL: Cell<Option<(Vec<Instruction>, Vec<u32>)>> = const { Cell::new(None) };
+}
+
 /// A disassembled program: instructions in address order with O(1) pc
 /// lookup.
 #[derive(Clone, Debug, Default)]
@@ -90,8 +101,12 @@ impl Disassembly {
     /// Never fails: unassigned bytes become [`Opcode::Invalid`] and a
     /// truncated trailing `PUSH` keeps whatever immediate bytes exist.
     pub fn new(code: &[u8]) -> Self {
-        let mut instructions = Vec::new();
-        let mut pc_index = vec![NO_INSTRUCTION; code.len()];
+        let (mut instructions, mut pc_index) = POOL.with(Cell::take).unwrap_or_default();
+        // A recycled pc table keeps none of the last code's slots: every
+        // slot is rewritten, so a shorter code never sees stale indices.
+        instructions.clear();
+        pc_index.clear();
+        pc_index.resize(code.len(), NO_INSTRUCTION);
         let mut pc = 0;
         while pc < code.len() {
             pc_index[pc] = instructions.len() as u32;
@@ -174,6 +189,23 @@ impl Disassembly {
             out.extend_from_slice(&word[start..start + ins.immediate_len as usize]);
         }
         out
+    }
+}
+
+impl Drop for Disassembly {
+    /// Clears the tables and keeps them for the thread's next
+    /// disassembly, unless they never grew (an unused default must not
+    /// displace a warm pair) or outgrew the cap.
+    fn drop(&mut self) {
+        let mut instructions = std::mem::take(&mut self.instructions);
+        let mut pc_index = std::mem::take(&mut self.pc_index);
+        if pc_index.capacity() == 0 && instructions.capacity() == 0 {
+            return;
+        }
+        recycle(&mut instructions);
+        recycle(&mut pc_index);
+        // Thread teardown may already have destroyed the pool.
+        let _ = POOL.try_with(|p| p.set(Some((instructions, pc_index))));
     }
 }
 
@@ -277,6 +309,20 @@ mod tests {
     }
 
     #[test]
+    fn oversized_tables_are_not_kept() {
+        use crate::pool::MAX_POOLED_NODES;
+        // One STOP per byte: both tables grow past the cap.
+        drop(Disassembly::new(&vec![0x00; MAX_POOLED_NODES + 1]));
+        let d = Disassembly::new(&[0x00]);
+        assert!(d.instructions.capacity() <= MAX_POOLED_NODES);
+        assert!(d.pc_index.capacity() <= MAX_POOLED_NODES);
+        // A table under the cap is kept for the next code.
+        drop(d);
+        drop(Disassembly::new(&[0x5b; 64]));
+        assert!(Disassembly::new(&[]).pc_index.capacity() >= 64);
+    }
+
+    #[test]
     fn empty_code() {
         let d = Disassembly::new(&[]);
         assert!(d.is_empty());
@@ -335,6 +381,33 @@ mod tests {
                     Some(U256::from_be_bytes(present) << (8 * missing))
                 );
                 prop_assert!(!ins.is_truncated_push() || i + 1 == d.len());
+            }
+        }
+
+        #[test]
+        fn recycled_tables_equal_a_fresh_disassembly(
+            first in push_heavy_code(),
+            second in push_heavy_code(),
+            cut in 0usize..64,
+        ) {
+            // Half the cases follow a longer code with a prefix of it, so
+            // the recycled pc table shrinks over slots it filled before.
+            let second = if cut % 2 == 0 {
+                first[..first.len().saturating_sub(cut)].to_vec()
+            } else {
+                second
+            };
+            drop(Disassembly::new(&first));
+            let recycled = Disassembly::new(&second);
+            let code = second.clone();
+            let fresh = std::thread::spawn(move || Disassembly::new(&code))
+                .join()
+                .expect("fresh disassembly");
+            prop_assert_eq!(recycled.instructions(), fresh.instructions());
+            prop_assert_eq!(recycled.code_len(), fresh.code_len());
+            for pc in 0..first.len().max(second.len()) + 33 {
+                prop_assert_eq!(recycled.index_of(pc), fresh.index_of(pc));
+                prop_assert_eq!(recycled.is_jumpdest(pc), fresh.is_jumpdest(pc));
             }
         }
     }

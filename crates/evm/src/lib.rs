@@ -26,6 +26,7 @@ pub mod gas;
 pub mod interp;
 pub mod keccak;
 pub mod opcode;
+pub mod pool;
 pub mod program;
 pub mod trace;
 pub mod u256;

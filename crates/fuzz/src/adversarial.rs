@@ -39,6 +39,18 @@
 //!    DAG of about 40 nodes but a tree of 2⁴⁰ leaves), and two fork
 //!    storms (500 stores then 2 700 forks, 2 000 stores then 1 700
 //!    forks) whose first path alone forks thousands of times.
+//! 8. **Recycled scratch ≡ fresh thread** — recovery reuses per-thread
+//!    buffers (disassembly tables, expression arena, exploration scratch,
+//!    fact buffers, inference indexes), so every case, recovered right
+//!    after the previous one on the campaign's thread, must equal its
+//!    recovery on a newly spawned thread. A fork storm that fills the
+//!    spare path states to their cap runs first and again halfway, so
+//!    the cases after it start from a full pool. Halfway, two crafted
+//!    pairs follow it: a code of one instruction per byte, then a
+//!    shorter one that jumps into its own push data (where a stale pc
+//!    table would find an instruction); and a body that stores a
+//!    calldata word at `0x40`, then one that masks an unwritten `0x40`
+//!    (where a stale memory journal would hand back that word).
 //!
 //! [`SigRec::recover_with_outcome`]: sigrec_core::SigRec
 
@@ -149,13 +161,87 @@ fn tight_config() -> TaseConfig {
 /// means every case upheld every guarantee.
 pub fn run_adversarial(campaign: &AdversarialCampaign) -> AdversarialReport {
     let mut report = AdversarialReport::default();
-    for case in adversarial_cases(campaign.seed, campaign.cases) {
+    let cases = adversarial_cases(campaign.seed, campaign.cases);
+    for case in &cases {
         report.cases += 1;
-        check_case(campaign, &case, &mut report);
+        check_case(campaign, case, &mut report);
     }
+    check_recycled_scratch(&cases, &mut report);
     check_exact_identity(&mut report);
     check_bounded_work(campaign, &mut report);
     report
+}
+
+/// What guarantee 8 compares: the path digest and the diagnostics of a
+/// cold recovery under the deterministic budgets.
+fn recycled_view(code: &[u8]) -> (Vec<String>, Vec<Diagnostic>) {
+    let outcome = SigRec::with_config(tight_config()).recover_cold_with_outcome(code);
+    (path_digest(&outcome.functions), outcome.diagnostics)
+}
+
+/// Guarantee 8: every case, recovered right after the previous one on
+/// this thread, equals its recovery on a new thread. A fork storm of 64
+/// paths, each carrying a 500-write memory journal, retires more spare
+/// path states than the pool keeps, so it runs first and again halfway,
+/// followed there by two crafted pairs (see the module docs). Adds one
+/// comparison per case plus six to `paths_checked`.
+fn check_recycled_scratch(cases: &[AdversarialCase], report: &mut AdversarialReport) {
+    let storm = behind_dispatcher(|at| fork_storm(at, 500, 200));
+    // `PUSH1 t; JUMP; PUSH1 0x5b; STOP`, `t` the pushed `0x5b` byte.
+    let push_data_jump = behind_dispatcher(|at| {
+        let target = u8::try_from(at + 4).expect("a one-byte jump target");
+        vec![0x60, target, 0x56, 0x60, 0x5b, 0x00]
+    });
+    // `(PUSH1 k; POP) × 8; PUSH1 4; CALLDATALOAD; PUSH1 0x40; MSTORE;
+    // STOP`, whose stored word has an id the reader's arena never
+    // reaches, then `PUSH1 0x40; MLOAD; PUSH1 0xff; AND; POP; STOP`.
+    let store_word = behind_dispatcher(|_| {
+        let mut body: Vec<u8> = (1..=8).flat_map(|k| [0x60, 0x10 + k, 0x50]).collect();
+        body.extend([0x60, 0x04, 0x35, 0x60, 0x40, 0x52, 0x00]);
+        body
+    });
+    let load_unwritten =
+        behind_dispatcher(|_| vec![0x60, 0x40, 0x51, 0x60, 0xff, 0x16, 0x50, 0x00]);
+    let case = |c: &AdversarialCase| (c.kind.name(), c.seed, c.code.clone());
+    let half = cases.len() / 2;
+    let inputs = [("fork-storm-spare-cap", 0, storm.clone())]
+        .into_iter()
+        .chain(cases[..half].iter().map(case))
+        .chain([
+            ("fork-storm-spare-cap", 0, storm),
+            ("jumpdest-sled", 0, vec![0x5b; 64]),
+            ("push-data-jump", 0, push_data_jump),
+            ("store-word", 0, store_word),
+            ("load-unwritten-word", 0, load_unwritten),
+        ])
+        .chain(cases[half..].iter().map(case));
+    for (kind, seed, code) in inputs {
+        let code = &code;
+        let recycled = catch_unwind(AssertUnwindSafe(|| recycled_view(code)));
+        let fresh = std::thread::scope(|scope| {
+            scope
+                .spawn(|| catch_unwind(AssertUnwindSafe(|| recycled_view(code))))
+                .join()
+        });
+        report.paths_checked += 1;
+        let (check, detail) = match (recycled, fresh) {
+            (Ok(recycled), Ok(Ok(fresh))) if recycled == fresh => continue,
+            (Ok(recycled), Ok(Ok(fresh))) => (
+                "recycled-scratch",
+                format!("after the previous case {recycled:?}, on a new thread {fresh:?}"),
+            ),
+            _ => (
+                "no-panic",
+                "panicked recovering on a recycled or new thread".to_string(),
+            ),
+        };
+        report.violations.push(AdversarialViolation {
+            kind,
+            seed,
+            check: check.to_string(),
+            detail,
+        });
+    }
 }
 
 /// `PUSH1 0x20; POP; PUSH32 c; CALLDATALOAD; PUSH1 0xff; AND; POP; STOP`,
@@ -662,10 +748,11 @@ mod tests {
         // inference cross-check), plus one extra
         // linked-resolution path per cyclic-routing case and one
         // tail-less comparison per factory-child case (two of each in
-        // two full rounds of the ten kinds), plus the five exact-identity
-        // comparisons and the four bounded-work runs each campaign makes
-        // once.
-        assert_eq!(report.paths_checked, 20 * 10 + 2 + 2 + 5 + 4);
+        // two full rounds of the ten kinds), plus one recycled-scratch
+        // comparison per case and six for its crafted inputs, plus the
+        // five exact-identity comparisons and the four bounded-work runs
+        // each campaign makes once.
+        assert_eq!(report.paths_checked, 20 * 10 + 2 + 2 + (20 + 6) + 5 + 4);
         // The corpus contains engineered truncations; at least the two
         // DeepLoop cases must have been cut by budgets.
         assert!(report.truncated_cases >= 2, "{}", report.summary());
