@@ -76,9 +76,10 @@ struct Epoch {
     stats: StoreStats,
     torn_tail_seen: bool,
     stale_index_seen: bool,
-    /// Plan-stage program-build time for the epoch. A warm restart
-    /// serves every contract from the store's contract records, plans
-    /// nothing and so builds nothing: exactly zero.
+    /// Plan-stage sweep time for the epoch (`PipelineStats::
+    /// compile_time`). A warm restart serves every contract from the
+    /// store's contract records, plans nothing and so sweeps nothing:
+    /// exactly zero.
     compile_ms: f64,
 }
 
@@ -274,8 +275,8 @@ fn run_replay(scale: &Scale) -> ReplayReport {
         cold.stats.bytes_appended
     );
     // The read-path gate: a graceful restart reads only contract
-    // records — nothing is planned, so no program is built, and nothing
-    // is written.
+    // records — nothing is planned, so no code is swept, and nothing is
+    // written.
     assert_eq!(
         warm.compile_ms, 0.0,
         "warm restart must skip the compile phase entirely"

@@ -80,8 +80,10 @@ pub struct CacheStats {
     /// Always 0: programs are never cached. Kept only for
     /// `perfbench/src/run.rs`, which sums it.
     pub program_hits: u64,
-    /// [`RecoveryCache::program_for`] calls, each of which built a
-    /// [`Program`].
+    /// Cold keyed plans (each sweeps its code once, finding the loop
+    /// heads), plus [`RecoveryCache::program_for`] calls. Kept for
+    /// `perfbench/src/main.rs`, which checks it against its traced run's
+    /// count of `program_for` calls, one per cold keyed plan.
     pub program_misses: u64,
     /// Contract lookups that missed memory but were served from the
     /// persistent tier (a subset of `contract_hits`). Zero without a
@@ -299,20 +301,22 @@ impl RecoveryCache {
     /// `perfbench/src/trace.rs`.
     pub fn store_function(&self, _span_hash: u64, _entry: usize, _cached: CachedFunction) {}
 
-    /// Builds the [`Program`] (the loop-head guards every function
-    /// explore of the contract shares) and counts the call in
-    /// [`CacheStats::program_misses`]. Nothing is cached: a contract that
-    /// seals is served whole from the contract level afterwards. `key` and
-    /// `entries` are unused; the signature is kept only for
-    /// `perfbench/src/trace.rs`, whose traced driver mirrors the
-    /// pipeline's one call per cold keyed plan.
+    /// Counts one cold keyed plan in [`CacheStats::program_misses`].
+    pub(crate) fn count_cold_plan(&self) {
+        self.inner.program_misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Returns an empty [`Program`] and counts the call in
+    /// [`CacheStats::program_misses`]. Kept only for
+    /// `perfbench/src/trace.rs`, whose traced driver calls it once per
+    /// cold keyed plan, where the pipeline counts one.
     pub fn program_for(
         &self,
         _key: &[u8; 32],
         disasm: &Disassembly,
         _entries: &[usize],
     ) -> (Arc<Program>, ProgramSource) {
-        self.inner.program_misses.fetch_add(1, Ordering::Relaxed);
+        self.count_cold_plan();
         (Arc::new(Program::new(disasm)), ProgramSource::Compiled)
     }
 

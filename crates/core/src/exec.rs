@@ -323,9 +323,6 @@ pub struct Tase<'a> {
     total_steps: usize,
     stats: ExecStats,
     deadline: Option<Instant>,
-    /// The contract's loop-head guards, shared across its entries; built
-    /// at explore time when none was supplied.
-    program: Option<Arc<Program>>,
 }
 
 impl<'a> Tase<'a> {
@@ -342,7 +339,6 @@ impl<'a> Tase<'a> {
             total_steps: 0,
             stats: ExecStats::default(),
             deadline,
-            program: None,
         }
     }
 
@@ -354,13 +350,10 @@ impl<'a> Tase<'a> {
         self
     }
 
-    /// Supplies the contract's [`Program`] (builder style). The pipeline
-    /// builds one per contract and shares the `Arc` across all of its
-    /// dispatch entries, and `perfbench/src/trace.rs` mirrors that call;
-    /// without this, each explore builds its own. The program must be
-    /// built from the same bytes as the disassembly.
-    pub fn with_program(mut self, program: Arc<Program>) -> Self {
-        self.program = Some(program);
+    /// Does nothing: the disassembly carries the loop heads
+    /// ([`Disassembly::loop_exit`]). Kept only for
+    /// `perfbench/src/trace.rs`, which passes its [`Program`] here.
+    pub fn with_program(self, _program: Arc<Program>) -> Self {
         self
     }
 
@@ -383,9 +376,6 @@ impl<'a> Tase<'a> {
     /// key lists; the facts' vectors come from the buffers the pipeline
     /// recycled from earlier facts on this thread.
     pub fn explore_stats(mut self, entry: usize) -> (FunctionFacts, ExecStats) {
-        if self.program.is_none() {
-            self.program = Some(Arc::new(Program::new(self.disasm)));
-        }
         let Scratch { syms, mut worklist } = SCRATCH.with(Cell::take).unwrap_or_default();
         self.syms = syms;
         self.spare_keys = self.facts.take_buffers();
@@ -845,7 +835,7 @@ impl<'a> Tase<'a> {
                 self.facts.add_guard(GuardFact {
                     pc,
                     cond: base,
-                    loop_exit_pc: self.program.as_ref().and_then(|p| p.loop_exit(pc)),
+                    loop_exit_pc: self.disasm.loop_exit(pc),
                 });
             }
         }

@@ -13,11 +13,14 @@
 //!
 //! Every node lives in an [`ExprArena`] and is named by an [`ExprId`]:
 //!
-//! - **Exact identity.** The arena's node map keys on the whole node (a
+//! - **Exact identity.** The arena's id table hashes the whole node (a
 //!   constant's four words, or an operator over child ids) and compares
-//!   keys on every probe, so two ids are equal exactly when their nodes
-//!   are structurally equal. Equality, containment and the use-to-load
-//!   match are id comparisons; nothing is keyed by a hash alone.
+//!   the whole node on every probe, so two ids are equal exactly when
+//!   their nodes are structurally equal. Equality, containment and the
+//!   use-to-load match are id comparisons; nothing is keyed by a hash
+//!   alone. Interning is one probe of that table: open addressing over
+//!   node ids, so a hit reads the table and the node it names, and a miss
+//!   writes one slot.
 //! - **Topological ids.** A node's children always have smaller ids, and
 //!   ids are dense from 0, so id-indexed tables (the walk marks here, the
 //!   inference engine's membership tables) replace per-call hash sets.
@@ -29,12 +32,13 @@
 //!   exploration: [`crate::Tase`] owns it while exploring and the
 //!   [`crate::FunctionFacts`] own it afterwards, so ids are only
 //!   meaningful against the facts they came with. The storage is recycled
-//!   per thread: dropping an arena clears it and keeps it for the next
-//!   one, unless its node map outgrew `MAX_POOLED_NODES`.
+//!   per thread: dropping an arena clears it (the id table in O(1), by
+//!   bumping an epoch) and keeps it for the next one, unless its id table
+//!   outgrew `MAX_POOLED_NODES` nodes.
 
 use sigrec_evm::U256;
 use std::cell::{Cell, RefCell};
-use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
@@ -147,11 +151,10 @@ const DEP_SYMBOLIC: u8 = DEP_CALLDATA | DEP_CDSIZE | DEP_FREESYM;
 /// DAG walk.
 const DEP_MASKED: u8 = 8;
 
-/// Largest node map a dropped arena hands back to its thread for reuse,
-/// and the cap of every other per-thread pool (see [`sigrec_evm::pool`]).
-/// Clearing the map costs O(capacity), so one giant (possibly hostile)
-/// function must not tax every later exploration on the thread, nor pin
-/// its memory for the thread's life.
+/// Most nodes a dropped arena's id table may have room for and still be
+/// handed back to its thread for reuse, and the cap of every other
+/// per-thread pool (see [`sigrec_evm::pool`]). One giant (possibly
+/// hostile) function must not pin its memory for the thread's life.
 pub(crate) use sigrec_evm::pool::{recycle, MAX_POOLED_NODES};
 
 thread_local! {
@@ -159,8 +162,8 @@ thread_local! {
     static POOL: Cell<Option<Storage>> = const { Cell::new(None) };
 }
 
-/// The per-process key of the node map's hasher, so that bytecode cannot
-/// be crafted to pile its constants into one bucket.
+/// The per-process key of the id table's hasher, so that bytecode cannot
+/// be crafted to pile its constants into one probe run.
 fn process_seed() -> u64 {
     static SEED: OnceLock<u64> = OnceLock::new();
     *SEED.get_or_init(|| RandomState::new().hash_one(0x5eed_u64))
@@ -173,8 +176,8 @@ struct WordHasher(u64);
 
 impl Hasher for WordHasher {
     fn finish(&self) -> u64 {
-        // Products carry their entropy in the high bits; the map indexes
-        // buckets by the low ones.
+        // Products carry their entropy in the high bits; the id table
+        // indexes slots by the low ones.
         self.0.rotate_left(26)
     }
     fn write(&mut self, bytes: &[u8]) {
@@ -187,19 +190,102 @@ impl Hasher for WordHasher {
     }
 }
 
-#[derive(Clone)]
-struct KeyedWords(u64);
+/// A slot of [`IdTable`]: the id of a node, live while `epoch` is the
+/// table's.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    epoch: u32,
+    id: u32,
+}
 
-impl Default for KeyedWords {
+/// The arena's node map: an open-addressed table of node ids, probed
+/// linearly from the node's hash, at most half full. A probe compares
+/// the whole node the slot names, so identity never rests on the hash.
+/// Clearing bumps the epoch, so a recycled table costs O(1) to empty.
+#[derive(Clone)]
+struct IdTable {
+    /// A power of two in length, or empty before the first node.
+    slots: Vec<Slot>,
+    /// The epoch of the live slots; never 0, the epoch of a new slot.
+    epoch: u32,
+    /// The hasher's per-process key.
+    seed: u64,
+}
+
+impl Default for IdTable {
     fn default() -> Self {
-        KeyedWords(process_seed())
+        IdTable {
+            slots: Vec::new(),
+            epoch: 1,
+            seed: process_seed(),
+        }
     }
 }
 
-impl BuildHasher for KeyedWords {
-    type Hasher = WordHasher;
-    fn build_hasher(&self) -> WordHasher {
-        WordHasher(self.0)
+/// Where [`IdTable::probe`] stopped.
+enum Probe {
+    /// The node is there, under this id.
+    Found(ExprId),
+    /// The node is not there; this empty slot would take it.
+    Vacant(usize),
+}
+
+impl IdTable {
+    /// The most nodes the table holds before it grows.
+    fn capacity(&self) -> usize {
+        self.slots.len() / 2
+    }
+
+    fn start(&self, kind: &ExprKind) -> usize {
+        let mut h = WordHasher(self.seed);
+        kind.hash(&mut h);
+        h.finish() as usize & (self.slots.len() - 1)
+    }
+
+    /// Finds `kind` among `nodes`, or the slot where it belongs.
+    fn probe(&self, nodes: &[Node], kind: &ExprKind) -> Probe {
+        let mask = self.slots.len() - 1;
+        let mut i = self.start(kind);
+        loop {
+            let slot = self.slots[i];
+            if slot.epoch != self.epoch {
+                return Probe::Vacant(i);
+            }
+            if nodes[slot.id as usize].kind == *kind {
+                return Probe::Found(ExprId(slot.id));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Makes room for `nodes.len() + 1` nodes, rebuilding the table over
+    /// `nodes` when it grows.
+    fn reserve_one(&mut self, nodes: &[Node]) {
+        if nodes.len() < self.capacity() {
+            return;
+        }
+        let len = (self.slots.len() * 2).max(32);
+        self.slots.clear();
+        self.slots.resize(len, Slot::default());
+        self.epoch = 1;
+        for (id, node) in nodes.iter().enumerate() {
+            if let Probe::Vacant(i) = self.probe(nodes, &node.kind) {
+                self.slots[i] = Slot {
+                    epoch: self.epoch,
+                    id: id as u32,
+                };
+            }
+        }
+    }
+
+    /// Forgets every node in O(1); when the epoch wraps, every slot is
+    /// reset, so none stamped before the wrap comes back to life.
+    fn clear(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill(Slot::default());
+            self.epoch = 1;
+        }
     }
 }
 
@@ -271,8 +357,16 @@ struct Visit {
 struct Storage {
     nodes: Vec<Node>,
     values: Vec<U256>,
-    ids: HashMap<ExprKind, ExprId, KeyedWords>,
+    ids: IdTable,
     visit: RefCell<Visit>,
+}
+
+impl Storage {
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.values.clear();
+        self.ids.clear();
+    }
 }
 
 /// The expressions of one function exploration (see the module docs).
@@ -318,21 +412,25 @@ impl ExprArena {
         let Storage {
             nodes, values, ids, ..
         } = &mut self.s;
-        match ids.entry(kind) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = ExprId(u32::try_from(nodes.len()).expect("under 2^32 nodes per arena"));
-                let flags = flags_of(nodes, &kind);
-                let value = if flags & DEP_SYMBOLIC == 0 && !matches!(kind, ExprKind::Const(_)) {
-                    values.push(fold_composite(nodes, values, &kind));
-                    (values.len() - 1) as u32
-                } else {
-                    NO_VALUE
-                };
-                nodes.push(Node { kind, flags, value });
-                *e.insert(id)
-            }
-        }
+        ids.reserve_one(nodes);
+        let slot = match ids.probe(nodes, &kind) {
+            Probe::Found(id) => return id,
+            Probe::Vacant(slot) => slot,
+        };
+        let id = u32::try_from(nodes.len()).expect("under 2^32 nodes per arena");
+        let flags = flags_of(nodes, &kind);
+        let value = if flags & DEP_SYMBOLIC == 0 && !matches!(kind, ExprKind::Const(_)) {
+            values.push(fold_composite(nodes, values, &kind));
+            (values.len() - 1) as u32
+        } else {
+            NO_VALUE
+        };
+        nodes.push(Node { kind, flags, value });
+        ids.slots[slot] = Slot {
+            epoch: ids.epoch,
+            id,
+        };
+        ExprId(id)
     }
 
     /// The constant zero.
@@ -632,9 +730,7 @@ impl Drop for ExprArena {
             return;
         }
         let mut s = std::mem::take(&mut self.s);
-        s.nodes.clear();
-        s.values.clear();
-        s.ids.clear();
+        s.clear();
         // Thread teardown may already have destroyed the pool.
         let _ = POOL.try_with(|p| p.set(Some(s)));
     }
@@ -786,6 +882,7 @@ impl fmt::Display for Shown<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::any;
+    use std::collections::HashMap;
 
     #[test]
     fn eval_folds_constants() {
@@ -1001,13 +1098,50 @@ mod tests {
 
     #[test]
     fn oversized_storage_is_not_kept() {
+        // A table with room for exactly the cap is kept...
+        let mut a = ExprArena::new();
+        for i in 0..MAX_POOLED_NODES as u64 {
+            a.c64(i);
+        }
+        assert_eq!(a.s.ids.capacity(), MAX_POOLED_NODES);
+        drop(a);
+        assert_eq!(ExprArena::new().s.ids.capacity(), MAX_POOLED_NODES);
+        // ...and one node more grows it past the cap, so it is freed.
         let mut a = ExprArena::new();
         for i in 0..(MAX_POOLED_NODES as u64 + 1) {
             a.c64(i);
         }
+        assert!(a.s.ids.capacity() > MAX_POOLED_NODES);
         drop(a);
         let b = ExprArena::new();
         assert!(b.s.ids.capacity() <= MAX_POOLED_NODES);
+    }
+
+    #[test]
+    fn no_stale_slot_answers_across_an_epoch_wrap() {
+        let values: Vec<u64> = (0..40).map(|i| i * 0x20).collect();
+        // Fresh storage, not the thread's: its table starts at epoch 1.
+        let mut a = ExprArena::default();
+        for &v in &values {
+            a.c64(v);
+        }
+        assert_eq!(a.s.ids.epoch, 1);
+        // Forty slots now carry epoch 1. Force the epoch to its last value
+        // and clear twice: the first clear wraps back to 1, where those
+        // slots would answer again unless the wrap reset them.
+        a.s.ids.epoch = u32::MAX;
+        for _ in 0..2 {
+            a.s.clear();
+            assert!(a.s.ids.slots.iter().all(|s| s.epoch != a.s.ids.epoch));
+            // Built in reverse order, every constant gets a new id, dense
+            // from 0, and reads back as itself.
+            for (i, &v) in values.iter().rev().enumerate() {
+                let id = a.c64(v);
+                assert_eq!(id.index(), i);
+                assert_eq!(a.as_const(id), Some(U256::from(v)));
+            }
+            assert_eq!(a.len(), values.len());
+        }
     }
 
     #[test]
@@ -1047,6 +1181,67 @@ mod tests {
             proptest::prop_assert_eq!(ix == iy, x == y);
             proptest::prop_assert_eq!(a.as_const(ix), Some(x));
             proptest::prop_assert_eq!(a.as_const(iy), Some(y));
+        }
+    }
+
+    /// One step of [`ids_match_a_reference_interner`]: a constant from a
+    /// pool that holds `0x20`, the constant crafted to collide with it
+    /// under an unkeyed structural hash, and pairs that differ only in
+    /// their high limbs; or an operator node over earlier ids.
+    fn node_step() -> impl proptest::strategy::Strategy<Value = (u8, u64, u64, u64)> {
+        (0u8..8, any::<u64>(), any::<u64>(), any::<u64>())
+    }
+
+    fn kind_of(step: (u8, u64, u64, u64), built: &[ExprId]) -> ExprKind {
+        let (pick, x, y, z) = step;
+        let crafted =
+            U256::from_hex("7a073c4333c76054000000000000000000000000000000000000000000000040")
+                .expect("hex constant");
+        let child = |n: u64| built[(n % built.len() as u64) as usize];
+        match pick {
+            _ if built.is_empty() || pick < 3 => ExprKind::Const(match x % 6 {
+                0 => U256::from(0x20u64),
+                1 => crafted,
+                2 => U256([y % 4, 0, 0, z % 2]),
+                3 => U256([y % 4, 0, z % 2, 0]),
+                4 => U256::from(y % 64),
+                _ => U256([x, y, z, x ^ y]),
+            }),
+            3 => ExprKind::CalldataWord(child(x)),
+            4 => ExprKind::CalldataSize,
+            5 => ExprKind::FreeSym((x % 4) as u32),
+            6 => ExprKind::Unary(if y % 2 == 0 { UnOp::IsZero } else { UnOp::Not }, child(x)),
+            _ => ExprKind::Binary(
+                [BinOp::Add, BinOp::Mul, BinOp::And, BinOp::Lt, BinOp::Shr][(z % 5) as usize],
+                child(x),
+                child(y),
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn ids_match_a_reference_interner(
+            steps in proptest::collection::vec(node_step(), 1..200),
+            again in proptest::collection::vec(node_step(), 1..200),
+        ) {
+            // Twice: the second run reuses the first arena's cleared
+            // storage.
+            for steps in [steps, again] {
+                let mut a = ExprArena::new();
+                let mut reference: HashMap<ExprKind, ExprId> = HashMap::new();
+                let mut built = Vec::new();
+                for step in steps {
+                    let kind = kind_of(step, &built);
+                    let next = ExprId(reference.len() as u32);
+                    let want = *reference.entry(kind).or_insert(next);
+                    let got = a.intern(kind);
+                    proptest::prop_assert_eq!(got, want);
+                    proptest::prop_assert_eq!(*a.kind(got), kind);
+                    built.push(got);
+                }
+                proptest::prop_assert_eq!(a.len(), reference.len());
+            }
         }
     }
 

@@ -8,10 +8,12 @@
 //! `EQ(selector_expr, constant)`, it records the pair and continues down
 //! the not-taken chain.
 
-use crate::expr::{BinOp, ExprArena, ExprId, ExprKind, UnOp};
+use crate::expr::{recycle, BinOp, ExprArena, ExprId, ExprKind, UnOp, MAX_POOLED_NODES};
 use crate::outcome::{Diagnostic, MalformedKind, TruncationKind};
 use sigrec_abi::Selector;
 use sigrec_evm::{Disassembly, Opcode, U256};
+use std::cell::Cell;
+use std::collections::HashSet;
 
 /// A dispatch table entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,15 +67,17 @@ pub fn extract_dispatch_diag(disasm: &Disassembly) -> DispatchExtraction {
     let mut out = Vec::new();
     // The walk's own expressions, shared by every chain of this extraction.
     let mut arena = ExprArena::new();
-    let mut worklist: Vec<(usize, Vec<ExprId>)> = vec![(0, Vec::new())];
-    let mut forked: std::collections::HashSet<usize> = std::collections::HashSet::new();
+    let mut scratch = SCRATCH.with(Cell::take).unwrap_or_default();
+    let first = scratch.stack();
+    scratch.worklist.push((0, first));
     let mut walk = WalkDiag::default();
     let mut branches = 0;
-    while let Some((start_pc, start_stack)) = worklist.pop() {
+    while let Some((start_pc, start_stack)) = scratch.worklist.pop() {
         branches += 1;
-        if branches > 64 {
+        if branches > MAX_CHAINS {
             // A chain was pending: some range-split subtree stays unwalked.
             diagnostics.push(Diagnostic::DispatcherTruncated(TruncationKind::Branches));
+            scratch.retire(start_stack);
             break;
         }
         walk_chain(
@@ -82,8 +86,7 @@ pub fn extract_dispatch_diag(disasm: &Disassembly) -> DispatchExtraction {
             start_pc,
             start_stack,
             &mut out,
-            &mut worklist,
-            &mut forked,
+            &mut scratch,
             &mut walk,
         );
     }
@@ -96,11 +99,74 @@ pub fn extract_dispatch_diag(disasm: &Disassembly) -> DispatchExtraction {
         }));
     }
     // Deduplicate (a selector reachable via two forks) preserving order.
-    let mut seen = std::collections::HashSet::new();
-    out.retain(|e: &DispatchEntry| seen.insert(e.selector));
+    out.retain(|e: &DispatchEntry| scratch.seen.insert(e.selector));
+    scratch.recycle();
+    // Thread teardown may already have destroyed the pool.
+    let _ = SCRATCH.try_with(|p| p.set(Some(scratch)));
     DispatchExtraction {
         table: out,
         diagnostics,
+    }
+}
+
+/// Most chains (the prologue, then one per forked range split) one
+/// extraction walks.
+const MAX_CHAINS: usize = 64;
+
+/// The dispatcher walk's scratch: pending chains, spare chain stacks,
+/// the range splits already forked and the selectors already emitted.
+/// Recycled per thread like every other pool (see [`sigrec_evm::pool`]).
+#[derive(Default)]
+struct WalkScratch {
+    /// Chains still to walk: a start pc and its stack.
+    worklist: Vec<(usize, Vec<ExprId>)>,
+    /// Cleared chain stacks.
+    stacks: Vec<Vec<ExprId>>,
+    /// The `JUMPI` pcs of range splits already forked.
+    forked: HashSet<usize>,
+    /// The selectors already in the table.
+    seen: HashSet<Selector>,
+}
+
+thread_local! {
+    /// The cleared scratch of the last extraction on this thread.
+    static SCRATCH: Cell<Option<WalkScratch>> = const { Cell::new(None) };
+}
+
+impl WalkScratch {
+    /// An empty chain stack, reusing a spare one when there is one.
+    fn stack(&mut self) -> Vec<ExprId> {
+        self.stacks.pop().unwrap_or_default()
+    }
+
+    /// Returns a finished chain's stack to the spares: at most one per
+    /// chain an extraction may walk, each with room for at most its share
+    /// of [`MAX_POOLED_NODES`] ids.
+    fn retire(&mut self, mut stack: Vec<ExprId>) {
+        if self.stacks.len() < MAX_CHAINS && stack.capacity() <= MAX_POOLED_NODES / MAX_CHAINS {
+            stack.clear();
+            self.stacks.push(stack);
+        }
+    }
+
+    /// Empties everything for the next extraction, freeing what grew
+    /// past the cap: the sets cost O(capacity) to clear.
+    fn recycle(&mut self) {
+        while let Some((_, stack)) = self.worklist.pop() {
+            self.retire(stack);
+        }
+        recycle(&mut self.worklist);
+        recycle_set(&mut self.forked);
+        recycle_set(&mut self.seen);
+    }
+}
+
+/// [`recycle`] for a hash set.
+fn recycle_set<T>(set: &mut HashSet<T>) {
+    if set.capacity() > MAX_POOLED_NODES {
+        *set = HashSet::new();
+    } else {
+        set.clear();
     }
 }
 
@@ -114,15 +180,13 @@ struct WalkDiag {
     truncated_push_pc: Option<usize>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn walk_chain(
     disasm: &Disassembly,
     arena: &mut ExprArena,
     start_pc: usize,
     start_stack: Vec<ExprId>,
     out: &mut Vec<DispatchEntry>,
-    worklist: &mut Vec<(usize, Vec<ExprId>)>,
-    forked: &mut std::collections::HashSet<usize>,
+    scratch: &mut WalkScratch,
     diag: &mut WalkDiag,
 ) {
     let mut stack = start_stack;
@@ -246,8 +310,10 @@ fn walk_chain(
                 // both halves — queue the jump target, continue inline.
                 if is_selector_range_split(arena, cond) {
                     if let Some(t) = arena.eval(target).and_then(|v| v.as_usize()) {
-                        if disasm.is_jumpdest(t) && forked.insert(pc) {
-                            worklist.push((t, stack.clone()));
+                        if disasm.is_jumpdest(t) && scratch.forked.insert(pc) {
+                            let mut copy = scratch.stack();
+                            copy.extend_from_slice(&stack);
+                            scratch.worklist.push((t, copy));
                         }
                     }
                     pc = next_pc;
@@ -286,6 +352,7 @@ fn walk_chain(
         }
         pc = next_pc;
     }
+    scratch.retire(stack);
 }
 
 /// A comparison of the selector against a constant (possibly `ISZERO`-

@@ -26,7 +26,7 @@ use crate::outcome::{
 use crate::rules::RuleId;
 use crate::store::StoreStats;
 use sigrec_abi::{AbiType, FunctionSignature, Selector};
-use sigrec_evm::{keccak256, Disassembly, Program};
+use sigrec_evm::{keccak256, Disassembly};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -158,11 +158,9 @@ pub(crate) struct ContractPlan {
     /// The memoised result, when the contract-level cache already has one
     /// (the table is empty in that case).
     pub(crate) cached: Option<Arc<CachedContract>>,
+    /// The contract's instructions and loop heads, shared by every entry
+    /// of the plan; empty for contract-level cache hits.
     disasm: Disassembly,
-    /// The loop-head guards every entry of the plan shares, built once
-    /// per contract and freed with the plan; `None` for contract-level
-    /// cache hits.
-    program: Option<Arc<Program>>,
     /// Dispatch table, in dispatcher order.
     pub(crate) table: Vec<DispatchEntry>,
     /// Extraction-level diagnostics (dispatcher truncation, malformed
@@ -420,14 +418,23 @@ impl SigRec {
                     key: Some(*key),
                     cached: Some(hit),
                     disasm: Disassembly::new(&[]),
-                    program: None,
                     table: Vec::new(),
                     extraction_diags: Vec::new(),
                     deadline,
                 };
             }
         }
+        // The one sweep over the code, which also finds its loop heads:
+        // what `PipelineStats::compile_time` times.
+        let sweep_start = self.stats.as_ref().map(|_| Instant::now());
         let disasm = Disassembly::new(code);
+        if let (Some(acc), Some(t0)) = (&self.stats, sweep_start) {
+            acc.compile_nanos
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+        if key.is_some() {
+            self.cache.count_cold_plan();
+        }
         let mut extraction = extract_dispatch_diag(&disasm);
         // A clean, empty dispatch table is where whole-contract
         // forwarders (minimal proxies, fallback-only upgradeable
@@ -446,21 +453,10 @@ impl SigRec {
                     });
             }
         }
-        let build_start = self.stats.as_ref().map(|_| Instant::now());
-        let program = match &key {
-            // Keyed plans go through the cache, which counts the build.
-            Some(k) => self.cache.program_for(k, &disasm, &[]).0,
-            None => Arc::new(Program::new(&disasm)),
-        };
-        if let (Some(acc), Some(t0)) = (&self.stats, build_start) {
-            acc.compile_nanos
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
         ContractPlan {
             key,
             cached: None,
             disasm,
-            program: Some(program),
             table: extraction.table,
             extraction_diags: extraction.diagnostics,
             deadline,
@@ -518,11 +514,9 @@ impl SigRec {
             };
             return (function, facts);
         }
-        let mut tase = Tase::new(&plan.disasm, self.config).with_deadline(plan.deadline);
-        if let Some(p) = &plan.program {
-            tase = tase.with_program(Arc::clone(p));
-        }
-        let (facts, exec) = tase.explore_stats(entry.entry);
+        let (facts, exec) = Tase::new(&plan.disasm, self.config)
+            .with_deadline(plan.deadline)
+            .explore_stats(entry.entry);
         let tase_done = self.stats.as_ref().map(|_| Instant::now());
         let mut result = if let (Some(acc), Some(tase_done)) = (&self.stats, tase_done) {
             let (result, timing) = infer_timed(&facts, self.config.infer_engine);
@@ -633,7 +627,7 @@ struct StatsAccum {
     /// The shared/prefix bucket of the exclusive attribution: index-build
     /// time, calls that fired no rules, and division remainders.
     infer_shared_nanos: AtomicU64,
-    /// Wall-clock spent building programs (plan stage).
+    /// Wall-clock spent sweeping cold contracts' code (plan stage).
     compile_nanos: AtomicU64,
     /// Per-contract latency histogram (log2-nanosecond buckets mirroring
     /// [`LatencyHistogram`]), merged in once per batch.
@@ -799,9 +793,9 @@ pub struct PipelineStats {
     /// `infer_shared_time + Σ rule_time == infer_time` (up to the clock
     /// quantisation of each call).
     pub infer_shared_time: Duration,
-    /// Wall-clock spent at plan time building each contract's
-    /// [`Program`] (its loop-head guards). Zero when every contract was a
-    /// contract-level cache hit.
+    /// Wall-clock spent at plan time sweeping each cold contract's code
+    /// ([`Disassembly::new`], which also finds its loop-head guards).
+    /// Zero when every contract was a contract-level cache hit.
     pub compile_time: Duration,
     /// Per-rule *exclusive* inference time: each call's duration minus
     /// its index build splits evenly across the distinct rules that

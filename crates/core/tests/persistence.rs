@@ -517,7 +517,7 @@ fn frame_record(key: &[u8; 32], payload: &[u8]) -> Vec<u8> {
 }
 
 /// A graceful restart serves a stored contract for the cost of reading
-/// that contract's one record, and nothing compiles.
+/// that contract's one record, and sweeps no code.
 #[test]
 fn graceful_restart_reads_one_record_and_skips_compile() {
     let dir = scratch("graceful");
@@ -529,11 +529,16 @@ fn graceful_restart_reads_one_record_and_skips_compile() {
         &CompilerConfig::default(),
     );
     let cold = {
-        let sigrec = SigRec::new().with_cache(RecoveryCache::persistent(
-            PersistentStore::open(&dir).unwrap(),
-        ));
+        let sigrec = SigRec::new()
+            .with_cache(RecoveryCache::persistent(
+                PersistentStore::open(&dir).unwrap(),
+            ))
+            .with_exec_stats();
         let outcome = sigrec.recover_with_outcome(&contract.code);
         sigrec.flush_store().unwrap();
+        // The cold plan's sweep is timed, so the warm zero below is a
+        // skipped sweep, not an untimed one.
+        assert!(sigrec.exec_stats().unwrap().compile_time > Duration::ZERO);
         outcome
     };
     let segment = std::fs::read(dir.join("seg-00000.sigseg")).unwrap();

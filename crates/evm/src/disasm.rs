@@ -7,9 +7,12 @@
 //! with its program counter and any push immediate. The same sweep fills
 //! a dense `pc → instruction index` table, so [`Disassembly::at`],
 //! [`Disassembly::index_of`] and [`Disassembly::is_jumpdest`] are O(1)
-//! for every caller: the symbolic executor looks one up per step.
+//! for every caller: the symbolic executor looks one up per step. It also
+//! finds the contract's loop heads ([`Disassembly::loop_exit`]), the one
+//! thing a function exploration needs that depends on the whole contract,
+//! so a contract is read once per plan.
 //!
-//! Both tables are recycled per thread: dropping a disassembly clears
+//! Every table is recycled per thread: dropping a disassembly clears
 //! them and keeps them for the thread's next [`Disassembly::new`], unless
 //! one grew past [`MAX_POOLED_NODES`](crate::pool::MAX_POOLED_NODES).
 
@@ -78,13 +81,34 @@ impl fmt::Display for Instruction {
 /// instruction (push immediates).
 const NO_INSTRUCTION: u32 = u32::MAX;
 
+/// Every byte's opcode, decoded at compile time: the sweep reads one
+/// entry per instruction instead of matching the byte.
+static OPCODES: [Opcode; 256] = {
+    let mut table = [Opcode::Stop; 256];
+    let mut b = 0;
+    while b < table.len() {
+        table[b] = Opcode::from_byte(b as u8);
+        b += 1;
+    }
+    table
+};
+
+/// The tables of a dropped disassembly, cleared for the next one.
+#[derive(Default)]
+struct Tables {
+    instructions: Vec<Instruction>,
+    pc_index: Vec<u32>,
+    loop_exits: Vec<(usize, usize)>,
+    back_jumps: Vec<(usize, usize)>,
+}
+
 thread_local! {
     /// The cleared tables of the last disassembly dropped on this thread.
-    static POOL: Cell<Option<(Vec<Instruction>, Vec<u32>)>> = const { Cell::new(None) };
+    static POOL: Cell<Option<Tables>> = const { Cell::new(None) };
 }
 
 /// A disassembled program: instructions in address order with O(1) pc
-/// lookup.
+/// lookup, and its loop heads.
 #[derive(Clone, Debug, Default)]
 pub struct Disassembly {
     instructions: Vec<Instruction>,
@@ -93,46 +117,85 @@ pub struct Disassembly {
     /// 4 Gi instructions would need 4 GiB of code and far more for
     /// `instructions` itself, whose allocation fails first.
     pc_index: Vec<u32>,
+    /// `(guard pc, exit pc)` of every loop-head guard, in pc order.
+    loop_exits: Vec<(usize, usize)>,
+    /// `(jump pc, target)` of every constant backward jump, in pc order:
+    /// the sweep's scratch, kept only so that it is recycled too.
+    back_jumps: Vec<(usize, usize)>,
 }
 
 impl Disassembly {
-    /// Disassembles runtime bytecode with a linear sweep.
+    /// Disassembles runtime bytecode with a linear sweep, finding its
+    /// loop heads on the way (see [`Disassembly::loop_exit`]).
     ///
     /// Never fails: unassigned bytes become [`Opcode::Invalid`] and a
     /// truncated trailing `PUSH` keeps whatever immediate bytes exist.
     pub fn new(code: &[u8]) -> Self {
-        let (mut instructions, mut pc_index) = POOL.with(Cell::take).unwrap_or_default();
+        let Tables {
+            mut instructions,
+            mut pc_index,
+            mut loop_exits,
+            mut back_jumps,
+        } = POOL.with(Cell::take).unwrap_or_default();
         // A recycled pc table keeps none of the last code's slots: every
         // slot is rewritten, so a shorter code never sees stale indices.
         instructions.clear();
         pc_index.clear();
         pc_index.resize(code.len(), NO_INSTRUCTION);
+        loop_exits.clear();
+        back_jumps.clear();
         let mut pc = 0;
         while pc < code.len() {
             pc_index[pc] = instructions.len() as u32;
-            let opcode = Opcode::from_byte(code[pc]);
+            let opcode = OPCODES[code[pc] as usize];
             let imm_len = opcode.immediate_len();
-            let present = &code[pc + 1..(pc + 1 + imm_len).min(code.len())];
-            let value = if imm_len == 0 {
-                U256::ZERO
-            } else {
+            let mut value = U256::ZERO;
+            let mut present = 0;
+            if imm_len > 0 {
                 // A `PUSHn` immediate fills the word's low `n` bytes, high
                 // byte first; bytes past the end of the code read as zero.
-                let mut word = [0u8; 32];
-                word[32 - imm_len..][..present.len()].copy_from_slice(present);
-                U256::from_be_bytes(&word)
-            };
+                let imm = &code[pc + 1..(pc + 1 + imm_len).min(code.len())];
+                present = imm.len();
+                for (k, &b) in imm.iter().enumerate() {
+                    let at = imm_len - 1 - k;
+                    value.0[at / 8] |= u64::from(b) << (at % 8 * 8);
+                }
+            } else if matches!(opcode, Opcode::Jump | Opcode::JumpI) {
+                // A jump is constant when the instruction just before it
+                // pushes the target.
+                if let Some(t) = instructions.last().and_then(|p| p.push_value()?.as_usize()) {
+                    if t <= pc {
+                        back_jumps.push((pc, t));
+                    } else if opcode == Opcode::JumpI {
+                        loop_exits.push((pc, t));
+                    }
+                }
+            }
             instructions.push(Instruction {
                 pc,
                 opcode,
                 value,
-                immediate_len: present.len() as u8,
+                immediate_len: present as u8,
             });
             pc += 1 + imm_len;
         }
+        // Of the forward `JUMPI`s, keep those that enclose a backward jump
+        // to at or before them. Real code has few backward jumps, so
+        // checking each guard against those inside its span stays near
+        // linear even on adversarial dispatchers with thousands of
+        // forward guards.
+        loop_exits.retain(|&(g, e)| {
+            let first = back_jumps.partition_point(|&(j, _)| j <= g);
+            back_jumps[first..]
+                .iter()
+                .take_while(|&&(j, _)| j < e)
+                .any(|&(_, t)| t <= g)
+        });
         Disassembly {
             instructions,
             pc_index,
+            loop_exits,
+            back_jumps,
         }
     }
 
@@ -160,6 +223,20 @@ impl Disassembly {
     #[inline]
     pub fn is_jumpdest(&self, pc: usize) -> bool {
         matches!(self.at(pc), Some(i) if i.opcode == Opcode::JumpDest)
+    }
+
+    /// The loop exit of the guard `JUMPI` at `pc`, if it heads a loop.
+    ///
+    /// A loop-head guard is a `JUMPI` whose constant forward target `e`
+    /// encloses (strictly between the guard and `e`) a constant backward
+    /// jump to at or before the guard; the symbolic executor records `e`
+    /// as the guard's loop exit. Constant jumps are the ones whose target
+    /// is pushed by the instruction just before them.
+    pub fn loop_exit(&self, pc: usize) -> Option<usize> {
+        self.loop_exits
+            .binary_search_by_key(&pc, |&(g, _)| g)
+            .ok()
+            .map(|i| self.loop_exits[i].1)
     }
 
     /// The byte length of the code that was disassembled (the sweep keeps
@@ -195,17 +272,23 @@ impl Disassembly {
 impl Drop for Disassembly {
     /// Clears the tables and keeps them for the thread's next
     /// disassembly, unless they never grew (an unused default must not
-    /// displace a warm pair) or outgrew the cap.
+    /// displace a warm set) or outgrew the cap.
     fn drop(&mut self) {
-        let mut instructions = std::mem::take(&mut self.instructions);
-        let mut pc_index = std::mem::take(&mut self.pc_index);
-        if pc_index.capacity() == 0 && instructions.capacity() == 0 {
+        let mut tables = Tables {
+            instructions: std::mem::take(&mut self.instructions),
+            pc_index: std::mem::take(&mut self.pc_index),
+            loop_exits: std::mem::take(&mut self.loop_exits),
+            back_jumps: std::mem::take(&mut self.back_jumps),
+        };
+        if tables.pc_index.capacity() == 0 && tables.instructions.capacity() == 0 {
             return;
         }
-        recycle(&mut instructions);
-        recycle(&mut pc_index);
+        recycle(&mut tables.instructions);
+        recycle(&mut tables.pc_index);
+        recycle(&mut tables.loop_exits);
+        recycle(&mut tables.back_jumps);
         // Thread teardown may already have destroyed the pool.
-        let _ = POOL.try_with(|p| p.set(Some((instructions, pc_index))));
+        let _ = POOL.try_with(|p| p.set(Some(tables)));
     }
 }
 
@@ -316,10 +399,53 @@ mod tests {
         let d = Disassembly::new(&[0x00]);
         assert!(d.instructions.capacity() <= MAX_POOLED_NODES);
         assert!(d.pc_index.capacity() <= MAX_POOLED_NODES);
+        // `PUSH1 0; JUMP; PUSH3 0xffffff; JUMPI` repeated: past the cap in
+        // backward jumps and in loop-head guards.
+        let loops = [0x60, 0x00, 0x56, 0x62, 0xff, 0xff, 0xff, 0x57].repeat(MAX_POOLED_NODES + 1);
+        let big = Disassembly::new(&loops);
+        assert!(big.back_jumps.capacity() > MAX_POOLED_NODES);
+        assert!(big.loop_exits.capacity() > MAX_POOLED_NODES);
+        drop(big);
+        let d = Disassembly::new(&[0x00]);
+        assert!(d.loop_exits.capacity() <= MAX_POOLED_NODES);
+        assert!(d.back_jumps.capacity() <= MAX_POOLED_NODES);
         // A table under the cap is kept for the next code.
         drop(d);
         drop(Disassembly::new(&[0x5b; 64]));
         assert!(Disassembly::new(&[]).pc_index.capacity() >= 64);
+    }
+
+    #[test]
+    fn guards_over_a_back_edge_are_loop_heads() {
+        use crate::asm::Assembler;
+        // i = 0; head: if !(i < 3) goto exit; i += 1; goto head; exit: STOP
+        let mut a = Assembler::new();
+        let head = a.fresh_label();
+        let exit = a.fresh_label();
+        let skip = a.fresh_label();
+        a.push_u64(0);
+        a.jumpdest(head);
+        a.op(Opcode::Dup(1)).push_u64(3).op(Opcode::Gt);
+        a.op(Opcode::IsZero).push_label(exit).op(Opcode::JumpI);
+        a.push_u64(1).op(Opcode::Add);
+        a.push_label(head).op(Opcode::Jump);
+        a.jumpdest(exit);
+        // A forward guard with no back edge inside is not a loop head.
+        a.push_u64(0).push_label(skip).op(Opcode::JumpI);
+        a.jumpdest(skip).op(Opcode::Stop);
+        let d = Disassembly::new(&a.assemble());
+        let jumpis: Vec<usize> = d
+            .instructions()
+            .iter()
+            .filter(|i| i.opcode == Opcode::JumpI)
+            .map(|i| i.pc)
+            .collect();
+        assert_eq!(d.loop_exits.len(), 1);
+        let (guard, exit_pc) = d.loop_exits[0];
+        assert_eq!(guard, jumpis[0]);
+        assert!(d.is_jumpdest(exit_pc));
+        assert_eq!(d.loop_exit(jumpis[0]), Some(exit_pc));
+        assert_eq!(d.loop_exit(jumpis[1]), None);
     }
 
     #[test]
@@ -348,8 +474,67 @@ mod tests {
             })
     }
 
+    /// [`push_heavy_code`] behind 0–79 loop-shaped pieces (`JUMPDEST`s,
+    /// constant forward and backward jumps, and stray bytes), so most
+    /// codes have loop heads as well as guards that head none.
+    fn looping_code() -> impl Strategy<Value = Vec<u8>> {
+        let piece = (0u8..6, any::<u8>()).prop_map(|(kind, t)| match kind {
+            0 => vec![0x5b],
+            1 => vec![0x60, t, 0x57],
+            2 => vec![0x60, t, 0x56],
+            3 => vec![0x61, 0x00, t, 0x57],
+            4 => vec![0x80, 0x57],
+            _ => vec![t],
+        });
+        (proptest::collection::vec(piece, 0..80), push_heavy_code()).prop_map(|(pieces, tail)| {
+            let mut code = pieces.concat();
+            code.extend(tail);
+            code
+        })
+    }
+
+    /// The loop-head rule as a second pass over a finished disassembly,
+    /// the way it was computed before the sweep found loop heads itself:
+    /// the guard's loop exit for every guard pc.
+    fn two_pass_loop_exits(d: &Disassembly) -> Vec<(usize, usize)> {
+        let mut guards = Vec::new();
+        let mut back_jumps = Vec::new();
+        let mut prev: Option<&Instruction> = None;
+        for ins in d.instructions() {
+            if matches!(ins.opcode, Opcode::Jump | Opcode::JumpI) {
+                if let Some(t) = prev.and_then(|p| p.push_value()?.as_usize()) {
+                    if t <= ins.pc {
+                        back_jumps.push((ins.pc, t));
+                    } else if ins.opcode == Opcode::JumpI {
+                        guards.push((ins.pc, t));
+                    }
+                }
+            }
+            prev = Some(ins);
+        }
+        guards
+            .into_iter()
+            .filter(|&(g, e)| back_jumps.iter().any(|&(j, t)| g < j && j < e && t <= g))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sweep_finds_the_loop_heads_of_the_two_pass_rule(
+            pushes in push_heavy_code(),
+            loops in looping_code(),
+        ) {
+            for code in [pushes, loops] {
+                let d = Disassembly::new(&code);
+                let oracle = two_pass_loop_exits(&d);
+                for pc in 0..code.len() + 33 {
+                    let want = oracle.iter().find(|&&(g, _)| g == pc).map(|&(_, e)| e);
+                    prop_assert_eq!(d.loop_exit(pc), want);
+                }
+            }
+        }
 
         #[test]
         fn sweep_round_trips_and_decodes_every_push(code in push_heavy_code()) {
@@ -386,8 +571,8 @@ mod tests {
 
         #[test]
         fn recycled_tables_equal_a_fresh_disassembly(
-            first in push_heavy_code(),
-            second in push_heavy_code(),
+            first in looping_code(),
+            second in looping_code(),
             cut in 0usize..64,
         ) {
             // Half the cases follow a longer code with a prefix of it, so
@@ -408,6 +593,7 @@ mod tests {
             for pc in 0..first.len().max(second.len()) + 33 {
                 prop_assert_eq!(recycled.index_of(pc), fresh.index_of(pc));
                 prop_assert_eq!(recycled.is_jumpdest(pc), fresh.is_jumpdest(pc));
+                prop_assert_eq!(recycled.loop_exit(pc), fresh.loop_exit(pc));
             }
         }
     }

@@ -106,7 +106,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Decodes a single byte into an opcode.
-    pub fn from_byte(b: u8) -> Opcode {
+    pub const fn from_byte(b: u8) -> Opcode {
         use Opcode::*;
         match b {
             0x00 => Stop,

@@ -45,12 +45,15 @@
 //!    after the previous one on the campaign's thread, must equal its
 //!    recovery on a newly spawned thread. A fork storm that fills the
 //!    spare path states to their cap runs first and again halfway, so
-//!    the cases after it start from a full pool. Halfway, two crafted
+//!    the cases after it start from a full pool. Halfway, three crafted
 //!    pairs follow it: a code of one instruction per byte, then a
 //!    shorter one that jumps into its own push data (where a stale pc
-//!    table would find an instruction); and a body that stores a
-//!    calldata word at `0x40`, then one that masks an unwritten `0x40`
-//!    (where a stale memory journal would hand back that word).
+//!    table would find an instruction); a body that stores a calldata
+//!    word at `0x40`, then one that masks an unwritten `0x40` (where a
+//!    stale memory journal would hand back that word); and a loop whose
+//!    guard `JUMPI` heads it, then a shorter code with a plain `JUMPI` at
+//!    the same pc ahead of a copy (where a stale loop-head table would
+//!    put the copy inside a loop and add an array dimension).
 //!
 //! [`SigRec::recover_with_outcome`]: sigrec_core::SigRec
 
@@ -183,8 +186,8 @@ fn recycled_view(code: &[u8]) -> (Vec<String>, Vec<Diagnostic>) {
 /// this thread, equals its recovery on a new thread. A fork storm of 64
 /// paths, each carrying a 500-write memory journal, retires more spare
 /// path states than the pool keeps, so it runs first and again halfway,
-/// followed there by two crafted pairs (see the module docs). Adds one
-/// comparison per case plus six to `paths_checked`.
+/// followed there by three crafted pairs (see the module docs). Adds one
+/// comparison per case plus eight to `paths_checked`.
 fn check_recycled_scratch(cases: &[AdversarialCase], report: &mut AdversarialReport) {
     let storm = behind_dispatcher(|at| fork_storm(at, 500, 200));
     // `PUSH1 t; JUMP; PUSH1 0x5b; STOP`, `t` the pushed `0x5b` byte.
@@ -202,6 +205,31 @@ fn check_recycled_scratch(cases: &[AdversarialCase], report: &mut AdversarialRep
     });
     let load_unwritten =
         behind_dispatcher(|_| vec![0x60, 0x40, 0x51, 0x60, 0xff, 0x16, 0x50, 0x00]);
+    // `PUSH1 0; head: JUMPDEST; PUSH1 3; DUP2; LT; ISZERO; PUSH1 exit;
+    // JUMPI`, the guard `JUMPI` at `at + 10` and `exit` at `at + 23`.
+    let guard = |at: usize| {
+        let exit = u8::try_from(at + 23).expect("a one-byte pc");
+        vec![
+            0x60, 0x00, 0x5b, 0x60, 0x03, 0x81, 0x10, 0x15, 0x60, exit, 0x57,
+        ]
+    };
+    // The guard heads a loop: `PUSH1 1; ADD; PUSH1 head; JUMP; STOP × 6;
+    // exit: JUMPDEST; STOP`.
+    let loop_head = behind_dispatcher(|at| {
+        let head = u8::try_from(at + 2).expect("a one-byte pc");
+        let mut body = guard(at);
+        body.extend([
+            0x60, 0x01, 0x01, 0x60, head, 0x56, 0, 0, 0, 0, 0, 0, 0x5b, 0x00,
+        ]);
+        body
+    });
+    // A shorter code: the same guard, heading nothing, ahead of
+    // `CALLDATACOPY(0x80, 4, 0x40); STOP`.
+    let plain_guard = behind_dispatcher(|at| {
+        let mut body = guard(at);
+        body.extend([0x60, 0x40, 0x60, 0x04, 0x60, 0x80, 0x37, 0x00]);
+        body
+    });
     let case = |c: &AdversarialCase| (c.kind.name(), c.seed, c.code.clone());
     let half = cases.len() / 2;
     let inputs = [("fork-storm-spare-cap", 0, storm.clone())]
@@ -213,6 +241,8 @@ fn check_recycled_scratch(cases: &[AdversarialCase], report: &mut AdversarialRep
             ("push-data-jump", 0, push_data_jump),
             ("store-word", 0, store_word),
             ("load-unwritten-word", 0, load_unwritten),
+            ("loop-head-guard", 0, loop_head),
+            ("plain-guard", 0, plain_guard),
         ])
         .chain(cases[half..].iter().map(case));
     for (kind, seed, code) in inputs {
@@ -749,10 +779,10 @@ mod tests {
         // linked-resolution path per cyclic-routing case and one
         // tail-less comparison per factory-child case (two of each in
         // two full rounds of the ten kinds), plus one recycled-scratch
-        // comparison per case and six for its crafted inputs, plus the
+        // comparison per case and eight for its crafted inputs, plus the
         // five exact-identity comparisons and the four bounded-work runs
         // each campaign makes once.
-        assert_eq!(report.paths_checked, 20 * 10 + 2 + 2 + (20 + 6) + 5 + 4);
+        assert_eq!(report.paths_checked, 20 * 10 + 2 + 2 + (20 + 8) + 5 + 4);
         // The corpus contains engineered truncations; at least the two
         // DeepLoop cases must have been cut by budgets.
         assert!(report.truncated_cases >= 2, "{}", report.summary());
