@@ -1,36 +1,44 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! repro <experiment> [--contracts N] [--seed S]
+//! repro <experiment> [--contracts N] [--seed S] [--per-version K]
 //! experiments: rq1 fig15 fig16 fig17 fig18 fig19
 //!              table1 table2 table3 table4 table5
-//!              attacks fuzzing erays throughput replay conformance all
+//!              attacks fuzzing erays ablation obfuscation
+//!              replay conformance all
 //! ```
+//!
+//! An unknown experiment, or a flag without a numeric value, exits 2.
 
 use sigrec_bench::{Scale, *};
+use std::str::FromStr;
+
+/// Parses the value after `flag`, or exits 2 naming the flag.
+fn flag_value<T: FromStr>(flag: &str, value: Option<String>) -> T {
+    match value {
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag} takes a number, got {v:?}"))),
+        None => usage_error(&format!("{flag} takes a number")),
+    }
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::default();
     let mut which = String::from("all");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--contracts" => {
-                i += 1;
-                scale.contracts = args[i].parse().expect("--contracts takes a number");
-            }
-            "--seed" => {
-                i += 1;
-                scale.seed = args[i].parse().expect("--seed takes a number");
-            }
-            "--per-version" => {
-                i += 1;
-                scale.per_version = args[i].parse().expect("--per-version takes a number");
-            }
-            name => which = name.to_string(),
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--contracts" => scale.contracts = flag_value(&arg, args.next()),
+            "--seed" => scale.seed = flag_value(&arg, args.next()),
+            "--per-version" => scale.per_version = flag_value(&arg, args.next()),
+            _ => which = arg,
         }
-        i += 1;
     }
     let run = |name: &str| -> Option<String> {
         Some(match name {
@@ -50,7 +58,6 @@ fn main() {
             "erays" => erays(&scale),
             "ablation" => ablation(&scale),
             "obfuscation" => obfuscation(&scale),
-            "throughput" => throughput(&scale),
             "replay" => replay(&scale),
             "conformance" => conformance(&scale),
             _ => return None,
@@ -73,7 +80,6 @@ fn main() {
         "erays",
         "ablation",
         "obfuscation",
-        "throughput",
         "replay",
         "conformance",
     ];
@@ -85,13 +91,9 @@ fn main() {
     } else {
         match run(&which) {
             Some(out) => println!("{}", out),
-            None => {
-                eprintln!(
-                    "unknown experiment {:?}; choose one of {:?} or 'all'",
-                    which, all
-                );
-                std::process::exit(2);
-            }
+            None => usage_error(&format!(
+                "unknown experiment {which:?}; choose one of {all:?} or 'all'"
+            )),
         }
     }
 }

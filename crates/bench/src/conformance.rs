@@ -5,7 +5,7 @@
 //! execution path, shared-cache and whole-corpus batch relations) and
 //! renders the per-rule hit table next to the differential verdict. The
 //! machine-readable report lands in `CONFORMANCE_coverage.json`, same
-//! convention as `BENCH_throughput.json`.
+//! convention as `BENCH_replay.json`.
 
 use crate::accuracy::Scale;
 use crate::report::TextTable;

@@ -3,7 +3,8 @@
 //! The experiment harness: one function per table and figure of the
 //! paper's evaluation (§5–§6), each returning a rendered text report whose
 //! rows mirror the paper's. The `repro` binary drives them from the
-//! command line; Criterion micro-benchmarks live under `benches/`.
+//! command line. Figs. 17 and 18 time recovery the way the paper does;
+//! every other speed figure comes from the `perfbench` benchmark.
 
 #![warn(missing_docs)]
 
@@ -13,7 +14,6 @@ pub mod apps;
 pub mod conformance;
 pub mod replay;
 pub mod report;
-pub mod throughput;
 pub mod timing;
 
 pub use ablation::{ablated_accuracy, ablation, obfuscation, Ablation};
@@ -21,5 +21,4 @@ pub use accuracy::{fig15, fig16, rq1, table1, table2, table3, table4, table5, Sc
 pub use apps::{attacks, erays, fig19, fuzzing};
 pub use conformance::conformance;
 pub use replay::replay;
-pub use throughput::{duplicate_with_skew, throughput};
 pub use timing::{dimension_series, fig17, fig18};

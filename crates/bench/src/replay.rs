@@ -29,7 +29,8 @@
 
 use crate::accuracy::Scale;
 use crate::report::TextTable;
-use crate::throughput::duplicate_with_skew;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sigrec_conformance::path_digest;
 use sigrec_core::{recover_batch, PersistentStore, RecoveryCache, SigRec, StoreStats};
 use sigrec_corpus::datasets;
@@ -200,6 +201,42 @@ impl ReplayReport {
     fn crash_speedup(&self) -> f64 {
         self.cold.secs / self.crash.secs.max(1e-9)
     }
+}
+
+/// Expands `distinct` codes into a `total`-element corpus with a skewed
+/// (harmonic) duplication profile: template `i` receives weight
+/// `1 / (i + 1)`, mirroring the head-heavy clone distribution seen on
+/// chain. Every template appears at least once and the result is
+/// deterministically shuffled with `seed`.
+fn duplicate_with_skew(distinct: &[Vec<u8>], total: usize, seed: u64) -> Vec<Vec<u8>> {
+    assert!(!distinct.is_empty(), "need at least one distinct code");
+    let total = total.max(distinct.len());
+    let mut rng = StdRng::seed_from_u64(seed);
+
+    // Cumulative harmonic weights for weighted template sampling.
+    let mut cumulative = Vec::with_capacity(distinct.len());
+    let mut sum = 0.0f64;
+    for i in 0..distinct.len() {
+        sum += 1.0 / (i + 1) as f64;
+        cumulative.push(sum);
+    }
+
+    // One guaranteed copy of every template, then weighted fill.
+    let mut codes: Vec<Vec<u8>> = distinct.to_vec();
+    while codes.len() < total {
+        let u = rng.gen::<f64>() * sum;
+        let i = cumulative
+            .partition_point(|&c| c < u)
+            .min(distinct.len() - 1);
+        codes.push(distinct[i].clone());
+    }
+
+    // Fisher–Yates so duplicates are interleaved, not clustered.
+    for i in (1..codes.len()).rev() {
+        let j = rng.gen_range(0usize..=i);
+        codes.swap(i, j);
+    }
+    codes
 }
 
 /// Runs the three-epoch replay and asserts the correctness gates
@@ -476,5 +513,31 @@ mod tests {
         );
         assert_eq!(report.crash.stats.torn_tails, 1);
         assert!(report.crash.stats.index_rebuilds >= 1);
+    }
+
+    #[test]
+    fn skewed_duplication_covers_every_template_exactly_total() {
+        let distinct: Vec<Vec<u8>> = (0u8..7).map(|i| vec![i; 4]).collect();
+        let codes = duplicate_with_skew(&distinct, 100, 9);
+        assert_eq!(codes.len(), 100);
+        for d in &distinct {
+            assert!(codes.contains(d), "template missing from corpus");
+        }
+        // The head template dominates the tail one (harmonic skew).
+        let count = |d: &Vec<u8>| codes.iter().filter(|c| *c == d).count();
+        assert!(count(&distinct[0]) > count(&distinct[6]));
+    }
+
+    #[test]
+    fn duplication_is_deterministic_in_the_seed() {
+        let distinct: Vec<Vec<u8>> = (0u8..3).map(|i| vec![i; 2]).collect();
+        assert_eq!(
+            duplicate_with_skew(&distinct, 30, 5),
+            duplicate_with_skew(&distinct, 30, 5)
+        );
+        assert_ne!(
+            duplicate_with_skew(&distinct, 30, 5),
+            duplicate_with_skew(&distinct, 30, 6)
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! Batch invariants over the dispatcher zoo: tiny proxies recover to
-//! empty results with one latency each, and the latency-histogram
-//! bookkeeping stays consistent on a mixed proxy/diamond/giant workload.
+//! empty results with one latency each, and a mixed proxy/diamond/giant
+//! workload keeps one latency per distinct contract and the naive
+//! batch's results.
 
 use sigrec_conformance::path_digest;
 use sigrec_core::{recover_batch, recover_batch_naive, SigRec};
@@ -28,12 +29,12 @@ fn proxies_recover_to_empty_results_with_one_latency_each() {
         batch.heavy_admissions, 0,
         "kept for the benchmark, always 0"
     );
-    assert_eq!(batch.contract_latency_hist.count() as usize, codes.len());
+    assert_eq!(batch.contract_latencies.len(), codes.len());
     assert!(batch.items.iter().all(|i| i.functions.is_empty()));
 }
 
 #[test]
-fn mixed_zoo_batch_keeps_histogram_invariants() {
+fn mixed_zoo_batch_keeps_latencies_and_results() {
     let mut codes = deployed(ScenarioClass::MinimalProxy);
     codes.extend(deployed(ScenarioClass::Diamond));
     let giant = generate(AdversarialKind::GiantDispatcher, 5);
@@ -44,22 +45,8 @@ fn mixed_zoo_batch_keeps_histogram_invariants() {
     let batch = recover_batch(&SigRec::new(), &codes, 4);
     assert_eq!(batch.dedup.distinct_contracts, distinct);
 
-    // Histogram bookkeeping: one latency per distinct contract, bucket
-    // counts summing to the total, monotone quantiles, and a max that
-    // dominates the raw latencies.
-    let hist = &batch.contract_latency_hist;
-    assert_eq!(hist.count() as usize, distinct);
+    // One latency per distinct contract.
     assert_eq!(batch.contract_latencies.len(), distinct);
-    assert_eq!(hist.buckets().iter().sum::<u64>(), hist.count());
-    assert!(hist.p50() <= hist.p90());
-    assert!(hist.p90() <= hist.p99());
-    let raw_max = batch
-        .contract_latencies
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or_default();
-    assert!(hist.max() >= raw_max);
 
     // And deduplication must not change any individual result.
     let naive = recover_batch_naive(&SigRec::new(), &codes, 4);

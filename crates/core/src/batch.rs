@@ -11,7 +11,7 @@
 //! See "Batch scheduling" in `docs/INTERNALS.md`.
 //!
 //! [`recover_batch_naive`] runs the same code with singleton groups and
-//! the cache bypassed, as the equivalence/throughput baseline.
+//! the cache bypassed: the reference the dedup batch is tested against.
 
 use crate::outcome::{assemble_diagnostics, Diagnostic};
 use crate::pipeline::{CacheMode, RecoveredFunction, SigRec};
@@ -59,147 +59,6 @@ impl DedupStats {
     }
 }
 
-/// Aggregate of per-function recovery times over the work actually
-/// performed (duplicates served by fan-out are not re-counted).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchTimings {
-    /// Sum of per-function recovery times.
-    pub total: Duration,
-    /// Slowest single function.
-    pub max: Duration,
-    /// Functions measured.
-    pub count: usize,
-}
-
-impl BatchTimings {
-    /// Records one function's recovery time.
-    pub fn record(&mut self, elapsed: Duration) {
-        self.total += elapsed;
-        self.max = self.max.max(elapsed);
-        self.count += 1;
-    }
-
-    /// Mean per-function recovery time (zero when nothing was measured).
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
-    }
-}
-
-/// A log-bucketed latency histogram: bucket `i` counts observations in
-/// `[2^i, 2^(i+1))` nanoseconds, so the whole `u64` nanosecond range fits
-/// in 64 fixed buckets and recording is branch-free arithmetic — cheap
-/// enough to sit on the batch's completion path. Quantile reads
-/// return the *upper bound* of the bucket the quantile lands in (clamped
-/// to the exact recorded maximum), i.e. they over-estimate by at most 2×
-/// — the right bias for tail monitoring, which must never under-report.
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    buckets: [u64; 64],
-    count: u64,
-    max: Duration,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; 64],
-            count: 0,
-            max: Duration::ZERO,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// The bucket index an observation falls into: `floor(log2(ns))`,
-    /// with sub-nanosecond observations clamped into bucket 0.
-    fn bucket(d: Duration) -> usize {
-        let ns = d.as_nanos().min(u64::MAX as u128) as u64;
-        ns.max(1).ilog2() as usize
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, d: Duration) {
-        self.buckets[Self::bucket(d)] += 1;
-        self.count += 1;
-        self.max = self.max.max(d);
-    }
-
-    /// Accumulates another histogram.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The exact maximum observation (not bucket-quantised).
-    pub fn max(&self) -> Duration {
-        self.max
-    }
-
-    /// The raw bucket counts (bucket `i` covers `[2^i, 2^(i+1))` ns).
-    pub fn buckets(&self) -> &[u64; 64] {
-        &self.buckets
-    }
-
-    /// Upper bound of the bucket holding the `q`-quantile observation
-    /// (clamped to the recorded maximum). Zero when empty.
-    pub fn quantile(&self, q: f64) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        let rank = ((self.count as f64 * q.clamp(0.0, 1.0)).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let upper = if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                return Duration::from_nanos(upper).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Median (bucket upper bound).
-    pub fn p50(&self) -> Duration {
-        self.quantile(0.50)
-    }
-
-    /// 90th percentile (bucket upper bound).
-    pub fn p90(&self) -> Duration {
-        self.quantile(0.90)
-    }
-
-    /// 99th percentile (bucket upper bound).
-    pub fn p99(&self) -> Duration {
-        self.quantile(0.99)
-    }
-
-    /// Rebuilds a histogram from raw parts (the pipeline's atomic stats
-    /// accumulator stores the buckets as plain counters).
-    pub(crate) fn from_parts(buckets: [u64; 64], count: u64, max: Duration) -> Self {
-        LatencyHistogram {
-            buckets,
-            count,
-            max,
-        }
-    }
-}
-
 /// Aggregated output of [`recover_batch`].
 #[derive(Debug, Default)]
 pub struct BatchResult {
@@ -211,14 +70,9 @@ pub struct BatchResult {
     pub rule_stats: RuleStats,
     /// Deduplication accounting.
     pub dedup: DedupStats,
-    /// Per-function timing aggregation over the recoveries performed.
-    pub timings: BatchTimings,
     /// Wall-clock latency of each *distinct* contract, plan to seal, in
     /// first-occurrence order.
     pub contract_latencies: Vec<Duration>,
-    /// Log-bucketed histogram over `contract_latencies` — the tail
-    /// (p50/p90/p99/max) without hauling the raw vector around.
-    pub contract_latency_hist: LatencyHistogram,
     /// Always 0. The work-stealing scheduler that counted heavy
     /// admissions is gone; the field is kept because the benchmark in
     /// `perfbench/src/{run,main}.rs` reads it.
@@ -290,10 +144,11 @@ fn code_fingerprint(code: &[u8]) -> u64 {
     h
 }
 
-/// The baseline batch: every contract is its own group (duplicates are
-/// *not* coalesced) and the cache is bypassed, so each function is
-/// re-explored exactly as [`SigRec::recover_cold`] would. Otherwise it
-/// runs exactly like [`recover_batch`].
+/// The reference batch that tests and conformance hold [`recover_batch`]
+/// to: every contract is its own group (duplicates are *not* coalesced)
+/// and the cache is bypassed, so each function is re-explored exactly as
+/// [`SigRec::recover_cold`] would. Otherwise it runs exactly like
+/// [`recover_batch`].
 pub fn recover_batch_naive(sigrec: &SigRec, codes: &[Vec<u8>], workers: usize) -> BatchResult {
     let groups = (0..codes.len()).map(|i| (i, vec![i])).collect();
     run_batch(sigrec, codes, groups, workers, CacheMode::Bypass)
@@ -352,11 +207,9 @@ fn run_batch(
     for ((_, members), (_, (functions, diagnostics, elapsed))) in groups.iter().zip(claimed) {
         let mut stats = RuleStats::new();
         for f in functions.iter() {
-            result.timings.record(f.elapsed);
             stats.absorb(&f.rules);
         }
         result.contract_latencies.push(elapsed);
-        result.contract_latency_hist.record(elapsed);
         for &index in members {
             result.rule_stats.merge(&stats);
             result.items.push(BatchItem {
@@ -366,7 +219,6 @@ fn run_batch(
             });
         }
     }
-    sigrec.note_contract_latencies(&result.contract_latency_hist);
     result.items.sort_by_key(|i| i.index);
     result
 }
@@ -471,13 +323,8 @@ mod tests {
         assert_eq!(result.function_count(), 4);
         assert_eq!(result.dedup.distinct_contracts, 4);
         assert_eq!(result.contract_latencies.len(), 4);
-        assert_eq!(result.contract_latency_hist.count(), 4);
         let profile = sigrec.exec_stats().expect("profiling enabled");
-        assert_eq!(profile.contract_latency.count(), 4);
-        assert_eq!(
-            profile.contract_latency.max(),
-            result.contract_latency_hist.max()
-        );
+        assert_eq!(profile.functions_explored, 4);
         assert_eq!(
             result.heavy_admissions, 0,
             "kept for the benchmark, always 0"
@@ -499,8 +346,6 @@ mod tests {
         assert_eq!(result.function_count(), 0);
         assert_eq!(result.dedup.dedup_rate(), 0.0);
         assert!(result.contract_latencies.is_empty());
-        assert_eq!(result.contract_latency_hist.count(), 0);
-        assert_eq!(result.contract_latency_hist.p99(), Duration::ZERO);
     }
 
     #[test]
@@ -590,14 +435,11 @@ mod tests {
         let code = contract("dup(uint8)");
         let codes = vec![code.clone(), code.clone(), code];
         let result = recover_batch(&SigRec::new(), &codes, 2);
-        // One distinct contract with one function → one measurement.
-        assert_eq!(result.timings.count, 1);
-        assert!(result.timings.max >= result.timings.mean());
+        // One distinct contract → one measurement; the naive batch
+        // recovers every copy.
         assert_eq!(result.contract_latencies.len(), 1);
         let naive = recover_batch_naive(&SigRec::new(), &codes, 2);
-        assert_eq!(naive.timings.count, 3);
         assert_eq!(naive.contract_latencies.len(), 3);
-        assert_eq!(naive.contract_latency_hist.count(), 3);
     }
 
     #[test]
@@ -651,62 +493,6 @@ mod tests {
                 assert_eq!(df.selector, nf.selector);
                 assert_eq!(df.params, nf.params);
             }
-        }
-    }
-
-    #[test]
-    fn histogram_buckets_quantiles_and_merge() {
-        let mut h = LatencyHistogram::default();
-        assert_eq!(h.quantile(0.5), Duration::ZERO);
-        // 99 fast observations and one slow outlier: p50/p90 stay in the
-        // fast bucket's bound, p99 reaches at most the next bucket up,
-        // max is exact.
-        for _ in 0..99 {
-            h.record(Duration::from_micros(100));
-        }
-        h.record(Duration::from_millis(50));
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.max(), Duration::from_millis(50));
-        // 100 µs lands in [2^16, 2^17) ns → upper bound 131 071 ns.
-        assert!(h.p50() >= Duration::from_micros(100));
-        assert!(h.p50() < Duration::from_micros(200));
-        assert!(h.p90() < Duration::from_micros(200));
-        // p99 is the 99th fast observation, still in the fast bucket.
-        assert!(h.p99() < Duration::from_micros(200));
-        assert_eq!(h.quantile(1.0), Duration::from_millis(50));
-        // Merge keeps counts and the exact max.
-        let mut other = LatencyHistogram::default();
-        other.record(Duration::from_millis(80));
-        h.merge(&other);
-        assert_eq!(h.count(), 101);
-        assert_eq!(h.max(), Duration::from_millis(80));
-        // Sub-nanosecond observations clamp into bucket 0, not a panic.
-        let mut zero = LatencyHistogram::default();
-        zero.record(Duration::ZERO);
-        assert_eq!(zero.count(), 1);
-        assert_eq!(zero.buckets()[0], 1);
-    }
-
-    #[test]
-    fn histogram_quantile_never_underestimates() {
-        // The tail-monitoring contract: quantile(q) is an upper bound on
-        // the true q-quantile (clamped to the exact max).
-        let mut h = LatencyHistogram::default();
-        let samples: Vec<Duration> = (1..=200).map(|i| Duration::from_micros(i * 37)).collect();
-        for &s in &samples {
-            h.record(s);
-        }
-        let mut sorted = samples.clone();
-        sorted.sort_unstable();
-        for q in [0.5, 0.9, 0.99, 1.0] {
-            let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-            let truth = sorted[rank - 1];
-            assert!(
-                h.quantile(q) >= truth,
-                "q={q}: histogram {:?} under-reports true {truth:?}",
-                h.quantile(q)
-            );
-            assert!(h.quantile(q) <= h.max());
         }
     }
 }

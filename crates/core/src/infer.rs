@@ -67,9 +67,11 @@ pub enum InferEngine {
     Tree,
 }
 
-/// Wall-clock split of one inference call, populated by [`infer_timed`]
-/// for the pipeline's stats accumulator. `match_nanos` is the residual:
-/// total call time minus index build minus refinement dispatch.
+/// Wall-clock split of one inference call, populated by [`infer_timed`].
+/// The pipeline never times inference; this exists for the benchmark's
+/// traced driver (`perfbench/src/trace.rs`), which reports each field as
+/// a per-layer metric. `match_nanos` is the residual: total call time
+/// minus index build minus refinement dispatch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct InferTiming {
     /// Building the side tables (both engines) / feature bitsets (tree).
@@ -95,8 +97,8 @@ pub fn infer_with(facts: &FunctionFacts, engine: InferEngine) -> RecoveredParams
 
 /// Like [`infer_with`], but also reports the index/match/refine phase
 /// split. Slightly slower than the untimed path (two extra clock reads
-/// per refinement), so the pipeline only uses it under
-/// `TaseConfig::collect_stats`.
+/// per refinement), so the pipeline never calls it; it is kept for the
+/// benchmark's traced driver, which times the infer layer with it.
 pub fn infer_timed(facts: &FunctionFacts, engine: InferEngine) -> (RecoveredParams, InferTiming) {
     let t0 = Instant::now();
     let (result, index_nanos, refine_nanos) = match engine {

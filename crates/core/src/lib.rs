@@ -36,10 +36,7 @@ pub mod rules;
 pub mod shrink;
 pub mod store;
 
-pub use batch::{
-    recover_batch, recover_batch_naive, BatchItem, BatchResult, BatchTimings, DedupStats,
-    LatencyHistogram,
-};
+pub use batch::{recover_batch, recover_batch_naive, BatchItem, BatchResult, DedupStats};
 pub use cache::{
     body_span_hash, CacheStats, CachedContract, CachedFunction, ProgramSource, RecoveryCache,
 };

@@ -13,13 +13,12 @@
 //! shared content-addressed [`RecoveryCache`] by `keccak256(code)`; a
 //! contract that misses has every entry explored.
 
-use crate::batch::LatencyHistogram;
 use crate::cache::{CacheStats, CachedContract, RecoveryCache};
 use crate::exec::{ExecStats, Tase, TaseConfig};
 use crate::extract::{extract_dispatch_diag, DispatchEntry};
 use crate::facts::FunctionFacts;
 use crate::indirect::detect_forwarder;
-use crate::infer::{infer_timed, infer_with, InferTiming, Language};
+use crate::infer::{infer_with, Language};
 use crate::outcome::{
     assemble_diagnostics, BudgetKind, DelegateTarget, Diagnostic, RecoveryOutcome,
 };
@@ -198,8 +197,9 @@ impl SigRec {
     /// Enables executor profiling: every recovery performed through this
     /// instance (and its clones — batch workers share the accumulator the
     /// way they share the cache) feeds the [`PipelineStats`] returned by
-    /// [`SigRec::exec_stats`]. Off by default; when off, neither the
-    /// fork-cost probes nor the timing reads run.
+    /// [`SigRec::exec_stats`]: executor counters, entries explored and
+    /// the time spent sweeping cold code. Off by default; when off,
+    /// neither the fork-cost probes nor the sweep's clock reads run.
     pub fn with_exec_stats(mut self) -> Self {
         self.config.collect_stats = true;
         self.stats = Some(Arc::new(StatsAccum::default()));
@@ -235,23 +235,6 @@ impl SigRec {
         self.cache.flush_store()
     }
 
-    /// Records one batch run's per-contract latency distribution,
-    /// reported by `recover_batch` once every contract is done. A no-op
-    /// without [`SigRec::with_exec_stats`].
-    pub(crate) fn note_contract_latencies(&self, hist: &LatencyHistogram) {
-        if let Some(acc) = &self.stats {
-            let r = Ordering::Relaxed;
-            for (slot, &n) in acc.latency_buckets.iter().zip(hist.buckets()) {
-                if n > 0 {
-                    slot.fetch_add(n, r);
-                }
-            }
-            acc.latency_count.fetch_add(hist.count(), r);
-            acc.latency_max_nanos
-                .fetch_max(hist.max().as_nanos() as u64, r);
-        }
-    }
-
     /// Recovers the signatures of every public/external function in the
     /// runtime bytecode, memoising the result in the shared cache.
     ///
@@ -282,7 +265,7 @@ impl SigRec {
 
     /// Like [`SigRec::recover`] but bypassing the cache entirely — every
     /// function is re-explored. The reference path for equivalence tests
-    /// and the baseline for throughput measurements.
+    /// and conformance.
     pub fn recover_cold(&self, code: &[u8]) -> Vec<RecoveredFunction> {
         self.recover_cold_with_outcome(code).functions
     }
@@ -517,20 +500,10 @@ impl SigRec {
         let (facts, exec) = Tase::new(&plan.disasm, self.config)
             .with_deadline(plan.deadline)
             .explore_stats(entry.entry);
-        let tase_done = self.stats.as_ref().map(|_| Instant::now());
-        let mut result = if let (Some(acc), Some(tase_done)) = (&self.stats, tase_done) {
-            let (result, timing) = infer_timed(&facts, self.config.infer_engine);
-            acc.record(
-                &exec,
-                tase_done - start,
-                tase_done.elapsed(),
-                &result.rules,
-                &timing,
-            );
-            result
-        } else {
-            infer_with(&facts, self.config.infer_engine)
-        };
+        if let Some(acc) = &self.stats {
+            acc.record(&exec);
+        }
+        let mut result = infer_with(&facts, self.config.infer_engine);
         // A body that delegatecalls is a router: its calldata facts
         // describe the forwarding glue, not the real function, so no
         // parameter list inferred from them is trustworthy. Report an
@@ -609,7 +582,7 @@ impl SigRec {
 /// Snapshots taken *while* workers run are advisory progress numbers and
 /// may be mid-record; that is acceptable for telemetry and the price of
 /// keeping `record` off the hot path's contention profile.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StatsAccum {
     steps: AtomicU64,
     paths: AtomicU64,
@@ -617,61 +590,12 @@ struct StatsAccum {
     fork_units: AtomicU64,
     worklist_peak: AtomicU64,
     functions: AtomicU64,
-    tase_nanos: AtomicU64,
-    infer_nanos: AtomicU64,
-    /// Inference sub-phases (from [`InferTiming`]): side-table / bitset
-    /// build, coarse matching, fine-grained refinement.
-    infer_index_nanos: AtomicU64,
-    infer_match_nanos: AtomicU64,
-    infer_refine_nanos: AtomicU64,
-    /// The shared/prefix bucket of the exclusive attribution: index-build
-    /// time, calls that fired no rules, and division remainders.
-    infer_shared_nanos: AtomicU64,
     /// Wall-clock spent sweeping cold contracts' code (plan stage).
     compile_nanos: AtomicU64,
-    /// Per-contract latency histogram (log2-nanosecond buckets mirroring
-    /// [`LatencyHistogram`]), merged in once per batch.
-    latency_buckets: [AtomicU64; 64],
-    latency_count: AtomicU64,
-    latency_max_nanos: AtomicU64,
-    rule_nanos: [AtomicU64; RuleId::ALL.len()],
-    rule_hits: [AtomicU64; RuleId::ALL.len()],
-}
-
-impl Default for StatsAccum {
-    fn default() -> Self {
-        StatsAccum {
-            steps: AtomicU64::new(0),
-            paths: AtomicU64::new(0),
-            forks: AtomicU64::new(0),
-            fork_units: AtomicU64::new(0),
-            worklist_peak: AtomicU64::new(0),
-            functions: AtomicU64::new(0),
-            tase_nanos: AtomicU64::new(0),
-            infer_nanos: AtomicU64::new(0),
-            infer_index_nanos: AtomicU64::new(0),
-            infer_match_nanos: AtomicU64::new(0),
-            infer_refine_nanos: AtomicU64::new(0),
-            infer_shared_nanos: AtomicU64::new(0),
-            compile_nanos: AtomicU64::new(0),
-            latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency_count: AtomicU64::new(0),
-            latency_max_nanos: AtomicU64::new(0),
-            rule_nanos: std::array::from_fn(|_| AtomicU64::new(0)),
-            rule_hits: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
 }
 
 impl StatsAccum {
-    fn record(
-        &self,
-        exec: &ExecStats,
-        tase: Duration,
-        infer: Duration,
-        rules: &[RuleId],
-        timing: &InferTiming,
-    ) {
+    fn record(&self, exec: &ExecStats) {
         let r = Ordering::Relaxed;
         self.steps.fetch_add(exec.steps, r);
         self.paths.fetch_add(exec.paths, r);
@@ -679,41 +603,6 @@ impl StatsAccum {
         self.fork_units.fetch_add(exec.fork_units_copied, r);
         self.worklist_peak.fetch_max(exec.worklist_peak, r);
         self.functions.fetch_add(1, r);
-        self.tase_nanos.fetch_add(tase.as_nanos() as u64, r);
-        let infer_nanos = infer.as_nanos() as u64;
-        self.infer_nanos.fetch_add(infer_nanos, r);
-        self.infer_index_nanos.fetch_add(timing.index_nanos, r);
-        self.infer_match_nanos.fetch_add(timing.match_nanos, r);
-        self.infer_refine_nanos.fetch_add(timing.refine_nanos, r);
-        // Exclusive attribution: the index build belongs to no single
-        // rule and goes to the shared bucket (as does the whole call when
-        // no rule fired); the remainder splits evenly across the distinct
-        // rules that fired. The division remainder also stays shared, so
-        // per call `shared + Σ shares == infer_nanos` exactly — summed
-        // per-rule time can never exceed the infer phase.
-        let mut mask = 0u32;
-        let mut distinct = 0u64;
-        for rule in rules {
-            let bit = 1u32 << rule.index();
-            if mask & bit == 0 {
-                distinct += 1;
-            }
-            mask |= bit;
-        }
-        if distinct == 0 {
-            self.infer_shared_nanos.fetch_add(infer_nanos, r);
-            return;
-        }
-        let divisible = infer_nanos.saturating_sub(timing.index_nanos);
-        let share = divisible / distinct;
-        self.infer_shared_nanos
-            .fetch_add(infer_nanos - share * distinct, r);
-        for (i, slot) in self.rule_nanos.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                slot.fetch_add(share, r);
-                self.rule_hits[i].fetch_add(1, r);
-            }
-        }
     }
 
     fn snapshot(&self) -> PipelineStats {
@@ -726,37 +615,8 @@ impl StatsAccum {
                 fork_units_copied: self.fork_units.load(r),
                 worklist_peak: self.worklist_peak.load(r),
             },
-            contract_latency: LatencyHistogram::from_parts(
-                std::array::from_fn(|i| self.latency_buckets[i].load(r)),
-                self.latency_count.load(r),
-                Duration::from_nanos(self.latency_max_nanos.load(r)),
-            ),
             functions_explored: self.functions.load(r),
-            tase_time: Duration::from_nanos(self.tase_nanos.load(r)),
-            infer_time: Duration::from_nanos(self.infer_nanos.load(r)),
-            infer_index_time: Duration::from_nanos(self.infer_index_nanos.load(r)),
-            infer_match_time: Duration::from_nanos(self.infer_match_nanos.load(r)),
-            infer_refine_time: Duration::from_nanos(self.infer_refine_nanos.load(r)),
-            infer_shared_time: Duration::from_nanos(self.infer_shared_nanos.load(r)),
             compile_time: Duration::from_nanos(self.compile_nanos.load(r)),
-            // Keyed on hits, not on nonzero time: a rule whose exclusive
-            // share rounds to zero nanoseconds still fired.
-            rule_time: RuleId::ALL
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &rule)| {
-                    let hits = self.rule_hits[i].load(r);
-                    (hits > 0).then(|| (rule, Duration::from_nanos(self.rule_nanos[i].load(r))))
-                })
-                .collect(),
-            rule_hits: RuleId::ALL
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &rule)| {
-                    let hits = self.rule_hits[i].load(r);
-                    (hits > 0).then_some((rule, hits))
-                })
-                .collect(),
             // Stamped by `SigRec::exec_stats`, which can see the cache.
             store: None,
         }
@@ -765,50 +625,18 @@ impl StatsAccum {
 
 /// The executor profile accumulated by a [`SigRec::with_exec_stats`]
 /// instance: summed [`ExecStats`] over every function explored
-/// (contract-level cache hits explore nothing), wall-clock split
-/// between TASE and inference, and per-rule attributed inference time.
+/// (contract-level cache hits explore nothing), the time spent sweeping
+/// cold contracts' code, and the persistent tier's counters.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineStats {
     /// Summed executor counters (`worklist_peak` takes the max).
     pub exec: ExecStats,
-    /// Per-contract wall-clock latency distribution over every batch run
-    /// this instance drove (plan to seal; distinct contracts only).
-    /// Empty for non-batch usage.
-    pub contract_latency: LatencyHistogram,
     /// Dispatch entries explored and inferred.
     pub functions_explored: u64,
-    /// Wall-clock spent inside TASE exploration.
-    pub tase_time: Duration,
-    /// Wall-clock spent inside rule inference.
-    pub infer_time: Duration,
-    /// Inference sub-phase: building the per-function side tables /
-    /// feature bitsets ([`InferTiming::index_nanos`] summed).
-    pub infer_index_time: Duration,
-    /// Inference sub-phase: coarse classification and rule matching.
-    pub infer_match_time: Duration,
-    /// Inference sub-phase: fine-grained refinement dispatch.
-    pub infer_refine_time: Duration,
-    /// The shared/prefix bucket of the exclusive per-rule attribution:
-    /// index builds, calls that fired no rules, and rounding remainders.
-    /// `infer_shared_time + Σ rule_time == infer_time` (up to the clock
-    /// quantisation of each call).
-    pub infer_shared_time: Duration,
     /// Wall-clock spent at plan time sweeping each cold contract's code
     /// ([`Disassembly::new`], which also finds its loop-head guards).
     /// Zero when every contract was a contract-level cache hit.
     pub compile_time: Duration,
-    /// Per-rule *exclusive* inference time: each call's duration minus
-    /// its index build splits evenly across the distinct rules that
-    /// fired, so entries never overlap and
-    /// `Σ rule_time == infer_time − infer_shared_time` (and therefore
-    /// `Σ rule_time ≤ infer_time`) holds by construction. Rules that
-    /// never fired are omitted.
-    pub rule_time: Vec<(RuleId, Duration)>,
-    /// Per-rule fire counts: each inference call bumps every *distinct*
-    /// rule it fired once, so a rule firing twice inside one function
-    /// still counts a single hit for that function. Rules that never
-    /// fired are omitted.
-    pub rule_hits: Vec<(RuleId, u64)>,
     /// The persistent tier's counters, when the shared cache has a
     /// [`PersistentStore`](crate::PersistentStore) attached — disk
     /// hits/misses, bytes moved, fsyncs, and the crash-recovery /

@@ -1,84 +1,9 @@
-//! Edge-case locks for the telemetry types: empty-histogram quantiles,
-//! single-sample tails, and hit rates over zero lookups. These are the
-//! values dashboards divide by and alert on — a NaN or a phantom tail
-//! here becomes a paging incident there.
+//! Edge-case locks for the telemetry types: hit rates over zero lookups
+//! and a memory-only cache's disk counters. These are the values
+//! dashboards divide by and alert on — a NaN here becomes a paging
+//! incident there.
 
-use sigrec_core::{LatencyHistogram, RecoveryCache, SigRec, StoreStats};
-use std::time::Duration;
-
-#[test]
-fn empty_histogram_quantiles_are_zero() {
-    let h = LatencyHistogram::default();
-    assert_eq!(h.count(), 0);
-    assert_eq!(h.max(), Duration::ZERO);
-    for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-        assert_eq!(h.quantile(q), Duration::ZERO, "q={q}");
-    }
-    assert_eq!(h.p50(), Duration::ZERO);
-    assert_eq!(h.p90(), Duration::ZERO);
-    assert_eq!(h.p99(), Duration::ZERO);
-}
-
-#[test]
-fn single_sample_p99_equals_the_exact_max() {
-    // Across magnitudes, including values that are not bucket
-    // boundaries: the bucket upper bound must clamp to the exact
-    // recorded maximum, so a lone observation never over-reports.
-    for ns in [1u64, 2, 3, 1_000, 4_095, 4_096, 1_000_000, u64::MAX / 2] {
-        let mut h = LatencyHistogram::default();
-        let d = Duration::from_nanos(ns);
-        h.record(d);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), d);
-        assert_eq!(h.p99(), d, "{ns}ns: p99 must equal max");
-        assert_eq!(h.p50(), d, "{ns}ns: every quantile is the sample");
-        assert_eq!(h.quantile(0.0), d);
-        assert_eq!(h.quantile(1.0), d);
-    }
-}
-
-#[test]
-fn sub_nanosecond_sample_stays_zero() {
-    let mut h = LatencyHistogram::default();
-    h.record(Duration::ZERO);
-    assert_eq!(h.count(), 1);
-    assert_eq!(
-        h.p99(),
-        Duration::ZERO,
-        "clamp to exact max, not bucket 0's upper bound"
-    );
-}
-
-#[test]
-fn quantiles_overestimate_by_at_most_two_x() {
-    let mut h = LatencyHistogram::default();
-    for ns in [100u64, 200, 400, 800, 1_600, 3_200] {
-        h.record(Duration::from_nanos(ns));
-    }
-    for q in [0.25, 0.5, 0.75, 0.9, 0.99] {
-        let est = h.quantile(q).as_nanos() as f64;
-        // The true quantile lies in the returned bucket, whose width is
-        // one octave: the estimate is never more than 2× the truth and
-        // never below the bucket's lower bound.
-        assert!(est <= 2.0 * 3_200.0, "q={q} est={est}");
-        assert!(est >= 100.0, "q={q} est={est}");
-    }
-    assert_eq!(h.quantile(1.0), h.max());
-}
-
-#[test]
-fn merge_with_empty_is_identity_and_empty_absorbs() {
-    let mut h = LatencyHistogram::default();
-    h.record(Duration::from_micros(7));
-    let snapshot = (h.count(), h.max(), h.p99());
-    h.merge(&LatencyHistogram::default());
-    assert_eq!((h.count(), h.max(), h.p99()), snapshot);
-
-    let mut empty = LatencyHistogram::default();
-    empty.merge(&h);
-    assert_eq!(empty.count(), 1);
-    assert_eq!(empty.p99(), h.p99());
-}
+use sigrec_core::{RecoveryCache, SigRec, StoreStats};
 
 #[test]
 fn zero_lookup_hit_rates_are_zero_not_nan() {

@@ -45,15 +45,19 @@
 //!    after the previous one on the campaign's thread, must equal its
 //!    recovery on a newly spawned thread. A fork storm that fills the
 //!    spare path states to their cap runs first and again halfway, so
-//!    the cases after it start from a full pool. Halfway, three crafted
-//!    pairs follow it: a code of one instruction per byte, then a
-//!    shorter one that jumps into its own push data (where a stale pc
-//!    table would find an instruction); a body that stores a calldata
-//!    word at `0x40`, then one that masks an unwritten `0x40` (where a
-//!    stale memory journal would hand back that word); and a loop whose
-//!    guard `JUMPI` heads it, then a shorter code with a plain `JUMPI` at
-//!    the same pc ahead of a copy (where a stale loop-head table would
-//!    put the copy inside a loop and add an array dimension).
+//!    the cases after it start from a full pool. Three crafted pairs
+//!    each run on a new thread of their own, the first code and then
+//!    the second, whose recovery must equal one on another new thread:
+//!    a code of one instruction per byte, then a shorter one that jumps
+//!    into its own push data (where a stale pc table would find an
+//!    instruction); a body that stores a calldata word at `0x40`, then
+//!    one that masks an unwritten `0x40` (where a stale memory journal
+//!    would hand back that word); and a loop whose guard `JUMPI` heads
+//!    it, then a shorter code with a plain `JUMPI` at the same pc ahead
+//!    of a copy (where a stale loop-head table would put the copy inside
+//!    a loop and add an array dimension). A pair's own thread keeps a
+//!    leak that accumulates from hiding behind every earlier case's
+//!    state.
 //!
 //! [`SigRec::recover_with_outcome`]: sigrec_core::SigRec
 
@@ -185,9 +189,11 @@ fn recycled_view(code: &[u8]) -> (Vec<String>, Vec<Diagnostic>) {
 /// Guarantee 8: every case, recovered right after the previous one on
 /// this thread, equals its recovery on a new thread. A fork storm of 64
 /// paths, each carrying a 500-write memory journal, retires more spare
-/// path states than the pool keeps, so it runs first and again halfway,
-/// followed there by three crafted pairs (see the module docs). Adds one
-/// comparison per case plus eight to `paths_checked`.
+/// path states than the pool keeps, so it runs first and again halfway.
+/// Each of three crafted pairs (see the module docs) then runs on a new
+/// thread of its own, so the pair's second code sees the first code's
+/// scratch and nothing else. Adds one comparison per case plus five to
+/// `paths_checked`.
 fn check_recycled_scratch(cases: &[AdversarialCase], report: &mut AdversarialReport) {
     let storm = behind_dispatcher(|at| fork_storm(at, 500, 200));
     // `PUSH1 t; JUMP; PUSH1 0x5b; STOP`, `t` the pushed `0x5b` byte.
@@ -235,43 +241,59 @@ fn check_recycled_scratch(cases: &[AdversarialCase], report: &mut AdversarialRep
     let inputs = [("fork-storm-spare-cap", 0, storm.clone())]
         .into_iter()
         .chain(cases[..half].iter().map(case))
-        .chain([
-            ("fork-storm-spare-cap", 0, storm),
-            ("jumpdest-sled", 0, vec![0x5b; 64]),
-            ("push-data-jump", 0, push_data_jump),
-            ("store-word", 0, store_word),
-            ("load-unwritten-word", 0, load_unwritten),
-            ("loop-head-guard", 0, loop_head),
-            ("plain-guard", 0, plain_guard),
-        ])
+        .chain([("fork-storm-spare-cap", 0, storm)])
         .chain(cases[half..].iter().map(case));
     for (kind, seed, code) in inputs {
-        let code = &code;
-        let recycled = catch_unwind(AssertUnwindSafe(|| recycled_view(code)));
-        let fresh = std::thread::scope(|scope| {
-            scope
-                .spawn(|| catch_unwind(AssertUnwindSafe(|| recycled_view(code))))
-                .join()
-        });
-        report.paths_checked += 1;
-        let (check, detail) = match (recycled, fresh) {
-            (Ok(recycled), Ok(Ok(fresh))) if recycled == fresh => continue,
-            (Ok(recycled), Ok(Ok(fresh))) => (
-                "recycled-scratch",
-                format!("after the previous case {recycled:?}, on a new thread {fresh:?}"),
-            ),
-            _ => (
-                "no-panic",
-                "panicked recovering on a recycled or new thread".to_string(),
-            ),
-        };
-        report.violations.push(AdversarialViolation {
-            kind,
-            seed,
-            check: check.to_string(),
-            detail,
-        });
+        let recycled = catch_unwind(AssertUnwindSafe(|| recycled_view(&code)));
+        compare_with_new_thread(kind, seed, &code, recycled, report);
     }
+    let pairs = [
+        ("push-data-jump", vec![0x5b; 64], push_data_jump),
+        ("load-unwritten-word", store_word, load_unwritten),
+        ("plain-guard", loop_head, plain_guard),
+    ];
+    for (kind, first, second) in pairs {
+        let recycled = on_new_thread(|| {
+            recycled_view(&first);
+            recycled_view(&second)
+        });
+        compare_with_new_thread(kind, 0, &second, recycled, report);
+    }
+}
+
+/// Runs `f` on a newly spawned thread, catching its panic.
+fn on_new_thread<T: Send>(f: impl FnOnce() -> T + Send) -> std::thread::Result<T> {
+    std::thread::scope(|scope| scope.spawn(f).join())
+}
+
+/// One guarantee-8 comparison: `recycled`, the view of `code` recovered
+/// after other inputs, against a recovery of `code` on a new thread.
+fn compare_with_new_thread(
+    kind: &'static str,
+    seed: u64,
+    code: &[u8],
+    recycled: std::thread::Result<(Vec<String>, Vec<Diagnostic>)>,
+    report: &mut AdversarialReport,
+) {
+    let fresh = on_new_thread(|| recycled_view(code));
+    report.paths_checked += 1;
+    let (check, detail) = match (recycled, fresh) {
+        (Ok(recycled), Ok(fresh)) if recycled == fresh => return,
+        (Ok(recycled), Ok(fresh)) => (
+            "recycled-scratch",
+            format!("after the previous input {recycled:?}, on a new thread {fresh:?}"),
+        ),
+        _ => (
+            "no-panic",
+            "panicked recovering on a recycled or new thread".to_string(),
+        ),
+    };
+    report.violations.push(AdversarialViolation {
+        kind,
+        seed,
+        check: check.to_string(),
+        detail,
+    });
 }
 
 /// `PUSH1 0x20; POP; PUSH32 c; CALLDATALOAD; PUSH1 0xff; AND; POP; STOP`,
@@ -779,10 +801,10 @@ mod tests {
         // linked-resolution path per cyclic-routing case and one
         // tail-less comparison per factory-child case (two of each in
         // two full rounds of the ten kinds), plus one recycled-scratch
-        // comparison per case and eight for its crafted inputs, plus the
-        // five exact-identity comparisons and the four bounded-work runs
-        // each campaign makes once.
-        assert_eq!(report.paths_checked, 20 * 10 + 2 + 2 + (20 + 8) + 5 + 4);
+        // comparison per case, two for the fork storms and three for the
+        // crafted pairs, plus the five exact-identity comparisons and the
+        // four bounded-work runs each campaign makes once.
+        assert_eq!(report.paths_checked, 20 * 10 + 2 + 2 + (20 + 2 + 3) + 5 + 4);
         // The corpus contains engineered truncations; at least the two
         // DeepLoop cases must have been cut by budgets.
         assert!(report.truncated_cases >= 2, "{}", report.summary());
