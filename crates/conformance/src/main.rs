@@ -4,13 +4,24 @@
 //! factory children, handler-only contracts, alternate codegen), prints
 //! a summary, writes the coverage JSON, and exits non-zero on any
 //! mismatch, uncovered rule, or scenario class with zero covered cases
-//! (CI gates on this).
+//! (CI gates on this). A usage error — an unknown argument, a flag
+//! without a value, or a value that is not a number where one is due —
+//! exits 2 with a message before anything runs.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sigrec_conformance::{run, write_coverage_json, RunOptions};
 use sigrec_core::InferEngine;
 use sigrec_corpus::metamorph::{conformance_corpus, random_sources};
+use std::str::FromStr;
+
+/// Parses `value`, the value after `flag`, or exits 2 naming both.
+fn number<T: FromStr>(flag: &str, value: String) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} takes a number, got {value:?}");
+        std::process::exit(2);
+    })
+}
 
 fn main() {
     let mut extra_contracts = 12usize;
@@ -32,11 +43,11 @@ fn main() {
         };
         match args[i].as_str() {
             "--contracts" => {
-                extra_contracts = value(i).parse().expect("--contracts takes a number");
+                extra_contracts = number(&args[i], value(i));
                 i += 2;
             }
             "--seed" => {
-                seed = value(i).parse().expect("--seed takes a number");
+                seed = number(&args[i], value(i));
                 i += 2;
             }
             "--out" => {
@@ -44,7 +55,7 @@ fn main() {
                 i += 2;
             }
             "--workers" => {
-                workers = value(i).parse().expect("--workers takes a number");
+                workers = number(&args[i], value(i));
                 i += 2;
             }
             "--infer-engine" => {

@@ -10,13 +10,23 @@
 //!   checksum:u64 | payload`, appended under a short lock and never
 //!   rewritten. The checksum (FNV-1a over key, length, and payload)
 //!   makes every record independently verifiable.
-//! - **a rebuildable flat index** (`index.flat`): an `O(1)`-lookup map
-//!   from contract key to `(segment, offset, length)`, written on
-//!   [`PersistentStore::flush`]. The index is a pure acceleration
-//!   structure — it records the segment lengths it covers, and a
-//!   mismatch at open time (new appends, a crash, a missing file) simply
-//!   triggers a full segment scan that rebuilds it. Correctness never
-//!   depends on the index having been written.
+//! - **a rebuildable flat index** (`index.flat`): the segment lengths it
+//!   covers, then 48-byte entries `key[32] | segment:u32 | offset:u64 |
+//!   len:u32` sorted by key, written on [`PersistentStore::flush`]. An
+//!   open keeps the file mapped and searches it there, so it builds no
+//!   map and its heap does not grow with the store: it checks the header
+//!   and walks the entries once, checking that keys strictly ascend and
+//!   that each entry lies inside its segment. Keys are keccak256
+//!   outputs, so a lookup interpolates on their leading 8 bytes and
+//!   bisects after a few probes. Records appended since the open sit in
+//!   a small overlay map that lookups consult first, and keys whose
+//!   record failed verification in a tombstone set; a flush merges both
+//!   into the base in key order and maps the file it wrote. The index is
+//!   a pure acceleration structure: a mismatch at open time (new
+//!   appends, a crash, a missing file, an entry out of order or past its
+//!   segment) triggers a full segment scan, which fills the overlay over
+//!   an empty base. Correctness never depends on the index having been
+//!   written.
 //! - **crash-safe open**: a process killed mid-append leaves a torn
 //!   final record (short header or short payload). Opening detects it,
 //!   truncates the segment back to its last record boundary, and reports
@@ -48,8 +58,9 @@
 //! magic check, so such a store opens by rescan. Sealed segments and
 //! the flat index are read through a memory mapping
 //! ([`mmap`](crate::mmap)): records are checksum-verified and decoded
-//! straight from the mapped bytes, and only owned structures leave the
-//! store, so the mapping's lifetime never escapes.
+//! straight from the mapped bytes, index entries are searched in place,
+//! and only owned structures leave the store, so the mapping's lifetime
+//! never escapes.
 //!
 //! **Poisoning.** A panic while the store's lock is held poisons it. The
 //! store then degrades instead of panicking: lookups miss, appends and
@@ -69,7 +80,7 @@ use crate::outcome::{BudgetKind, DelegateTarget, Diagnostic, MalformedKind, Trun
 use crate::pipeline::RecoveredFunction;
 use crate::rules::RuleId;
 use sigrec_abi::{AbiType, Selector};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -86,6 +97,12 @@ const SEGMENT_MAGIC: &[u8; 8] = b"SIGRECS1";
 const INDEX_MAGIC: &[u8; 8] = b"SIGRECI3";
 /// Fixed bytes before a record's payload: key, payload length, checksum.
 const RECORD_HEADER: usize = 32 + 4 + 8;
+/// Bytes of one index entry: key, segment id, offset, record length.
+const INDEX_ENTRY: usize = 32 + 4 + 8 + 4;
+/// Interpolation probes a lookup in the flushed index makes before it
+/// bisects the rest, so a skewed file stays `O(log n)`. Uniform keys
+/// take about 3 probes at a thousand entries and 5 at a million.
+const INTERPOLATION_PROBES: u32 = 8;
 /// Leading byte of every contract payload; bumped on any codec change so
 /// stale records decode to a clean miss instead of garbage.
 const PAYLOAD_VERSION: u8 = 1;
@@ -227,7 +244,7 @@ impl fmt::Display for StoreDiagnostic {
 }
 
 /// Location of one record inside the segment set.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct RecordLoc {
     segment: u32,
     /// Offset of the record *header* within the segment file.
@@ -236,10 +253,104 @@ struct RecordLoc {
     len: u32,
 }
 
-/// Mutable state behind the store's lock: the key index, the active
-/// append segment, and lazily-opened read handles and mappings.
+impl RecordLoc {
+    /// Decodes the location half of an index entry (after its key).
+    fn from_entry(entry: &[u8]) -> RecordLoc {
+        RecordLoc {
+            segment: u32::from_le_bytes(entry[32..36].try_into().unwrap()),
+            offset: u64::from_le_bytes(entry[36..44].try_into().unwrap()),
+            len: u32::from_le_bytes(entry[44..48].try_into().unwrap()),
+        }
+    }
+
+    /// Encodes an index entry: `key`, then this location.
+    fn put_entry(self, out: &mut Vec<u8>, key: &[u8; 32]) {
+        out.extend_from_slice(key);
+        out.extend_from_slice(&self.segment.to_le_bytes());
+        out.extend_from_slice(&self.offset.to_le_bytes());
+        out.extend_from_slice(&self.len.to_le_bytes());
+    }
+}
+
+/// The flushed `index.flat`, searched where it is mapped: its entries
+/// start `start` bytes into the file and ascend strictly by key. Empty
+/// when the store opened by rescan and has not been flushed since.
+#[derive(Default)]
+struct FlatIndex {
+    file: Option<Mapping>,
+    start: usize,
+}
+
+impl FlatIndex {
+    /// The entries, [`INDEX_ENTRY`] bytes each.
+    fn entries(&self) -> &[u8] {
+        self.file
+            .as_ref()
+            .map_or(&[], |file| &file.as_slice()[self.start..])
+    }
+
+    fn len(&self) -> usize {
+        self.entries().len() / INDEX_ENTRY
+    }
+
+    /// The location of `key`'s entry. Keys are keccak256 outputs, so
+    /// uniform: a prefix gap of `d` (the leading 8 bytes as a number)
+    /// holds about `d · n / 2⁶⁴` of the `n` entries. The first probe goes
+    /// where that puts the key, each later one that many entries on from
+    /// the last probe's prefix, and after [`INTERPOLATION_PROBES`] the
+    /// search bisects what is left — multiplies only, and `O(log n)` on
+    /// a skewed file.
+    fn find(&self, key: &[u8; 32]) -> Option<RecordLoc> {
+        let entries = self.entries();
+        let n = entries.len() / INDEX_ENTRY;
+        let expected = |gap: u64| ((gap as u128 * n as u128) >> 64) as usize;
+        let target = key_prefix(key);
+        let (mut lo, mut hi) = (0, n);
+        let mut guess = expected(target);
+        let mut probes = 0;
+        while lo < hi {
+            let mid = if probes < INTERPOLATION_PROBES {
+                probes += 1;
+                guess.clamp(lo, hi - 1)
+            } else {
+                lo + (hi - lo) / 2
+            };
+            let entry = &entries[mid * INDEX_ENTRY..(mid + 1) * INDEX_ENTRY];
+            let probe = key_prefix(entry);
+            match probe.cmp(&target).then_with(|| entry[8..32].cmp(&key[8..])) {
+                std::cmp::Ordering::Less => {
+                    lo = mid + 1;
+                    guess = lo + expected(target - probe);
+                }
+                std::cmp::Ordering::Greater => {
+                    hi = mid;
+                    guess = mid.saturating_sub(1 + expected(probe - target));
+                }
+                std::cmp::Ordering::Equal => return Some(RecordLoc::from_entry(entry)),
+            }
+        }
+        None
+    }
+}
+
+/// The leading 8 bytes of a key (or an index entry) as a number: keys
+/// ordered by it come out in key order.
+fn key_prefix(key: &[u8]) -> u64 {
+    u64::from_be_bytes(key[..8].try_into().unwrap())
+}
+
+/// Mutable state behind the store's lock: the key index (the flushed
+/// base, the overlay of later appends and the tombstones of records
+/// that failed verification), the active append segment, and
+/// lazily-opened read handles and mappings.
 struct StoreState {
-    index: HashMap<[u8; 32], RecordLoc>,
+    base: FlatIndex,
+    /// Records appended since `base` was written; consulted first.
+    overlay: HashMap<[u8; 32], RecordLoc>,
+    /// Keys of `base` whose record failed verification and that have not
+    /// been appended since: misses until then, and left out of the next
+    /// flush. Never in `overlay`.
+    tombstones: HashSet<[u8; 32]>,
     /// Id and clean length of every segment, in id order.
     segments: Vec<(u32, u64)>,
     /// Append handle for the last segment (opened on first append).
@@ -253,6 +364,44 @@ struct StoreState {
     /// covers the file length at creation time; records appended later
     /// fall back to `readers`.
     maps: HashMap<u32, Arc<Mapping>>,
+}
+
+impl StoreState {
+    /// Where `key`'s current record is: an append since the base was
+    /// written wins, and a tombstone hides the base's entry.
+    fn locate(&self, key: &[u8; 32]) -> Option<RecordLoc> {
+        if let Some(&loc) = self.overlay.get(key) {
+            return Some(loc);
+        }
+        if self.tombstones.contains(key) {
+            return None;
+        }
+        self.base.find(key)
+    }
+
+    /// Drops `key`'s record at `loc`, which failed verification, so the
+    /// key misses until it is appended again. A record appended after
+    /// the failed read is kept.
+    fn forget(&mut self, key: &[u8; 32], loc: RecordLoc) {
+        if self.overlay.get(key) == Some(&loc) {
+            self.overlay.remove(key);
+        } else if self.overlay.contains_key(key) {
+            return;
+        }
+        if self.base.find(key).is_some() {
+            self.tombstones.insert(*key);
+        }
+    }
+
+    /// Distinct keys with a current record.
+    fn contract_count(&self) -> usize {
+        let fresh = self
+            .overlay
+            .keys()
+            .filter(|key| self.base.find(key).is_none())
+            .count();
+        self.base.len() - self.tombstones.len() + fresh
+    }
 }
 
 struct StoreInner {
@@ -302,8 +451,10 @@ impl PersistentStore {
     ///
     /// After a graceful shutdown ([`PersistentStore::flush`]) the flat
     /// index exactly describes the segment files and the open is
-    /// scan-free. Any mismatch — a crash, appends after the last flush,
-    /// a deleted index — falls back to a full segment scan that rebuilds
+    /// scan-free: it maps the index and checks it in one pass over its
+    /// entries, building no map. Any mismatch — a crash, appends after
+    /// the last flush, a deleted index, an entry out of key order or
+    /// past its segment — falls back to a full segment scan that rebuilds
     /// the index, detecting torn or checksum-corrupt records on the way.
     /// Damage is skipped and reported through
     /// [`PersistentStore::open_diagnostics`] — an open never fails on
@@ -324,10 +475,10 @@ impl PersistentStore {
             disk_layout.push((id, fs::metadata(segment_path(&dir, id))?.len()));
         }
 
-        let (segments, index) = match load_index(&dir, &disk_layout) {
+        let (segments, base, overlay) = match load_index(&dir, &disk_layout) {
             // Fast path: the index covers exactly the bytes on disk, so
             // the last flush postdates the last append — nothing to scan.
-            Some(index) => (disk_layout, index),
+            Some(base) => (disk_layout, base, HashMap::new()),
             None => {
                 let mut segments = Vec::with_capacity(seg_ids.len());
                 let mut scanned: HashMap<[u8; 32], RecordLoc> = HashMap::new();
@@ -358,7 +509,7 @@ impl PersistentStore {
                     diags.push(StoreDiagnostic::StaleIndex);
                     rebuilds += 1;
                 }
-                (segments, scanned)
+                (segments, FlatIndex::default(), scanned)
             }
         };
 
@@ -366,7 +517,9 @@ impl PersistentStore {
             dir,
             options,
             state: Mutex::new(StoreState {
-                index,
+                base,
+                overlay,
+                tombstones: HashSet::new(),
                 segments,
                 active: None,
                 unsynced: 0,
@@ -405,7 +558,7 @@ impl PersistentStore {
     /// Number of distinct contract keys readable from disk (0 once the
     /// store is poisoned).
     pub fn contract_count(&self) -> usize {
-        self.state().map_or(0, |state| state.index.len())
+        self.state().map_or(0, |state| state.contract_count())
     }
 
     /// The one way into the store's mutable state. A panic while the
@@ -517,7 +670,8 @@ impl PersistentStore {
             offset,
             len: record.len() as u32,
         };
-        state.index.insert(key, loc);
+        state.overlay.insert(key, loc);
+        state.tombstones.remove(&key);
         state.unsynced += 1;
         if state.unsynced > self.inner.options.fsync_every {
             state.active.as_mut().expect("active segment").sync_data()?;
@@ -529,14 +683,13 @@ impl PersistentStore {
 
     /// Reads one contract recovery back, verifying its checksum.
     ///
-    /// A record that fails verification or decoding is dropped from the
-    /// index, counted in [`StoreStats::corrupt_records`], and reported
-    /// as a miss — the caller recovers cold and reseals a good record.
+    /// A record that fails verification or decoding is counted in
+    /// [`StoreStats::corrupt_records`] and reported as a miss, and its key
+    /// misses from then on until it is appended again (the next flush
+    /// leaves it out) — the caller recovers cold and reseals a good
+    /// record.
     pub fn lookup(&self, key: &[u8; 32]) -> Option<(Vec<RecoveredFunction>, Vec<Diagnostic>)> {
-        let loc = self
-            .state()
-            .ok()
-            .and_then(|state| state.index.get(key).copied());
+        let loc = self.state().ok().and_then(|state| state.locate(key));
         let Some(loc) = loc else {
             self.inner.disk_misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -553,7 +706,7 @@ impl PersistentStore {
                 self.inner.corrupt_records.fetch_add(1, Ordering::Relaxed);
                 self.inner.disk_misses.fetch_add(1, Ordering::Relaxed);
                 if let Ok(mut state) = self.state() {
-                    state.index.remove(key);
+                    state.forget(key, loc);
                 }
                 None
             }
@@ -609,10 +762,13 @@ impl PersistentStore {
     }
 
     /// Syncs the active segment and writes the flat index, making every
-    /// appended record durable and the next open scan-free. Called on
-    /// graceful shutdown; a crash that skips it costs an index rebuild,
-    /// never data written before the last sync. A poisoned store returns
-    /// an error and writes no index, so the next open rescans.
+    /// appended record durable and the next open scan-free. The overlay
+    /// is merged into the base in key order, tombstoned keys are left
+    /// out, and the written file becomes the new base, so the overlay
+    /// empties. Called on graceful shutdown; a crash that skips it costs
+    /// an index rebuild, never data written before the last sync. A
+    /// poisoned store returns an error and writes no index, so the next
+    /// open rescans.
     pub fn flush(&self) -> io::Result<()> {
         let mut state = self.state()?;
         if let Some(f) = state.active.as_mut() {
@@ -620,7 +776,7 @@ impl PersistentStore {
             self.inner.fsyncs.fetch_add(1, Ordering::Relaxed);
             state.unsynced = 0;
         }
-        let bytes = encode_index(&state.index, &state.segments);
+        let bytes = encode_index(&state);
         let tmp = self.inner.dir.join("index.flat.tmp");
         let final_path = index_path(&self.inner.dir);
         let mut f = File::create(&tmp)?;
@@ -629,6 +785,12 @@ impl PersistentStore {
         self.inner.fsyncs.fetch_add(1, Ordering::Relaxed);
         drop(f);
         fs::rename(&tmp, &final_path)?;
+        // Until the remap succeeds the old base, overlay and tombstones
+        // still describe the store.
+        state.base = load_index(&self.inner.dir, &state.segments)
+            .ok_or_else(|| io::Error::other("the index just written does not check"))?;
+        state.overlay = HashMap::new();
+        state.tombstones = HashSet::new();
         Ok(())
     }
 }
@@ -789,37 +951,49 @@ fn scan_segment(path: &Path, id: u32) -> io::Result<SegmentScan> {
 }
 
 /// Serialises the index: magic, the segment layout it covers, then the
-/// key → location entries.
-fn encode_index(index: &HashMap<[u8; 32], RecordLoc>, segments: &[(u32, u64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 12 * segments.len() + 48 * index.len());
+/// base's entries merged with the overlay's in key order (an overlay
+/// entry replaces the base's, a tombstoned key is left out). Sorted, so
+/// byte-identical stores write byte-identical indexes.
+fn encode_index(state: &StoreState) -> Vec<u8> {
+    let segments = &state.segments;
+    let count = state.contract_count();
+    let mut out = Vec::with_capacity(20 + 12 * segments.len() + INDEX_ENTRY * count);
     out.extend_from_slice(INDEX_MAGIC);
     out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
     for &(id, len) in segments {
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(&len.to_le_bytes());
     }
-    out.extend_from_slice(&(index.len() as u64).to_le_bytes());
-    // Deterministic order so byte-identical stores write byte-identical
-    // indexes.
-    let mut entries: Vec<_> = index.iter().collect();
-    entries.sort_unstable_by_key(|(k, _)| **k);
-    for (key, loc) in entries {
-        out.extend_from_slice(key);
-        out.extend_from_slice(&loc.segment.to_le_bytes());
-        out.extend_from_slice(&loc.offset.to_le_bytes());
-        out.extend_from_slice(&loc.len.to_le_bytes());
+    out.extend_from_slice(&(count as u64).to_le_bytes());
+    let mut fresh: Vec<_> = state.overlay.iter().collect();
+    fresh.sort_unstable_by_key(|&(key, _)| key);
+    let mut fresh = fresh.into_iter().peekable();
+    for entry in state.base.entries().chunks_exact(INDEX_ENTRY) {
+        let key: &[u8; 32] = entry[..32].try_into().unwrap();
+        while let Some((k, loc)) = fresh.next_if(|&(k, _)| k < key) {
+            loc.put_entry(&mut out, k);
+        }
+        if fresh.peek().is_some_and(|&(k, _)| k == key) || state.tombstones.contains(key) {
+            continue;
+        }
+        out.extend_from_slice(entry);
+    }
+    for (key, loc) in fresh {
+        loc.put_entry(&mut out, key);
     }
     out
 }
 
-/// Loads `index.flat` if it exactly describes the on-disk segment
-/// layout; any mismatch (crash, appends since the last flush, manual
-/// deletion, an index written by an older format) returns `None` and
-/// the caller falls back to the scan. The file is read through a memory
-/// mapping — entries decode straight from the mapped bytes.
-fn load_index(dir: &Path, segments: &[(u32, u64)]) -> Option<HashMap<[u8; 32], RecordLoc>> {
-    let mapping = Mapping::open(&index_path(dir)).ok()?;
-    let mut r = codec::Reader::new(mapping.as_slice());
+/// Maps `index.flat` if it exactly describes the on-disk segment layout
+/// and checks it without decoding it: the header, the entry count
+/// against the file length, and in one pass that keys strictly ascend
+/// and every entry lies inside its segment's clean length. Any mismatch
+/// (crash, appends since the last flush, manual deletion, damage, an
+/// index written by an older format) returns `None` and the caller
+/// falls back to the scan.
+fn load_index(dir: &Path, segments: &[(u32, u64)]) -> Option<FlatIndex> {
+    let file = Mapping::open(&index_path(dir)).ok()?;
+    let mut r = codec::Reader::new(file.as_slice());
     if r.take(8)? != INDEX_MAGIC.as_slice() {
         return None;
     }
@@ -832,31 +1006,32 @@ fn load_index(dir: &Path, segments: &[(u32, u64)]) -> Option<HashMap<[u8; 32], R
             return None;
         }
     }
-    let entries = r.u64()? as usize;
-    let mut index = HashMap::with_capacity(entries.min(1 << 20));
-    for _ in 0..entries {
-        let key: [u8; 32] = r.take(32)?.try_into().ok()?;
-        let segment = r.u32()?;
-        let offset = r.u64()?;
-        let len = r.u32()?;
-        // An entry pointing past its segment's clean length is stale.
-        let seg_len = segments.iter().find(|&&(id, _)| id == segment)?.1;
-        if offset + len as u64 > seg_len {
-            return None;
-        }
-        index.insert(
-            key,
-            RecordLoc {
-                segment,
-                offset,
-                len,
-            },
-        );
-    }
-    if !r.at_end() {
+    let count = r.u64()?;
+    let entries = r.rest();
+    if count.checked_mul(INDEX_ENTRY as u64)? != entries.len() as u64 {
         return None;
     }
-    Some(index)
+    let mut prev = None;
+    for entry in entries.chunks_exact(INDEX_ENTRY) {
+        // The prefix decides almost every comparison.
+        let key = (key_prefix(entry), &entry[8..32]);
+        if prev.is_some_and(|prev| prev >= key) {
+            return None;
+        }
+        prev = Some(key);
+        let loc = RecordLoc::from_entry(entry);
+        let seg = segments
+            .binary_search_by_key(&loc.segment, |&(id, _)| id)
+            .ok()?;
+        if loc.offset.checked_add(loc.len as u64)? > segments[seg].1 {
+            return None;
+        }
+    }
+    let start = file.as_slice().len() - entries.len();
+    Some(FlatIndex {
+        file: Some(file),
+        start,
+    })
 }
 
 /// The record payload codec: hand-rolled, versioned, length-prefixed
@@ -907,6 +1082,11 @@ mod codec {
 
         pub(super) fn at_end(&self) -> bool {
             self.pos == self.buf.len()
+        }
+
+        /// The bytes not read yet.
+        pub(super) fn rest(&self) -> &'a [u8] {
+            &self.buf[self.pos..]
         }
     }
 
@@ -1556,5 +1736,281 @@ mod tests {
         let (got, _) = store.lookup(&[1u8; 32]).unwrap();
         assert_eq!(got[0].params, vec![AbiType::Address]);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A flushed store in a fresh directory holding one record under
+    /// each of `n` keccak256 keys (contract keys are such hashes); record
+    /// `i` carries selector `i`.
+    fn flushed_store(n: u64) -> (PathBuf, Vec<[u8; 32]>) {
+        let dir = scratch();
+        let keys: Vec<[u8; 32]> = (0..n)
+            .map(|i| sigrec_evm::keccak256(&i.to_le_bytes()))
+            .collect();
+        let store = PersistentStore::open(&dir).unwrap();
+        for (i, key) in keys.iter().enumerate() {
+            store
+                .append(*key, &[func(i as u32, vec![AbiType::Uint(256)])], &[])
+                .unwrap();
+        }
+        store.flush().unwrap();
+        (dir, keys)
+    }
+
+    fn selector_of(store: &PersistentStore, key: &[u8; 32]) -> Option<u32> {
+        store.lookup(key).map(|(fns, _)| fns[0].selector.as_u32())
+    }
+
+    /// `key` one up or one down, as a 256-bit big-endian number.
+    fn nudge(key: &[u8; 32], up: bool) -> [u8; 32] {
+        let mut key = *key;
+        for byte in key.iter_mut().rev() {
+            let (next, carry) = if up {
+                byte.overflowing_add(1)
+            } else {
+                byte.overflowing_sub(1)
+            };
+            *byte = next;
+            if !carry {
+                break;
+            }
+        }
+        key
+    }
+
+    /// Flips the last payload byte of `key`'s current record in its
+    /// segment file, in place.
+    fn corrupt_on_disk(store: &PersistentStore, key: &[u8; 32]) {
+        let loc = store.state().unwrap().locate(key).unwrap();
+        let at = loc.offset + loc.len as u64 - 1;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(segment_path(store.dir(), loc.segment))
+            .unwrap();
+        let mut byte = [0u8];
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.read_exact(&mut byte).unwrap();
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.write_all(&[byte[0] ^ 0xff]).unwrap();
+    }
+
+    #[test]
+    fn the_mapped_index_answers_every_key_and_misses_between_them() {
+        let (dir, keys) = flushed_store(300);
+        let store = PersistentStore::open(&dir).unwrap();
+        assert!(store.open_diagnostics().is_empty());
+        assert_eq!(store.stats().index_rebuilds, 0);
+        assert_eq!(store.contract_count(), keys.len());
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        let (smallest, largest) = (sorted[0], sorted[sorted.len() - 1]);
+        let position = |key: &[u8; 32]| keys.iter().position(|k| k == key).unwrap() as u32;
+        assert_eq!(selector_of(&store, &smallest), Some(position(&smallest)));
+        assert_eq!(selector_of(&store, &largest), Some(position(&largest)));
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(selector_of(&store, key), Some(i as u32), "key {i}");
+        }
+        // Below the smallest, above the largest, just past every key
+        // (before the next one), and every key with its last bit
+        // flipped (same leading bytes, so the search compares the rest).
+        let mut absent = vec![
+            [0; 32],
+            nudge(&smallest, false),
+            nudge(&largest, true),
+            [0xff; 32],
+        ];
+        for key in &sorted {
+            absent.push(nudge(key, true));
+            let mut sibling = *key;
+            sibling[31] ^= 1;
+            absent.push(sibling);
+        }
+        for key in &absent {
+            assert!(store.lookup(key).is_none(), "{key:02x?} answered");
+        }
+        let stats = store.stats();
+        assert_eq!(stats.disk_hits, 2 + keys.len() as u64);
+        assert_eq!(stats.disk_misses, absent.len() as u64);
+        assert_eq!(stats.corrupt_records, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_skewed_index_still_answers_every_key() {
+        // Keys that share their leading 8 bytes leave interpolation
+        // nothing to go on; the search bisects after its probes.
+        let dir = scratch();
+        let keys: Vec<[u8; 32]> = (0..200u64)
+            .map(|i| {
+                let mut key = [0x42; 32];
+                key[24..].copy_from_slice(&(3 * i + 1).to_be_bytes());
+                key
+            })
+            .collect();
+        {
+            let store = PersistentStore::open(&dir).unwrap();
+            for (i, key) in keys.iter().enumerate() {
+                store.append(*key, &[func(i as u32, vec![])], &[]).unwrap();
+            }
+            store.flush().unwrap();
+        }
+        let store = PersistentStore::open(&dir).unwrap();
+        assert_eq!(store.stats().index_rebuilds, 0);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(selector_of(&store, key), Some(i as u32), "key {i}");
+            assert!(store.lookup(&nudge(key, true)).is_none());
+            assert!(store.lookup(&nudge(key, false)).is_none());
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_append_after_the_open_shadows_the_base_through_a_flush() {
+        let (dir, keys) = flushed_store(200);
+        let store = PersistentStore::open(&dir).unwrap();
+        let fresh = sigrec_evm::keccak256(b"not in the base");
+        store
+            .append(keys[7], &[func(0xbeef, vec![AbiType::Bool])], &[])
+            .unwrap();
+        store.append(fresh, &[func(0xf00d, vec![])], &[]).unwrap();
+        assert_eq!(selector_of(&store, &keys[7]), Some(0xbeef));
+        assert_eq!(selector_of(&store, &keys[8]), Some(8));
+        assert_eq!(store.contract_count(), 201, "a shadowed key counts once");
+        store.flush().unwrap();
+        assert!(
+            store.state().unwrap().overlay.is_empty(),
+            "the flush moved the overlay into the base"
+        );
+        assert_eq!(selector_of(&store, &keys[7]), Some(0xbeef));
+        assert_eq!(store.contract_count(), 201);
+        drop(store);
+
+        let reopened = PersistentStore::open(&dir).unwrap();
+        assert_eq!(reopened.stats().index_rebuilds, 0);
+        assert_eq!(reopened.contract_count(), 201);
+        assert_eq!(selector_of(&reopened, &keys[7]), Some(0xbeef));
+        assert_eq!(selector_of(&reopened, &fresh), Some(0xf00d));
+        assert_eq!(selector_of(&reopened, &keys[8]), Some(8));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_record_corrupted_in_place_misses_until_appended_and_leaves_the_index() {
+        let (dir, keys) = flushed_store(200);
+        let (kept, dropped) = (keys[42], keys[43]);
+        let store = PersistentStore::open(&dir).unwrap();
+        // Corrupted before any read maps the segment.
+        corrupt_on_disk(&store, &kept);
+        corrupt_on_disk(&store, &dropped);
+        for key in [kept, dropped] {
+            assert!(store.lookup(&key).is_none());
+            assert!(store.lookup(&key).is_none(), "the tombstone hides it");
+        }
+        assert_eq!(store.stats().corrupt_records, 2, "each record read once");
+        assert_eq!(store.contract_count(), 198);
+        assert_eq!(selector_of(&store, &keys[44]), Some(44));
+        store.append(kept, &[func(0x42, vec![])], &[]).unwrap();
+        assert_eq!(selector_of(&store, &kept), Some(0x42));
+        assert_eq!(store.contract_count(), 199);
+        store.flush().unwrap();
+        drop(store);
+
+        let reopened = PersistentStore::open(&dir).unwrap();
+        assert_eq!(reopened.stats().index_rebuilds, 0);
+        assert_eq!(reopened.contract_count(), 199);
+        assert!(
+            reopened.state().unwrap().base.find(&dropped).is_none(),
+            "the flush left the corrupt record out"
+        );
+        assert!(reopened.lookup(&dropped).is_none());
+        assert_eq!(selector_of(&reopened, &kept), Some(0x42));
+        assert_eq!(reopened.stats().corrupt_records, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_read_keeps_a_record_appended_since() {
+        let dir = scratch();
+        let store = PersistentStore::open(&dir).unwrap();
+        store.append([1; 32], &[func(1, vec![])], &[]).unwrap();
+        let read = store.state().unwrap().locate(&[1; 32]).unwrap();
+        store.append([1; 32], &[func(2, vec![])], &[]).unwrap();
+        // What a lookup does when the record it located fails to verify
+        // after another caller appended the key again.
+        store.state().unwrap().forget(&[1; 32], read);
+        assert_eq!(selector_of(&store, &[1; 32]), Some(2));
+        assert_eq!(store.contract_count(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn contract_count_is_exact_across_base_overlay_and_tombstones() {
+        let (dir, keys) = flushed_store(100);
+        let store = PersistentStore::open(&dir).unwrap();
+        assert_eq!(store.contract_count(), 100);
+        corrupt_on_disk(&store, &keys[10]);
+        corrupt_on_disk(&store, &keys[11]);
+        // Two shadowed base keys count once each, three fresh keys add
+        // three.
+        for key in &keys[..2] {
+            store.append(*key, &[func(1, vec![])], &[]).unwrap();
+        }
+        for i in 0..3u8 {
+            store.append([i; 32], &[func(2, vec![])], &[]).unwrap();
+        }
+        assert_eq!(store.contract_count(), 103);
+        // Each corrupt read leaves a tombstone.
+        assert!(store.lookup(&keys[10]).is_none());
+        assert!(store.lookup(&keys[11]).is_none());
+        assert_eq!(store.contract_count(), 101);
+        // An append lifts one.
+        store.append(keys[10], &[func(3, vec![])], &[]).unwrap();
+        assert_eq!(store.contract_count(), 102);
+        store.flush().unwrap();
+        assert_eq!(store.contract_count(), 102);
+        assert_eq!(PersistentStore::open(&dir).unwrap().contract_count(), 102);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_index_is_not_trusted() {
+        let (template, keys) = flushed_store(150);
+        let index = fs::read(index_path(&template)).unwrap();
+        let entry = |i: usize| index.len() - (keys.len() - i) * INDEX_ENTRY;
+        let mut swapped = index.clone();
+        let (a, b) = (entry(3), entry(4));
+        swapped[a..b + INDEX_ENTRY].rotate_left(INDEX_ENTRY);
+        // Entry 5 keeps its length but ends one byte past the segment.
+        let seg_len = fs::metadata(segment_path(&template, 0)).unwrap().len();
+        let mut past = index.clone();
+        let at = entry(5);
+        let len = u32::from_le_bytes(past[at + 44..at + 48].try_into().unwrap());
+        past[at + 36..at + 44].copy_from_slice(&(seg_len - len as u64 + 1).to_le_bytes());
+        // One entry fewer than the header counts.
+        let short = index[..index.len() - INDEX_ENTRY].to_vec();
+        for (damage, bytes) in [("swapped", swapped), ("past", past), ("short", short)] {
+            let dir = scratch();
+            fs::create_dir_all(&dir).unwrap();
+            fs::copy(segment_path(&template, 0), segment_path(&dir, 0)).unwrap();
+            fs::write(index_path(&dir), &bytes).unwrap();
+            let store = PersistentStore::open(&dir).unwrap();
+            assert_eq!(
+                store.open_diagnostics(),
+                [StoreDiagnostic::StaleIndex],
+                "{damage}"
+            );
+            assert_eq!(store.stats().index_rebuilds, 1, "{damage}");
+            assert_eq!(store.contract_count(), keys.len(), "{damage}");
+            for (i, key) in keys.iter().enumerate() {
+                assert_eq!(
+                    selector_of(&store, key),
+                    Some(i as u32),
+                    "{damage}: key {i}"
+                );
+            }
+            assert_eq!(store.stats().corrupt_records, 0, "{damage}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+        fs::remove_dir_all(&template).unwrap();
     }
 }

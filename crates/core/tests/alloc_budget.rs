@@ -1,4 +1,4 @@
-//! Allocation budget of cold recovery.
+//! Allocation budgets: of cold recovery, and of opening a store.
 //!
 //! Recovery keeps, per thread, every buffer that does not escape into a
 //! result: the disassembly's tables, the dispatcher walk's scratch, the
@@ -11,12 +11,20 @@
 //! must stay within a per-contract budget over a fixed mix of the
 //! corpora the `backfill` benchmark draws from. The counts are
 //! deterministic: every input and every container's growth is fixed.
+//!
+//! Opening a flushed store searches its index where it is mapped, so
+//! what an open allocates must not grow with the number of records.
 
-use sigrec_core::{recover_batch, SigRec};
+use sigrec_abi::{AbiType, Selector};
+use sigrec_core::{
+    recover_batch, Language, PersistentStore, RecoveredFunction, RuleId, SigRec, StoreOptions,
+};
 use sigrec_corpus::datasets;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashSet;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 struct Counting;
 
@@ -121,4 +129,64 @@ fn a_warm_thread_recovers_cold_contracts_within_the_allocation_budget() {
         bytes_per <= MAX_BYTES_PER_CONTRACT,
         "{bytes_per:.0} bytes per contract, budget {MAX_BYTES_PER_CONTRACT}"
     );
+}
+
+/// A store in a fresh directory under `tag` holding `n` flushed records.
+fn flushed_store(tag: &str, n: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sigrec-alloc-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = StoreOptions {
+        fsync_every: u64::MAX,
+        ..StoreOptions::default()
+    };
+    let store = PersistentStore::open_with(&dir, options).unwrap();
+    for i in 0..n {
+        let function = RecoveredFunction {
+            selector: Selector::from_u32(i as u32),
+            entry: 0x40,
+            params: vec![AbiType::Address, AbiType::Uint(256)],
+            language: Language::Solidity,
+            rules: vec![RuleId::ALL[0]],
+            budgets: Vec::new(),
+            elapsed: Duration::from_micros(5),
+            delegate: None,
+        };
+        let key = sigrec_evm::keccak256(&i.to_le_bytes());
+        assert!(store.append(key, &[function], &[]).unwrap());
+    }
+    store.flush().unwrap();
+    dir
+}
+
+/// Bytes this thread allocates opening (and dropping) the store in `dir`.
+fn open_bytes(dir: &Path) -> u64 {
+    let (_, before) = tally();
+    let store = PersistentStore::open(dir).unwrap();
+    assert_eq!(
+        store.stats().index_rebuilds,
+        0,
+        "a flushed store opens by its index"
+    );
+    drop(store);
+    tally().1 - before
+}
+
+/// Where `mmap(2)` is unavailable the index is read into a buffer, which
+/// grows with the store.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn opening_a_flushed_store_allocates_the_same_at_any_size() {
+    // Directory names of equal length, so their paths cost the same.
+    let small = flushed_store("00100", 100);
+    let large = flushed_store("10000", 10_000);
+    // The first open on a thread may set up process-wide state.
+    open_bytes(&small);
+    let (small_bytes, large_bytes) = (open_bytes(&small), open_bytes(&large));
+    println!("opening allocates {small_bytes} bytes at 100 records, {large_bytes} at 10 000");
+    assert!(
+        large_bytes.abs_diff(small_bytes) <= 256,
+        "opening allocates {small_bytes} bytes at 100 records but {large_bytes} at 10 000"
+    );
+    std::fs::remove_dir_all(&small).unwrap();
+    std::fs::remove_dir_all(&large).unwrap();
 }
