@@ -8,8 +8,8 @@
 //! - [`VyperType`] — Vyper's ten surface types and their lowering onto the
 //!   calldata layout grammar;
 //! - [`FunctionSignature`] / [`Selector`] — function ids via Keccak-256;
-//! - [`encode`] / [`encode_call`] — the full head/tail ABI encoder;
-//! - [`decode`] / [`decode_call`] — a strict validating decoder (padding,
+//! - [`encode()`] / [`encode_call`] — the full head/tail ABI encoder;
+//! - [`decode()`] / [`decode_call`] — a strict validating decoder (padding,
 //!   offsets, lengths), the foundation of ParChecker's invalid-argument
 //!   detection (§6.1 of the paper).
 

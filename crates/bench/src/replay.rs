@@ -22,7 +22,7 @@
 //! proxy-burst digests) must be byte-for-byte identical — the bench
 //! doubles as a CI gate on store round-trip fidelity and crash
 //! recovery. The warm restart must also read each record at most once
-//! and spend at most [`MAX_WARM_US_PER_CONTRACT`] per stream contract:
+//! and spend at most 6 µs of wall time per stream contract:
 //! a gate on the warm read path alone, which a faster cold epoch does
 //! not move. The machine-readable summary is written to
 //! `BENCH_replay.json` in the working directory.

@@ -19,16 +19,17 @@ fn main() {
         eprintln!("usage: sigrec [--explain] <file-with-hex-bytecode | ->");
         std::process::exit(2);
     });
-    let raw = if arg == "-" {
-        let mut s = String::new();
-        std::io::stdin().read_to_string(&mut s).expect("read stdin");
-        s
+    let read = if arg == "-" {
+        let mut buf = Vec::new();
+        std::io::stdin().read_to_end(&mut buf).map(|_| buf)
     } else {
-        std::fs::read_to_string(&arg).unwrap_or_else(|e| {
-            eprintln!("sigrec: cannot read {arg}: {e}");
-            std::process::exit(2);
-        })
+        std::fs::read(&arg)
     };
+    let raw = read.unwrap_or_else(|e| {
+        let source = if arg == "-" { "stdin" } else { &arg };
+        eprintln!("sigrec: cannot read {source}: {e}");
+        std::process::exit(2);
+    });
     let code = match parse_hex(&raw) {
         Some(code) if !code.is_empty() => code,
         _ => {
@@ -102,14 +103,21 @@ fn main() {
     }
 }
 
-fn parse_hex(s: &str) -> Option<Vec<u8>> {
-    let cleaned: String = s.chars().filter(|c| !c.is_whitespace()).collect();
-    let cleaned = cleaned.strip_prefix("0x").unwrap_or(&cleaned);
-    if !cleaned.len().is_multiple_of(2) {
+/// Decodes hex bytecode: ASCII whitespace anywhere and one leading `0x` are
+/// allowed; anything else that is not an ASCII hex digit is refused.
+fn parse_hex(raw: &[u8]) -> Option<Vec<u8>> {
+    let cleaned: Vec<u8> = raw
+        .iter()
+        .copied()
+        .filter(|b| !b.is_ascii_whitespace())
+        .collect();
+    let digits = cleaned.strip_prefix(b"0x").unwrap_or(&cleaned);
+    if !digits.len().is_multiple_of(2) {
         return None;
     }
-    (0..cleaned.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&cleaned[i..i + 2], 16).ok())
+    let nibble = |b: u8| (b as char).to_digit(16);
+    digits
+        .chunks(2)
+        .map(|pair| Some((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
         .collect()
 }

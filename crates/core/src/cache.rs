@@ -177,11 +177,6 @@ impl RecoveryCache {
         }
     }
 
-    /// The persistent tier, when one is attached.
-    pub fn store(&self) -> Option<&PersistentStore> {
-        self.inner.store.as_ref()
-    }
-
     /// A snapshot of the persistent tier's counters, when one is
     /// attached.
     pub fn store_stats(&self) -> Option<StoreStats> {

@@ -14,7 +14,7 @@
 //! lets the inference engine scope loop bounds to the facts inside the loop
 //! body by pc range.
 
-use crate::expr::{BinOp, ExprArena, ExprId, ExprKind, UnOp, MAX_POOLED_NODES};
+use crate::expr::{binop_of, BinOp, ExprArena, ExprId, ExprKind, UnOp, MAX_POOLED_NODES};
 use crate::facts::{self, CopyFact, FunctionFacts, GuardFact, LoadFact, Usage, UseFact};
 use crate::infer::InferEngine;
 use crate::memory::SymMemory;
@@ -55,10 +55,6 @@ pub struct TaseConfig {
     pub max_steps_per_path: usize,
     /// Maximum instructions across all paths of one function.
     pub max_total_steps: usize,
-    /// How many times one block may fork on a symbolic condition per path.
-    pub fork_limit_per_block: u32,
-    /// How many times one block may be entered per path (concrete loops).
-    pub block_visit_limit: u32,
     /// Which matcher runs the R1–R31 rules over the gathered facts.
     pub infer_engine: InferEngine,
     /// Collect per-fork [`ExecStats`] counters (off by default: the
@@ -66,8 +62,8 @@ pub struct TaseConfig {
     pub collect_stats: bool,
     /// Per-contract wall-clock budget. The pipeline stamps a deadline
     /// when it plans a contract and every function exploration checks it
-    /// cooperatively (every [`DEADLINE_CHECK_MASK`]+1 steps), recording
-    /// [`BudgetKind::Deadline`] and stopping. `None` (the default) never
+    /// cooperatively (every 1 024 steps), recording [`BudgetKind::Deadline`]
+    /// and stopping. `None` (the default) never
     /// cuts on time. Deadline-truncated results are nondeterministic and
     /// are therefore never memoised.
     pub max_wall_time: Option<Duration>,
@@ -87,6 +83,15 @@ pub struct TaseConfig {
     pub disagree_on_selector: Option<u32>,
 }
 
+/// How many times one `JUMPI` may fork on a symbolic condition per path;
+/// past it the path takes the larger-pc side (the loop exit) and records
+/// [`BudgetKind::ForkCap`].
+pub const FORK_LIMIT_PER_BLOCK: u32 = 3;
+
+/// How many times one block may be entered per path (concrete loops);
+/// past it the path ends and records [`BudgetKind::VisitCap`].
+pub const BLOCK_VISIT_LIMIT: u32 = 600;
+
 /// The deadline is polled when `total_steps & DEADLINE_CHECK_MASK == 0`:
 /// cheap enough to keep in the hot loop, frequent enough (every 1024
 /// steps, plus once on entry) that overshoot stays in the microseconds.
@@ -98,8 +103,6 @@ impl Default for TaseConfig {
             max_paths: 512,
             max_steps_per_path: 60_000,
             max_total_steps: 400_000,
-            fork_limit_per_block: 3,
-            block_visit_limit: 600,
             infer_engine: InferEngine::Tree,
             collect_stats: false,
             max_wall_time: None,
@@ -773,7 +776,7 @@ impl<'a> Tase<'a> {
             Some(_) => Flow::Continue(next_pc),
             None => {
                 let forks = st.visits.entry(pc).or_insert(0);
-                if *forks < self.config.fork_limit_per_block {
+                if *forks < FORK_LIMIT_PER_BLOCK {
                     *forks += 1;
                     if self.config.collect_stats {
                         self.stats.forks += 1;
@@ -814,7 +817,7 @@ impl<'a> Tase<'a> {
     fn enter_block(&mut self, st: &mut PathState, target: usize) -> Flow {
         let v = st.visits.entry(target).or_insert(0);
         *v += 1;
-        if *v > self.config.block_visit_limit {
+        if *v > BLOCK_VISIT_LIMIT {
             self.facts.add_budget(BudgetKind::VisitCap);
             return Flow::End;
         }
@@ -929,31 +932,6 @@ fn delegate_target(arena: &ExprArena, addr: ExprId) -> DelegateTarget {
             DelegateTarget::Address(out)
         }
         _ => DelegateTarget::Unknown,
-    }
-}
-
-fn binop_of(op: Opcode) -> BinOp {
-    match op {
-        Opcode::Add => BinOp::Add,
-        Opcode::Sub => BinOp::Sub,
-        Opcode::Mul => BinOp::Mul,
-        Opcode::Div => BinOp::Div,
-        Opcode::SDiv => BinOp::SDiv,
-        Opcode::Mod => BinOp::Mod,
-        Opcode::SMod => BinOp::SMod,
-        Opcode::Exp => BinOp::Exp,
-        Opcode::And => BinOp::And,
-        Opcode::Or => BinOp::Or,
-        Opcode::Xor => BinOp::Xor,
-        Opcode::Lt => BinOp::Lt,
-        Opcode::Gt => BinOp::Gt,
-        Opcode::SLt => BinOp::SLt,
-        Opcode::SGt => BinOp::SGt,
-        Opcode::Eq => BinOp::Eq,
-        Opcode::Shl => BinOp::Shl,
-        Opcode::Shr => BinOp::Shr,
-        Opcode::Sar => BinOp::Sar,
-        other => unreachable!("binop_of({other})"),
     }
 }
 

@@ -36,7 +36,7 @@
 //!   bumping an epoch) and keeps it for the next one, unless its id table
 //!   outgrew `MAX_POOLED_NODES` nodes.
 
-use sigrec_evm::U256;
+use sigrec_evm::{Opcode, U256};
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -76,6 +76,33 @@ pub enum BinOp {
 pub enum UnOp {
     IsZero,
     Not,
+}
+
+/// The operator a binary arithmetic, comparison or shift opcode builds.
+/// Both symbolic walks (the dispatcher walk and TASE) read it here.
+pub(crate) fn binop_of(op: Opcode) -> BinOp {
+    match op {
+        Opcode::Add => BinOp::Add,
+        Opcode::Sub => BinOp::Sub,
+        Opcode::Mul => BinOp::Mul,
+        Opcode::Div => BinOp::Div,
+        Opcode::SDiv => BinOp::SDiv,
+        Opcode::Mod => BinOp::Mod,
+        Opcode::SMod => BinOp::SMod,
+        Opcode::Exp => BinOp::Exp,
+        Opcode::And => BinOp::And,
+        Opcode::Or => BinOp::Or,
+        Opcode::Xor => BinOp::Xor,
+        Opcode::Lt => BinOp::Lt,
+        Opcode::Gt => BinOp::Gt,
+        Opcode::SLt => BinOp::SLt,
+        Opcode::SGt => BinOp::SGt,
+        Opcode::Eq => BinOp::Eq,
+        Opcode::Shl => BinOp::Shl,
+        Opcode::Shr => BinOp::Shr,
+        Opcode::Sar => BinOp::Sar,
+        other => unreachable!("binop_of({other})"),
+    }
 }
 
 /// The name of a node in its [`ExprArena`]: a dense index, smaller for

@@ -8,7 +8,7 @@
 //! `EQ(selector_expr, constant)`, it records the pair and continues down
 //! the not-taken chain.
 
-use crate::expr::{recycle, BinOp, ExprArena, ExprId, ExprKind, UnOp, MAX_POOLED_NODES};
+use crate::expr::{binop_of, recycle, BinOp, ExprArena, ExprId, ExprKind, UnOp, MAX_POOLED_NODES};
 use crate::outcome::{Diagnostic, MalformedKind, TruncationKind};
 use sigrec_abi::Selector;
 use sigrec_evm::{Disassembly, Opcode, U256};
@@ -251,37 +251,13 @@ fn walk_chain(
                 let (Some(a), Some(b)) = (stack.pop(), stack.pop()) else {
                     break;
                 };
-                let bop = match op {
-                    Add => BinOp::Add,
-                    Sub => BinOp::Sub,
-                    Mul => BinOp::Mul,
-                    Div => BinOp::Div,
-                    Mod => BinOp::Mod,
-                    And => BinOp::And,
-                    Or => BinOp::Or,
-                    Xor => BinOp::Xor,
-                    Lt => BinOp::Lt,
-                    Gt => BinOp::Gt,
-                    Eq => BinOp::Eq,
-                    SDiv => BinOp::SDiv,
-                    SMod => BinOp::SMod,
-                    Exp => BinOp::Exp,
-                    SLt => BinOp::SLt,
-                    SGt => BinOp::SGt,
-                    _ => unreachable!(),
-                };
-                stack.push(arena.bin(bop, a, b));
+                stack.push(arena.bin(binop_of(op), a, b));
             }
             Shl | Shr | Sar => {
                 let (Some(amount), Some(value)) = (stack.pop(), stack.pop()) else {
                     break;
                 };
-                let bop = match op {
-                    Shl => BinOp::Shl,
-                    Shr => BinOp::Shr,
-                    _ => BinOp::Sar,
-                };
-                stack.push(arena.bin(bop, value, amount));
+                stack.push(arena.bin(binop_of(op), value, amount));
             }
             Jump => {
                 let Some(t) = stack.pop() else { break };

@@ -6,8 +6,9 @@
 //! forwarders, and upgradeable proxies that read their implementation
 //! address from storage. Their real signatures live in the target's
 //! code. For these the pipeline must never return a silent empty result
-//! — it reports [`Diagnostic::UnresolvedIndirection`] with as much of
-//! the target as the bytes reveal, which
+//! — it reports
+//! [`Diagnostic::UnresolvedIndirection`](crate::Diagnostic::UnresolvedIndirection)
+//! with as much of the target as the bytes reveal, which
 //! [`SigRec::recover_linked`](crate::SigRec::recover_linked) can then
 //! resolve when the implementation code is supplied.
 //!
@@ -24,40 +25,23 @@
 use crate::outcome::DelegateTarget;
 use sigrec_evm::{Disassembly, Opcode};
 
-/// The EIP-1167 minimal-proxy runtime: 10 bytes of calldata-forwarding
-/// prologue, a 20-byte implementation address, and a 15-byte
-/// returndata-forwarding epilogue — 45 bytes total.
-const EIP1167_PREFIX: [u8; 10] = [0x36, 0x3d, 0x3d, 0x37, 0x3d, 0x3d, 0x3d, 0x36, 0x3d, 0x73];
-const EIP1167_SUFFIX: [u8; 15] = [
-    0x5a, 0xf4, 0x3d, 0x82, 0x80, 0x3e, 0x90, 0x3d, 0x91, 0x60, 0x2b, 0x57, 0xfd, 0x5b, 0xf3,
-];
-
 /// Step cap for the fall-through scan. Forwarder bodies are tiny (the
 /// canonical minimal proxy is 23 instructions); the cap only exists so
 /// pathological dispatcher-free contracts cannot turn planning into a
 /// full-code sweep.
 const SCAN_STEPS: usize = 512;
 
-/// Matches the exact EIP-1167 minimal-proxy runtime and returns its
-/// embedded implementation address.
-pub fn match_eip1167(code: &[u8]) -> Option<[u8; 20]> {
-    if code.len() != 45 || code[..10] != EIP1167_PREFIX || code[30..] != EIP1167_SUFFIX {
-        return None;
-    }
-    let mut addr = [0u8; 20];
-    addr.copy_from_slice(&code[10..30]);
-    Some(addr)
-}
-
 /// Statically detects a whole-contract delegatecall forwarder.
 ///
 /// Returns `Some(target)` when the code's fall-through entry path
-/// executes a `DELEGATECALL` before any dynamic jump or terminator:
-/// the exact EIP-1167 shape resolves to its embedded address, and the
-/// generic scan resolves to the most recent `PUSH20` immediate still
-/// trusted at the call site (an `SLOAD` after it means the address on
-/// the stack came from storage, not the immediate — the target is then
-/// [`DelegateTarget::Unknown`]).
+/// executes a `DELEGATECALL` before any dynamic jump or terminator. The
+/// target is the most recent `PUSH20` immediate still trusted at the
+/// call site (an `SLOAD` after it means the address on the stack came
+/// from storage, not the immediate — the target is then
+/// [`DelegateTarget::Unknown`]). The EIP-1167 minimal proxy needs no
+/// pattern of its own: its runtime is `PUSH20 addr; GAS; DELEGATECALL`
+/// after a straight-line prologue, so the scan returns its embedded
+/// address.
 ///
 /// The scan is a linear decode, not an execution: it follows the
 /// fall-through arm of `JUMPI` (forwarder prologues jump forward only
@@ -65,10 +49,6 @@ pub fn match_eip1167(code: &[u8]) -> Option<[u8; 20]> {
 /// terminator, or truncated `PUSH`. Callers gate it on an empty
 /// dispatch table, so a real dispatcher's body is never scanned.
 pub fn detect_forwarder(disasm: &Disassembly) -> Option<DelegateTarget> {
-    let code = disasm.assemble();
-    if let Some(addr) = match_eip1167(&code) {
-        return Some(DelegateTarget::Address(addr));
-    }
     let mut last_push20: Option<[u8; 20]> = None;
     for ins in disasm.instructions().iter().take(SCAN_STEPS) {
         if ins.is_truncated_push() {
@@ -106,6 +86,15 @@ pub fn detect_forwarder(disasm: &Disassembly) -> Option<DelegateTarget> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::any;
+
+    /// The EIP-1167 minimal-proxy runtime: 10 bytes of calldata-forwarding
+    /// prologue, a 20-byte implementation address, and a 15-byte
+    /// returndata-forwarding epilogue — 45 bytes total.
+    const EIP1167_PREFIX: [u8; 10] = [0x36, 0x3d, 0x3d, 0x37, 0x3d, 0x3d, 0x3d, 0x36, 0x3d, 0x73];
+    const EIP1167_SUFFIX: [u8; 15] = [
+        0x5a, 0xf4, 0x3d, 0x82, 0x80, 0x3e, 0x90, 0x3d, 0x91, 0x60, 0x2b, 0x57, 0xfd, 0x5b, 0xf3,
+    ];
 
     fn eip1167(addr: [u8; 20]) -> Vec<u8> {
         let mut code = Vec::with_capacity(45);
@@ -119,9 +108,31 @@ mod tests {
     fn minimal_proxy_resolves_to_embedded_address() {
         let addr = [0x11u8; 20];
         let code = eip1167(addr);
-        assert_eq!(match_eip1167(&code), Some(addr));
         let d = Disassembly::new(&code);
         assert_eq!(detect_forwarder(&d), Some(DelegateTarget::Address(addr)));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn minimal_proxy_resolves_to_any_embedded_address(
+            bytes in proptest::collection::vec((any::<u8>(), 0usize..24), 20..21),
+        ) {
+            // Half the address bytes are opcodes that would end or divert
+            // the scan if it decoded them as instructions: STOP, JUMP,
+            // JUMPI, JUMPDEST, RETURN, REVERT, INVALID, SLOAD,
+            // DELEGATECALL, SELFDESTRUCT and PUSH1..PUSH32.
+            const STOPPERS: [u8; 10] = [0x00, 0x56, 0x57, 0x5b, 0xf3, 0xfd, 0xfe, 0x54, 0xf4, 0xff];
+            let mut addr = [0u8; 20];
+            for (slot, &(byte, pick)) in addr.iter_mut().zip(&bytes) {
+                *slot = match pick {
+                    0..=9 => STOPPERS[pick],
+                    10..=11 => 0x60 + byte % 32,
+                    _ => byte,
+                };
+            }
+            let d = Disassembly::new(&eip1167(addr));
+            proptest::prop_assert_eq!(detect_forwarder(&d), Some(DelegateTarget::Address(addr)));
+        }
     }
 
     #[test]
@@ -131,7 +142,6 @@ mod tests {
         // Cut inside the PUSH20 immediate: the zero-filled address must
         // not be fabricated.
         code.truncate(15);
-        assert_eq!(match_eip1167(&code), None);
         let d = Disassembly::new(&code);
         assert_eq!(detect_forwarder(&d), None);
     }

@@ -9,11 +9,11 @@
 //!
 //! Two matchers implement the rules (see [`InferEngine`]): the per-rule
 //! reference in this module, where each rule family re-probes the facts
-//! per candidate parameter, and the staged decision-tree matcher in
-//! [`tree`], which compiles the facts into per-offset feature bitsets
-//! once and dispatches rules by feature signature — the paper's Fig. 13
-//! reading of R1–R31 as a decision tree rather than 31 independent
-//! matchers. Both produce byte-identical [`RecoveredParams`] (parameters,
+//! per candidate parameter, and the staged decision-tree matcher in the
+//! private `tree` module, which compiles the facts into per-offset
+//! feature bitsets once and dispatches rules by feature signature — the
+//! paper's Fig. 13 reading of R1–R31 as a decision tree rather than 31
+//! independent matchers. Both produce byte-identical [`RecoveredParams`] (parameters,
 //! language, and rule applications in order); the conformance matrix and
 //! the fuzz campaigns gate on that equivalence.
 
@@ -53,14 +53,14 @@ pub struct RecoveredParams {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum InferEngine {
     /// The per-rule reference matcher: every rule family re-probes
-    /// [`FunctionFacts`] (through [`FactsIndex`]) per candidate
+    /// [`FunctionFacts`] (through the private `FactsIndex`) per candidate
     /// parameter. Kept as the differential baseline the conformance
     /// matrix and the fuzz campaigns compare against.
     PerRule,
-    /// The staged decision-tree matcher ([`tree`]): per-offset feature
-    /// bitsets and per-key refinement summaries are built in one pass,
-    /// shared prefix tests run exactly once, and refinement dispatches on
-    /// the summary's feature signature. Observationally identical to
+    /// The staged decision-tree matcher (the private `tree` module):
+    /// per-offset feature bitsets and per-key refinement summaries are
+    /// built in one pass, shared prefix tests run exactly once, and
+    /// refinement dispatches on the summary's feature signature. Observationally identical to
     /// [`InferEngine::PerRule`] — same parameters, same language, same
     /// rule applications in the same order.
     #[default]

@@ -9,11 +9,12 @@
 //! 1. disassemble and extract the dispatch table ([`extract_dispatch`]);
 //! 2. run **TASE** — type-aware symbolic execution — over each function
 //!    body ([`Tase`]), collecting how the contract reads its call data;
-//! 3. apply the rules R1–R31 ([`rules::RuleId`], [`infer`]) organised as
-//!    the Fig. 13 decision tree: coarse classification (dynamic/static
-//!    arrays, `bytes`/`string`, structs, basic words), parameter counting
-//!    and ordering, and fine-grained refinement (masks, sign extensions,
-//!    double-`ISZERO`, byte accesses, Vyper range checks).
+//! 3. apply the rules R1–R31 ([`rules::RuleId`], [`infer`](mod@infer))
+//!    organised as the Fig. 13 decision tree: coarse classification
+//!    (dynamic/static arrays, `bytes`/`string`, structs, basic words),
+//!    parameter counting and ordering, and fine-grained refinement (masks,
+//!    sign extensions, double-`ISZERO`, byte accesses, Vyper range
+//!    checks).
 //!
 //! The user-facing entry point is [`SigRec::recover`]; [`recover_batch`]
 //! fans a corpus across worker threads.
@@ -43,7 +44,7 @@ pub use cache::{
 pub use exec::{ExecStats, Tase, TaseConfig};
 pub use extract::{extract_dispatch, extract_dispatch_diag, DispatchEntry, DispatchExtraction};
 pub use facts::{CopyFact, FunctionFacts, GuardFact, LoadFact, Usage, UseFact};
-pub use indirect::{detect_forwarder, match_eip1167};
+pub use indirect::detect_forwarder;
 pub use infer::{
     infer, infer_timed, infer_with, InferEngine, InferTiming, Language, RecoveredParams,
 };

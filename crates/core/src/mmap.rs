@@ -44,7 +44,7 @@ unsafe impl Sync for Mapping {}
 impl Mapping {
     /// Maps (or reads) `path`. The view covers the file length at call
     /// time; bytes appended to the file afterwards are not visible —
-    /// callers fall back to plain file reads for those.
+    /// callers open a fresh mapping to read them.
     pub(crate) fn open(path: &Path) -> io::Result<Mapping> {
         let mut file = File::open(path)?;
         let len = file.metadata()?.len() as usize;

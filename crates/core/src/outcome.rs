@@ -35,11 +35,11 @@ pub enum BudgetKind {
     /// [`TaseConfig::max_total_steps`](crate::TaseConfig::max_total_steps):
     /// the whole function's exploration was cut.
     TotalSteps,
-    /// [`TaseConfig::fork_limit_per_block`](crate::TaseConfig::fork_limit_per_block):
+    /// [`FORK_LIMIT_PER_BLOCK`](crate::exec::FORK_LIMIT_PER_BLOCK):
     /// a symbolic loop was unrolled to its fork bound, then exited
     /// (expected on loops — an abstraction, not a loss).
     ForkCap,
-    /// [`TaseConfig::block_visit_limit`](crate::TaseConfig::block_visit_limit):
+    /// [`BLOCK_VISIT_LIMIT`](crate::exec::BLOCK_VISIT_LIMIT):
     /// a concrete loop was cut at the visit bound (expected on concrete
     /// loops — an abstraction, not a loss).
     VisitCap,

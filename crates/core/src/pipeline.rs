@@ -3,10 +3,10 @@
 //! Bytecode → disassembly → dispatcher extraction → per-function TASE →
 //! rule-based inference → recovered [`FunctionSignature`]s.
 //!
-//! Every entry point funnels through one internal body: [`SigRec::plan`]
-//! turns bytecode into a [`ContractPlan`] (disassembly + dispatch table),
-//! [`SigRec::run_entry`] explores and infers one dispatch-table entry,
-//! and [`SigRec::seal`] memoises the assembled contract.
+//! Every entry point funnels through one internal body: `SigRec::plan`
+//! turns bytecode into a `ContractPlan` (disassembly + dispatch table),
+//! `SigRec::run_entry` explores and infers one dispatch-table entry, and
+//! `SigRec::seal` memoises the assembled contract (all crate-private).
 //! `recover`/`recover_cold`/`explain` are thin drivers over those three
 //! steps, and `recover_batch` calls them directly so it can isolate a
 //! panic to the entry that raised it. Whole contracts are memoised in a

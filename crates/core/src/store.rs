@@ -55,12 +55,17 @@
 //! the tag and skips the record — decoding it as a contract would
 //! shadow the real record under the same key — and the index format of
 //! that era (`SIGRECI2`, which carried a program section) fails the
-//! magic check, so such a store opens by rescan. Sealed segments and
-//! the flat index are read through a memory mapping
-//! ([`mmap`](crate::mmap)): records are checksum-verified and decoded
-//! straight from the mapped bytes, index entries are searched in place,
-//! and only owned structures leave the store, so the mapping's lifetime
-//! never escapes.
+//! magic check, so such a store opens by rescan.
+//!
+//! **Reads.** Segments and the flat index are read through a memory
+//! mapping (the crate-private `mmap` module): records are
+//! checksum-verified and decoded straight from the mapped bytes, index
+//! entries are searched in place, and only owned structures leave the
+//! store, so the mapping's lifetime never escapes. A mapping covers its
+//! file as it was when mapped; a record appended after that (a lookup,
+//! through the same handle, of its own append) is read from a fresh
+//! mapping of the segment, which replaces the old one. On the buffered
+//! (non-Linux) fallback that remap re-reads the whole segment.
 //!
 //! **Poisoning.** A panic while the store's lock is held poisons it. The
 //! store then degrades instead of panicking: lookups miss, appends and
@@ -83,7 +88,7 @@ use sigrec_abi::{AbiType, Selector};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -342,7 +347,7 @@ fn key_prefix(key: &[u8]) -> u64 {
 /// Mutable state behind the store's lock: the key index (the flushed
 /// base, the overlay of later appends and the tombstones of records
 /// that failed verification), the active append segment, and
-/// lazily-opened read handles and mappings.
+/// lazily-created segment mappings.
 struct StoreState {
     base: FlatIndex,
     /// Records appended since `base` was written; consulted first.
@@ -357,12 +362,9 @@ struct StoreState {
     active: Option<File>,
     /// Appends since the active segment was last synced.
     unsynced: u64,
-    /// Read handles, keyed by segment id (the fallback for records past
-    /// a mapping's length).
-    readers: HashMap<u32, File>,
     /// Lazily-created read-only mappings, keyed by segment id. A mapping
-    /// covers the file length at creation time; records appended later
-    /// fall back to `readers`.
+    /// covers the file length at creation time; a read past it maps the
+    /// segment again.
     maps: HashMap<u32, Arc<Mapping>>,
 }
 
@@ -523,7 +525,6 @@ impl PersistentStore {
                 segments,
                 active: None,
                 unsynced: 0,
-                readers: HashMap::new(),
                 maps: HashMap::new(),
             }),
             open_diags: diags,
@@ -714,9 +715,9 @@ impl PersistentStore {
     }
 
     /// Verifies the record at `loc` (key echo, framing, checksum) and
-    /// hands its payload to `decode`, preferring a borrowed slice of the
-    /// segment's memory mapping over a file read. Only `decode`'s owned
-    /// output leaves — mapped bytes never escape the call.
+    /// hands its payload to `decode` as a borrowed slice of the segment's
+    /// memory mapping. Only `decode`'s owned output leaves — mapped bytes
+    /// never escape the call.
     fn with_record<T>(
         &self,
         key: &[u8; 32],
@@ -725,36 +726,21 @@ impl PersistentStore {
     ) -> Option<T> {
         let start = loc.offset as usize;
         let end = start.checked_add(loc.len as usize)?;
-        if let Some(map) = self.mapping_for(loc.segment) {
-            if let Some(record) = map.as_slice().get(start..end) {
-                return verify_record(key, record).and_then(decode);
-            }
-            // The record sits past the mapping (appended after the map
-            // was created): fall through to the read handle.
-        }
-        let mut buf = vec![0u8; loc.len as usize];
-        {
-            // `File` writes are unbuffered, so a record indexed by the
-            // appender is immediately visible to a separate read handle.
-            let mut state = self.state().ok()?;
-            let dir = self.inner.dir.clone();
-            let file = match state.readers.entry(loc.segment) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(File::open(segment_path(&dir, loc.segment)).ok()?)
-                }
-            };
-            file.seek(SeekFrom::Start(loc.offset)).ok()?;
-            file.read_exact(&mut buf).ok()?;
-        }
-        verify_record(key, &buf).and_then(decode)
+        let map = self.mapping_for(loc.segment, end)?;
+        let record = map.as_slice().get(start..end)?;
+        verify_record(key, record).and_then(decode)
     }
 
-    /// The (lazily created) read-only mapping of one segment file.
-    fn mapping_for(&self, segment: u32) -> Option<Arc<Mapping>> {
+    /// A read-only mapping of one segment file that reaches `end`, when
+    /// the file does: the segment's current mapping, or a fresh one that
+    /// replaces it when the record was appended after that mapping was
+    /// made.
+    fn mapping_for(&self, segment: u32, end: usize) -> Option<Arc<Mapping>> {
         let mut state = self.state().ok()?;
         if let Some(map) = state.maps.get(&segment) {
-            return Some(Arc::clone(map));
+            if map.as_slice().len() >= end {
+                return Some(Arc::clone(map));
+            }
         }
         let map = Arc::new(Mapping::open(&segment_path(&self.inner.dir, segment)).ok()?);
         state.maps.insert(segment, Arc::clone(&map));
@@ -1421,6 +1407,7 @@ mod codec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Seek, SeekFrom};
     use std::sync::atomic::AtomicUsize;
 
     fn scratch() -> PathBuf {
@@ -1642,18 +1629,24 @@ mod tests {
     }
 
     #[test]
-    fn records_appended_after_mapping_fall_back_to_file_reads() {
+    fn records_appended_after_mapping_are_read_through_a_fresh_mapping() {
         let dir = scratch();
         let store = PersistentStore::open(&dir).unwrap();
         store.append([1u8; 32], &[func(1, vec![])], &[]).unwrap();
         // This lookup creates the segment mapping at its current length.
         assert!(store.lookup(&[1u8; 32]).is_some());
-        // Appends past the mapped length must still read back correctly.
-        store
-            .append([2u8; 32], &[func(2, vec![AbiType::Bool])], &[])
-            .unwrap();
-        let (got, _) = store.lookup(&[2u8; 32]).unwrap();
-        assert_eq!(got[0].params, vec![AbiType::Bool]);
+        // Each append lies past the mapping the previous lookup made, so
+        // its lookup maps the segment again on the same handle.
+        for (i, ty) in [(2u8, AbiType::Bool), (3u8, AbiType::Address)] {
+            store
+                .append([i; 32], &[func(i as u32, vec![ty.clone()])], &[])
+                .unwrap();
+            let (got, _) = store.lookup(&[i; 32]).unwrap();
+            assert_eq!(got[0].params, vec![ty]);
+        }
+        assert!(store.lookup(&[1u8; 32]).is_some());
+        let stats = store.stats();
+        assert_eq!((stats.disk_hits, stats.corrupt_records), (4, 0));
         fs::remove_dir_all(&dir).unwrap();
     }
 

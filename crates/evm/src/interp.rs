@@ -10,7 +10,6 @@ use crate::disasm::Disassembly;
 use crate::gas;
 use crate::keccak::keccak256;
 use crate::opcode::Opcode;
-use crate::trace::{TraceStep, Tracer};
 use crate::u256::U256;
 use std::collections::BTreeMap;
 
@@ -174,12 +173,7 @@ impl Interpreter {
 
     /// Runs the contract to completion under `env`.
     pub fn run(&self, env: &Env) -> Execution {
-        Machine::new(&self.disasm, env, self.step_limit, self.gas_limit).run(None)
-    }
-
-    /// Runs the contract, reporting every executed instruction to `tracer`.
-    pub fn run_traced(&self, env: &Env, tracer: &mut dyn Tracer) -> Execution {
-        Machine::new(&self.disasm, env, self.step_limit, self.gas_limit).run(Some(tracer))
+        Machine::new(&self.disasm, env, self.step_limit, self.gas_limit).run()
     }
 }
 
@@ -230,7 +224,7 @@ impl<'a> Machine<'a> {
         matches!(self.gas_limit, Some(limit) if self.gas_used > limit)
     }
 
-    fn run(mut self, mut tracer: Option<&mut dyn Tracer>) -> Execution {
+    fn run(mut self) -> Execution {
         let mut pc = 0usize;
         let mut invalid_pcs = Vec::new();
         let outcome = loop {
@@ -244,16 +238,6 @@ impl<'a> Machine<'a> {
             self.steps += 1;
             if self.charge(gas::static_cost(ins.opcode)) {
                 break Outcome::OutOfGas;
-            }
-            if let Some(t) = tracer.as_deref_mut() {
-                let top_n = self.stack.len().min(4);
-                t.step(&TraceStep {
-                    pc,
-                    opcode: ins.opcode,
-                    stack_depth: self.stack.len(),
-                    stack_top: self.stack.iter().rev().take(top_n).copied().collect(),
-                    gas_used: self.gas_used,
-                });
             }
             if self.seen.insert(pc) {
                 self.visited.push(pc);
@@ -442,7 +426,7 @@ impl<'a> Machine<'a> {
                     self.memory[d + i] = byte;
                 }
             }
-            CodeSize => try_halt!(self.push(U256::from(self.disasm.assemble().len()))),
+            CodeSize => try_halt!(self.push(U256::from(self.disasm.code_len()))),
             CodeCopy | ReturnDataCopy | ExtCodeCopy => {
                 let pops = op.stack_in();
                 for _ in 0..pops {
@@ -788,6 +772,24 @@ mod tests {
             .with_gas_limit(50_000)
             .run(&Env::default());
         assert_eq!(e.outcome, Outcome::OutOfGas);
+    }
+
+    #[test]
+    fn codesize_pushes_the_input_length() {
+        // CODESIZE PUSH1 0 MSTORE PUSH1 32 PUSH1 0 RETURN: 9 bytes.
+        let plain = vec![0x38, 0x60, 0x00, 0x52, 0x60, 0x20, 0x60, 0x00, 0xf3];
+        // The same, then a PUSH4 with two of its four immediate bytes: 12
+        // bytes, not the 14 its nominal instruction sizes add to.
+        let mut truncated = plain.clone();
+        truncated.extend_from_slice(&[0x63, 0xaa, 0xbb]);
+        for code in [plain, truncated] {
+            match run(&code, &[]).outcome {
+                Outcome::Return(d) => {
+                    assert_eq!(U256::from_be_bytes(&d), U256::from(code.len() as u64))
+                }
+                o => panic!("{:?}", o),
+            }
+        }
     }
 
     #[test]

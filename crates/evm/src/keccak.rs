@@ -1,6 +1,6 @@
 //! Keccak-256 — the hash behind Ethereum function selectors.
 //!
-//! Implemented from scratch: the FIPS-202 Keccak-f[1600] permutation with the
+//! Implemented from scratch: the FIPS-202 Keccak-f\[1600\] permutation with the
 //! *original* Keccak padding (`0x01 … 0x80`), which is what Ethereum uses
 //! (not the NIST SHA-3 `0x06` domain byte). A function id is the first four
 //! bytes of `keccak256(canonical_signature)`.

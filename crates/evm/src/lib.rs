@@ -28,7 +28,6 @@ pub mod keccak;
 pub mod opcode;
 pub mod pool;
 pub mod program;
-pub mod trace;
 pub mod u256;
 
 pub use asm::{emit_junk_block, Assembler, Label};
@@ -39,5 +38,4 @@ pub use interp::{Env, Execution, HaltReason, Interpreter, Outcome, STACK_LIMIT};
 pub use keccak::{keccak256, selector};
 pub use opcode::Opcode;
 pub use program::Program;
-pub use trace::{OpcodeHistogram, TraceCollector, TraceStep, Tracer};
 pub use u256::U256;

@@ -332,57 +332,6 @@ impl Opcode {
         )
     }
 
-    /// True for the two instructions that read the call data.
-    pub fn reads_calldata(self) -> bool {
-        matches!(self, Opcode::CallDataLoad | Opcode::CallDataCopy)
-    }
-
-    /// True for instructions whose result SigRec models as a free symbol
-    /// (environment and chain-state reads).
-    pub fn is_environment_read(self) -> bool {
-        use Opcode::*;
-        matches!(
-            self,
-            Address
-                | Balance
-                | Origin
-                | Caller
-                | CallValue
-                | GasPrice
-                | ExtCodeSize
-                | ExtCodeHash
-                | ReturnDataSize
-                | BlockHash
-                | Coinbase
-                | Timestamp
-                | Number
-                | Difficulty
-                | GasLimit
-                | ChainId
-                | SelfBalance
-                | BaseFee
-                | MSize
-                | Gas
-                | SLoad
-                | Create
-                | Create2
-                | Call
-                | CallCode
-                | DelegateCall
-                | StaticCall
-                | Keccak256
-        )
-    }
-
-    /// True for signed arithmetic/comparison instructions — the hint behind
-    /// rules R13/R15 (a value fed to these is a signed integer).
-    pub fn is_signed_op(self) -> bool {
-        matches!(
-            self,
-            Opcode::SDiv | Opcode::SMod | Opcode::SLt | Opcode::SGt | Opcode::Sar
-        )
-    }
-
     /// The canonical mnemonic, e.g. `PUSH4`, `CALLDATALOAD`.
     pub fn mnemonic(self) -> String {
         use Opcode::*;
@@ -446,10 +395,6 @@ mod tests {
     fn classifications() {
         assert!(Opcode::Jump.is_terminator());
         assert!(!Opcode::JumpI.is_terminator());
-        assert!(Opcode::CallDataLoad.reads_calldata());
-        assert!(Opcode::Caller.is_environment_read());
-        assert!(Opcode::SDiv.is_signed_op());
-        assert!(!Opcode::Div.is_signed_op());
     }
 
     #[test]
